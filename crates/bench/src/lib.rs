@@ -1,15 +1,16 @@
-//! # dr-bench — shared fixtures for the benchmark suite
+//! # dr-bench — the reports behind `gpures bench`
 //!
-//! Every bench regenerates one of the paper's tables or figures (see
-//! DESIGN.md's experiment index). Campaign generation is *not* what we
-//! want to time in the analysis benches, so fixtures are built once per
-//! process and shared via `OnceLock`.
+//! Each module times one subsystem and produces one committed
+//! `BENCH_*.json` artifact, written with the tiny dependency-free
+//! [`json`] emitter (hosted by `dr-obs` and re-exported here so
+//! `dr_bench::json` paths keep working). Every report cross-checks its
+//! outputs, so a correctness regression cannot hide behind a fast
+//! number; the tables and figures themselves are regenerated by the
+//! `gpures` commands and `examples/` (see DESIGN.md's experiment index).
 //!
-//! [`stage1`] is different: it is the tracked Stage I throughput
-//! benchmark behind `gpures bench`, producing the committed
-//! `BENCH_stage1.json` / `BENCH_pipeline.json` artifacts via the tiny
-//! dependency-free [`json`] emitter (now hosted by `dr-obs` and
-//! re-exported here so existing `dr_bench::json` paths keep working).
+//! [`stage1`] is the Stage I throughput benchmark, producing
+//! `BENCH_stage1.json` (optimized vs. baseline extractor) and
+//! `BENCH_pipeline.json` (the sharded front half across a worker matrix).
 //! [`obs`] measures the observability layer itself, producing
 //! `BENCH_obs.json` with the metrics-on vs metrics-off overhead.
 //! [`stream`] measures bounded-memory streaming ingestion, producing
@@ -38,26 +39,10 @@ pub use dr_obs::json;
 
 use dr_cluster::DeltaShape;
 use dr_faults::{Campaign, CampaignConfig, CampaignOutput};
-use dr_slurm::{apply_errors, DrainWindows, JobLoadConfig, JobRecord, MaskingModel, Scheduler};
-use dr_xid::Duration;
-use rand::prelude::*;
 use std::sync::OnceLock;
 
-/// A benchmark-sized study: the full Ampere fleet over 60 days (~4.5 k
-/// coalesced errors, ~700 k raw records) — big enough for meaningful
-/// throughput numbers, small enough for Criterion's sampling.
-pub fn meso_campaign() -> &'static CampaignOutput {
-    static OUT: OnceLock<CampaignOutput> = OnceLock::new();
-    OUT.get_or_init(|| {
-        let cfg = CampaignConfig {
-            duration_days: 60.0,
-            ..CampaignConfig::ampere_study(7)
-        };
-        Campaign::run(cfg)
-    })
-}
-
-/// A text-bearing small campaign for Stage I extraction benches.
+/// A text-bearing small campaign for the live-path benchmark, built once
+/// per process so campaign generation stays out of the timings.
 pub fn text_campaign() -> &'static CampaignOutput {
     static OUT: OnceLock<CampaignOutput> = OnceLock::new();
     OUT.get_or_init(|| {
@@ -72,35 +57,12 @@ pub fn text_campaign() -> &'static CampaignOutput {
     })
 }
 
-/// The matching workload with error impact applied (for Table 2 / Fig 9).
-pub fn meso_jobs() -> &'static Vec<JobRecord> {
-    static JOBS: OnceLock<Vec<JobRecord>> = OnceLock::new();
-    JOBS.get_or_init(|| {
-        let out = meso_campaign();
-        let drains = DrainWindows::from_events(
-            out.events.iter().map(|e| (e.gpu.node, e.at)),
-            Duration::from_hours(24),
-        );
-        let cfg = JobLoadConfig {
-            total_jobs: 100_000,
-            duration_days: 60.0,
-            ..JobLoadConfig::delta_study(13)
-        };
-        let mut schedule = Scheduler::new(cfg).run(&out.fleet, &drains);
-        let mut rng = StdRng::seed_from_u64(17);
-        apply_errors(&mut schedule.jobs, &out.events, &MaskingModel::default(), &mut rng);
-        schedule.jobs
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fixtures_build() {
-        assert!(!meso_campaign().records.is_empty());
         assert!(!text_campaign().text_logs.is_empty());
-        assert!(!meso_jobs().is_empty());
     }
 }

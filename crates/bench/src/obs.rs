@@ -6,16 +6,16 @@
 //! granularity, and the per-line hot loop is untouched. This benchmark
 //! enforces the "steady-state overhead below 5 %" budget the design
 //! documents: it runs the sharded Stage I+II front half
-//! ([`resilience_core::extract_and_coalesce_observed`]) on the noisy
-//! workload twice — once with a disabled sink (the legacy path) and once
-//! with a recording sink — cross-checks that the coalesced output is
-//! identical (the write-only invariant), and reports the throughput
-//! delta as `overhead_pct`.
+//! ([`crate::stage1::front_half`]) on the noisy workload twice — once
+//! with a disabled sink (the legacy path) and once with a recording
+//! sink — cross-checks that the coalesced output is identical (the
+//! write-only invariant), and reports the throughput delta as
+//! `overhead_pct`.
 
 use crate::json::Json;
-use crate::stage1::{measure, noisy_workload};
+use crate::stage1::{front_half, measure, noisy_workload};
 use dr_obs::MetricsSink;
-use resilience_core::{extract_and_coalesce_observed, CoalesceConfig};
+use resilience_core::InMemorySource;
 
 /// The `BENCH_obs.json` document. `smoke` shrinks the corpus and drops
 /// the timing floor so the tier-1 test exercises the full path quickly;
@@ -30,15 +30,14 @@ pub fn obs_report(smoke: bool) -> Result<Json, String> {
     let w = noisy_workload(nodes, lines_per_node);
 
     let run = |sink: &MetricsSink| {
-        let (coalesced, stats) =
-            extract_and_coalesce_observed(&w.logs, CoalesceConfig::default(), None, sink);
-        (coalesced.len() as u64, stats.xid_lines)
+        let mut source = InMemorySource::new(&w.logs);
+        front_half(&mut source, None, false, sink).map(|(c, s)| (c as u64, s.xid_lines))
     };
 
     // Correctness gate before any timing: attaching a recording sink must
     // not change the output at all.
-    let off_out = run(&MetricsSink::disabled());
-    let on_out = run(&MetricsSink::recording());
+    let off_out = run(&MetricsSink::disabled())?;
+    let on_out = run(&MetricsSink::recording())?;
     if off_out != on_out {
         return Err(format!(
             "observability changed results on `{}`: disabled {:?}, recording {:?}",
@@ -46,9 +45,13 @@ pub fn obs_report(smoke: bool) -> Result<Json, String> {
         ));
     }
 
-    let disabled = measure(&w, min_wall_s, || run(&MetricsSink::disabled()).0);
+    let disabled = measure(&w, min_wall_s, || {
+        run(&MetricsSink::disabled()).map_or(0, |o| o.0)
+    });
     // A fresh recording sink per rep, like a real `--metrics` run.
-    let recording = measure(&w, min_wall_s, || run(&MetricsSink::recording()).0);
+    let recording = measure(&w, min_wall_s, || {
+        run(&MetricsSink::recording()).map_or(0, |o| o.0)
+    });
     let overhead_pct =
         (disabled.lines_per_s / recording.lines_per_s.max(1e-12) - 1.0) * 100.0;
 

@@ -10,9 +10,9 @@
 //!   and a noisy realistic mix. The dense speedup is the ratcheted
 //!   headline number (target ≥3×).
 //! * `BENCH_pipeline.json` — end-to-end Stage I+II front half
-//!   ([`resilience_core::shard::extract_and_coalesce`]: byte-balanced
-//!   shards, replayed scanner state, k-way merge into the streaming
-//!   coalescer) at one worker vs. the full `dr-par` pool.
+//!   ([`front_half`]: byte-balanced shards, replayed scanner state,
+//!   k-way merge into the streaming coalescer) at one worker vs. the
+//!   full `dr-par` pool.
 //!
 //! Workload generation is **arithmetic, not random**: the build runs in
 //! environments where the `rand` crate may be stubbed, and the artifact's
@@ -23,11 +23,15 @@
 //! correctness regression cannot hide behind a fast number.
 
 use crate::json::Json;
-use dr_logscan::{BaselineExtractor, XidExtractor};
+use dr_logscan::{BaselineExtractor, ExtractStats, XidExtractor};
 use dr_obs::clock::Stopwatch;
+use dr_obs::MetricsSink;
 use dr_xid::syslog::{format_line, format_noise_line};
 use dr_xid::{Duration, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid};
-use resilience_core::{extract_and_coalesce, CoalesceConfig};
+use resilience_core::{
+    extract_source_observed, extract_source_prefetch_observed, merge_and_coalesce_observed,
+    CoalesceConfig, InMemorySource, LogSource,
+};
 
 /// A generated multi-node syslog corpus with its exact size.
 pub struct Workload {
@@ -258,6 +262,27 @@ fn scaling_efficiency(lps: f64, lps_one: f64, requested: usize, pool: usize) -> 
     (lps / lps_one.max(1e-12)) / effective as f64
 }
 
+/// The sharded Stage I + streaming Stage II front half the pipeline, obs
+/// and stream reports time: wave extraction on the synchronous or the
+/// prefetching driver, then the k-way merge into the streaming
+/// coalescer. Returns the coalesced episode count and the extraction
+/// stats.
+pub fn front_half(
+    source: &mut (dyn LogSource<'_> + Send),
+    target_bytes: Option<u64>,
+    prefetch: bool,
+    sink: &MetricsSink,
+) -> Result<(usize, ExtractStats), String> {
+    let (per_node, stats) = if prefetch {
+        extract_source_prefetch_observed(source, target_bytes, sink)
+    } else {
+        extract_source_observed(source, target_bytes, sink)
+    }
+    .map_err(|e| e.to_string())?;
+    let coalesced = merge_and_coalesce_observed(per_node, CoalesceConfig::default(), sink);
+    Ok((coalesced.len(), stats))
+}
+
 /// The `BENCH_pipeline.json` document (schema v2): sharded
 /// extract-and-coalesce on the noisy workload swept across the
 /// [`WORKER_MATRIX`], with coalesced output checked identical at every
@@ -283,12 +308,12 @@ pub fn pipeline_report(smoke: bool) -> Result<Json, String> {
     let mut lines_per_s: Vec<f64> = Vec::new();
     for &n in &WORKER_MATRIX {
         dr_par::set_worker_override(Some(n));
-        let (coalesced, stats) = extract_and_coalesce(&w.logs, CoalesceConfig::default(), None);
-        let count = coalesced.len();
-        let m = measure(&w, min_wall_s, || {
-            let (c, _) = extract_and_coalesce(&w.logs, CoalesceConfig::default(), None);
-            c.len() as u64
-        });
+        let run = || {
+            let mut source = InMemorySource::new(&w.logs);
+            front_half(&mut source, None, false, &MetricsSink::disabled())
+        };
+        let (count, stats) = run()?;
+        let m = measure(&w, min_wall_s, || run().map_or(0, |(c, _)| c as u64));
         dr_par::set_worker_override(None);
         match reference {
             None => reference = Some((count, stats.xid_lines)),

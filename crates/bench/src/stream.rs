@@ -19,13 +19,9 @@
 //! correctness regression cannot hide behind a fast number.
 
 use crate::json::Json;
-use crate::stage1::{measure, noisy_workload, Workload};
+use crate::stage1::{front_half, measure, noisy_workload, Workload};
 use dr_obs::MetricsSink;
 use resilience_core::source::{DirSource, InMemorySource};
-use resilience_core::{
-    extract_and_coalesce_source_observed, extract_and_coalesce_source_prefetch_observed,
-    CoalesceConfig,
-};
 use std::path::{Path, PathBuf};
 
 /// Chunk pull target for the streamed path: small enough that peak
@@ -137,9 +133,7 @@ pub fn stream_report(smoke: bool) -> Result<Json, String> {
 
     let (mem_count, mem_peak, mem_json) = run_path("in-memory", &w, min_wall_s, None, |sink| {
         let mut src = InMemorySource::new(&w.logs);
-        extract_and_coalesce_source_observed(&mut src, CoalesceConfig::default(), None, sink)
-            .map(|(c, _)| c.len())
-            .map_err(|e| e.to_string())
+        front_half(&mut src, None, false, sink).map(|(c, _)| c)
     })?;
     let (dir_count, dir_peak, dir_json) = run_path(
         "dir-stream",
@@ -148,14 +142,7 @@ pub fn stream_report(smoke: bool) -> Result<Json, String> {
         Some(STREAM_CHUNK_BYTES),
         |sink| {
             let mut src = DirSource::open(scratch.path()).map_err(|e| e.to_string())?;
-            extract_and_coalesce_source_observed(
-                &mut src,
-                CoalesceConfig::default(),
-                Some(STREAM_CHUNK_BYTES),
-                sink,
-            )
-            .map(|(c, _)| c.len())
-            .map_err(|e| e.to_string())
+            front_half(&mut src, Some(STREAM_CHUNK_BYTES), false, sink).map(|(c, _)| c)
         },
     )?;
     let (pf_count, pf_peak, pf_json) = run_path(
@@ -165,14 +152,7 @@ pub fn stream_report(smoke: bool) -> Result<Json, String> {
         Some(STREAM_CHUNK_BYTES),
         |sink| {
             let mut src = DirSource::open(scratch.path()).map_err(|e| e.to_string())?;
-            extract_and_coalesce_source_prefetch_observed(
-                &mut src,
-                CoalesceConfig::default(),
-                Some(STREAM_CHUNK_BYTES),
-                sink,
-            )
-            .map(|(c, _)| c.len())
-            .map_err(|e| e.to_string())
+            front_half(&mut src, Some(STREAM_CHUNK_BYTES), true, sink).map(|(c, _)| c)
         },
     )?;
 

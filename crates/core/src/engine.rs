@@ -13,7 +13,7 @@
 //! the same arithmetic in the same sequence.
 //!
 //! [`StudyEngine`] bundles one accumulator per study section and is what
-//! [`crate::pipeline::StudyResults::from_coalesced`] folds through; the
+//! [`crate::pipeline::PipelineBuilder::run_coalesced`] folds through; the
 //! live path (`crate::watch`) layers rolling-window accumulators on the
 //! same trait.
 
@@ -409,9 +409,9 @@ impl AnalysisEngine for CounterfactualAcc {
 
 /// The full study as one fold: every batch section of
 /// [`StudyResults`], each as its incremental accumulator.
-/// [`StudyResults::from_coalesced`] constructs one of these, ingests the
-/// corpus, and finishes; live sessions can snapshot mid-stream through
-/// the individual accumulators.
+/// [`crate::pipeline::PipelineBuilder::run_coalesced`] constructs one of
+/// these, ingests the corpus, and finishes; live sessions can snapshot
+/// mid-stream through the individual accumulators.
 #[derive(Clone, Debug)]
 pub struct StudyEngine<'a> {
     config: StudyConfig,
@@ -462,12 +462,8 @@ impl<'a> StudyEngine<'a> {
 
     /// Snapshot every section into a [`StudyResults`] bundle. `coalesced`
     /// is the exact sequence that was ingested (the results carry it).
-    pub fn finish(self, coalesced: Vec<CoalescedError>) -> StudyResults {
-        self.finish_observed(coalesced, &MetricsSink::disabled())
-    }
-
-    /// [`StudyEngine::finish`] with per-section spans and counters on
-    /// `sink`. Write-only: the results are bit-identical with any sink.
+    /// Per-section spans and counters go to `sink`, which is write-only:
+    /// the results are bit-identical with any sink.
     pub fn finish_observed(
         self,
         coalesced: Vec<CoalescedError>,
@@ -690,8 +686,8 @@ mod tests {
         for e in &errors {
             engine.ingest(e);
         }
-        let folded = engine.finish(errors.clone());
-        let batch = StudyResults::from_coalesced(errors, None, None, cfg);
+        let folded = engine.finish_observed(errors.clone(), &MetricsSink::disabled());
+        let batch = crate::pipeline::PipelineBuilder::new(cfg).run_coalesced(errors);
         assert_eq!(format!("{folded:?}"), format!("{batch:?}"));
     }
 }

@@ -54,9 +54,10 @@
 //! Everything operates on plain data types (`ErrorRecord`, `JobRecord`),
 //! so the pipeline runs unchanged on synthetic campaigns or real logs.
 //!
-//! Every stage accepts a write-only [`dr_obs::MetricsSink`] (the
-//! `*_observed` variants and [`pipeline::PipelineBuilder::metrics`]);
-//! attaching one never changes any result.
+//! Every stage accepts a write-only [`dr_obs::MetricsSink`]: the Stage I
+//! and merge drivers in [`shard`] take one as an argument, and
+//! [`pipeline::PipelineBuilder::metrics`] attaches one to a whole run.
+//! Attaching one never changes any result.
 
 pub mod coalesce;
 pub mod counterfactual;
@@ -81,14 +82,11 @@ pub use engine::{
     OverallMtbeAcc, PropagationAcc, StudyEngine, Table1Acc,
 };
 pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
-pub use pipeline::{PipelineBuilder, Stage1Engine, StudyConfig, StudyResults};
+pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 pub use propagation::{NvlinkSpread, PropagationAnalysis, PropagationEdge};
 pub use shard::{
-    extract_and_coalesce, extract_and_coalesce_observed, extract_and_coalesce_source,
-    extract_and_coalesce_source_observed, extract_and_coalesce_source_prefetch_observed,
-    extract_sharded, extract_sharded_observed, extract_source, extract_source_observed,
-    extract_source_prefetch, extract_source_prefetch_observed, merge_and_coalesce,
-    merge_and_coalesce_observed, plan_chunks, ChunkSpec, WaveConfig,
+    extract_source_observed, extract_source_prefetch_observed, merge_and_coalesce_observed,
+    plan_chunks, ChunkSpec, WaveConfig,
 };
 pub use source::{
     collect_source, pull_wave, DirSource, GeneratorSource, InMemorySource, LogChunk, LogSource,

@@ -1,8 +1,8 @@
 //! End-to-end pipeline orchestration (Figure 4).
 //!
 //! The front door is [`PipelineBuilder`]: configure jobs, downtime,
-//! chunking, the Stage I engine, and an optional metrics sink with named
-//! setters, then run from a streaming [`LogSource`]
+//! chunking, prefetch, a record-store tee, and an optional metrics sink
+//! with named setters, then run from a streaming [`LogSource`]
 //! ([`PipelineBuilder::run_source`] — bounded-memory ingestion from
 //! disk, a campaign generator, or a wrapped buffer), from materialized
 //! text ([`PipelineBuilder::run_text`], a thin [`InMemorySource`]
@@ -18,7 +18,7 @@
 //! [`MetricsSink`] never changes any `StudyResults` field (bit-identity
 //! is a tier-1 test).
 
-use crate::coalesce::{coalesce, CoalesceConfig, CoalescedError};
+use crate::coalesce::{CoalesceConfig, CoalescedError};
 use crate::counterfactual::CounterfactualReport;
 use crate::downtime::DowntimeStats;
 use crate::engine::StudyEngine;
@@ -27,7 +27,7 @@ use crate::propagation::PropagationAnalysis;
 use crate::source::{InMemorySource, LogSource};
 use crate::stats::{CategoryMtbe, LostHours, Table1Row};
 use dr_faults::DowntimeInterval;
-use dr_logscan::{BaselineExtractor, ExtractStats};
+use dr_logscan::ExtractStats;
 use dr_obs::MetricsSink;
 use dr_slurm::JobRecord;
 use dr_xid::{DataError, Duration, ErrorRecord, NodeId};
@@ -87,74 +87,10 @@ pub struct StudyResults {
 }
 
 impl StudyResults {
-    /// Run the pipeline from structured records.
-    pub fn from_records(
-        records: &[ErrorRecord],
-        jobs: Option<&[JobRecord]>,
-        downtime: Option<&[DowntimeInterval]>,
-        config: StudyConfig,
-    ) -> StudyResults {
-        let coalesced = coalesce(records, config.coalesce);
-        Self::from_coalesced(coalesced, jobs, downtime, config)
-    }
-
-    /// Run the analyses from already-coalesced errors.
-    pub fn from_coalesced(
-        coalesced: Vec<CoalescedError>,
-        jobs: Option<&[JobRecord]>,
-        downtime: Option<&[DowntimeInterval]>,
-        config: StudyConfig,
-    ) -> StudyResults {
-        Self::from_coalesced_observed(coalesced, jobs, downtime, config, &MetricsSink::disabled())
-    }
-
-    /// [`StudyResults::from_coalesced`] with Stage II+ observability:
-    /// stats/propagation/job-impact spans and counters. A thin wrapper
-    /// over the incremental [`StudyEngine`]: fold the whole corpus, then
-    /// snapshot every section — bit-identical to the batch analyses by
-    /// the tier-1 differential test. Every accumulator is a pure
-    /// function of the ingested sequence, so the results are also
-    /// bit-identical with any sink.
-    pub(crate) fn from_coalesced_observed(
-        coalesced: Vec<CoalescedError>,
-        jobs: Option<&[JobRecord]>,
-        downtime: Option<&[DowntimeInterval]>,
-        config: StudyConfig,
-        sink: &MetricsSink,
-    ) -> StudyResults {
-        use dr_obs::{Counter, Stage};
-        sink.add(Stage::Stats, Counter::Episodes, coalesced.len() as u64);
-
-        let mut engine = StudyEngine::new(config, jobs, downtime);
-        {
-            let _span = sink.span(Stage::Stats, "fold");
-            for e in &coalesced {
-                engine.ingest(e);
-            }
-        }
-        engine.finish_observed(coalesced, sink)
-    }
-
     /// Convenience: the Table 1 row for one XID.
     pub fn table1_row(&self, xid: dr_xid::Xid) -> Option<&Table1Row> {
         self.table1.iter().find(|r| r.xid == xid)
     }
-}
-
-/// Which Stage I (text → records) engine [`PipelineBuilder::run_text`]
-/// uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage1Engine {
-    /// Byte-balanced sharded extraction with replayed scanner state,
-    /// k-way merged into the streaming coalescer (the optimized default).
-    Sharded,
-    /// The pre-optimization pipeline, kept as the differential oracle and
-    /// the benchmark "pre" engine: per-node extraction on the baseline
-    /// (per-call Pike VM) engine, concatenate, globally sort,
-    /// batch-coalesce. Record output is bit-identical to `Sharded`;
-    /// `syslog_lines` keeps the legacy heuristic definition (see
-    /// [`dr_logscan::BaselineExtractor`]).
-    Baseline,
 }
 
 /// The single front door to the study pipeline.
@@ -179,7 +115,6 @@ pub struct PipelineBuilder<'a> {
     jobs: Option<&'a [JobRecord]>,
     downtime: Option<&'a [DowntimeInterval]>,
     chunk_bytes: Option<u64>,
-    engine: Stage1Engine,
     prefetch: bool,
     records_out: Option<std::path::PathBuf>,
     metrics: MetricsSink,
@@ -187,14 +122,13 @@ pub struct PipelineBuilder<'a> {
 
 impl<'a> PipelineBuilder<'a> {
     /// A builder with no job table, no downtime data, worker-pool-sized
-    /// chunks, the sharded engine, and metrics disabled.
+    /// chunks, prefetch off, no record-store tee, and metrics disabled.
     pub fn new(config: StudyConfig) -> Self {
         PipelineBuilder {
             config,
             jobs: None,
             downtime: None,
             chunk_bytes: None,
-            engine: Stage1Engine::Sharded,
             prefetch: false,
             records_out: None,
             metrics: MetricsSink::disabled(),
@@ -230,7 +164,7 @@ impl<'a> PipelineBuilder<'a> {
 
     /// Pin the Stage I chunk-size target (bytes per work unit), for tests
     /// and benchmarks that fix the decomposition. Default sizes chunks to
-    /// the worker pool. Only the sharded engine chunks.
+    /// the worker pool.
     pub fn chunk_bytes(self, target: u64) -> Self {
         PipelineBuilder {
             chunk_bytes: Some(target),
@@ -238,17 +172,11 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// Select the Stage I engine (default [`Stage1Engine::Sharded`]).
-    pub fn engine(self, engine: Stage1Engine) -> Self {
-        PipelineBuilder { engine, ..self }
-    }
-
     /// Overlap Stage I ingestion with extraction (default off): a
     /// dedicated [`crate::source::Prefetcher`] thread pulls the next
     /// chunk wave while the worker pool extracts the current one. Results
     /// are bit-identical with prefetch on or off; peak resident log text
-    /// rises from one wave to at most two. Only the sharded engine
-    /// streams, so the baseline oracle ignores this.
+    /// rises from one wave to at most two.
     pub fn prefetch(self, prefetch: bool) -> Self {
         PipelineBuilder { prefetch, ..self }
     }
@@ -256,9 +184,7 @@ impl<'a> PipelineBuilder<'a> {
     /// Tee the extract pass's per-node record streams into a columnar
     /// store at `path` (see [`crate::store`]), so later runs can replay
     /// the analysis from records without re-parsing text. One pass over
-    /// the corpus; the analysis results are unchanged. Only the sharded
-    /// engine extracts per node, so [`Stage1Engine::Baseline`] rejects
-    /// this with a [`DataError::Usage`].
+    /// the corpus; the analysis results are unchanged.
     pub fn record_store(self, path: impl Into<std::path::PathBuf>) -> Self {
         PipelineBuilder {
             records_out: Some(path.into()),
@@ -283,57 +209,29 @@ impl<'a> PipelineBuilder<'a> {
     /// the extracted records. For a given corpus the results are
     /// bit-identical to [`PipelineBuilder::run_text`] on the materialized
     /// lines, at every chunk size and worker count.
-    ///
-    /// The [`Stage1Engine::Baseline`] oracle has no streaming form (it is
-    /// the pre-optimization batch pipeline, kept for differential
-    /// testing); under that engine the source is collected first.
     pub fn run_source<'s>(
         &self,
         source: &mut (dyn LogSource<'s> + Send),
     ) -> Result<(StudyResults, ExtractStats), DataError> {
-        match self.engine {
-            Stage1Engine::Sharded => {
-                // The node table must be captured before extraction
-                // takes the mutable borrow.
-                let nodes = self
-                    .records_out
-                    .as_ref()
-                    .map(|_| source.nodes().to_vec());
-                let (per_node, stats) = if self.prefetch {
-                    crate::shard::extract_source_prefetch_observed(
-                        source,
-                        self.chunk_bytes,
-                        &self.metrics,
-                    )?
-                } else {
-                    crate::shard::extract_source_observed(source, self.chunk_bytes, &self.metrics)?
-                };
-                // Tee point: per-node streams are exactly what the store
-                // persists, before the merge consumes them.
-                if let (Some(path), Some(nodes)) = (&self.records_out, &nodes) {
-                    crate::store::write_store(path, nodes, &per_node)?;
-                }
-                let coalesced = crate::shard::merge_and_coalesce_observed(
-                    per_node,
-                    self.config.coalesce,
-                    &self.metrics,
-                );
-                Ok((self.run_coalesced(coalesced), stats))
-            }
-            Stage1Engine::Baseline => {
-                if let Some(path) = &self.records_out {
-                    return Err(DataError::Usage {
-                        option: "--records".to_string(),
-                        message: format!(
-                            "record store capture ({}) requires the sharded engine",
-                            path.display()
-                        ),
-                    });
-                }
-                let logs = crate::source::collect_source(source)?;
-                Ok(self.run_text(&logs))
-            }
+        // The node table must be captured before extraction takes the
+        // mutable borrow.
+        let nodes = self
+            .records_out
+            .as_ref()
+            .map(|_| source.nodes().to_vec());
+        let (per_node, stats) = if self.prefetch {
+            crate::shard::extract_source_prefetch_observed(source, self.chunk_bytes, &self.metrics)?
+        } else {
+            crate::shard::extract_source_observed(source, self.chunk_bytes, &self.metrics)?
+        };
+        // Tee point: per-node streams are exactly what the store persists,
+        // before the merge consumes them.
+        if let (Some(path), Some(nodes)) = (&self.records_out, &nodes) {
+            crate::store::write_store(path, nodes, &per_node)?;
         }
+        let coalesced =
+            crate::shard::merge_and_coalesce_observed(per_node, self.config.coalesce, &self.metrics);
+        Ok((self.run_coalesced(coalesced), stats))
     }
 
     /// Run from a [`crate::store::RecordSource`] — the replay front
@@ -379,47 +277,15 @@ impl<'a> PipelineBuilder<'a> {
         Ok(self.run_coalesced(coalesced))
     }
 
-    /// Run from per-node syslog text: Stage I on the configured engine,
-    /// then the full analysis pipeline. Returns the results plus merged
-    /// extraction statistics. A thin [`InMemorySource`] adapter over
-    /// [`PipelineBuilder::run_source`].
+    /// Run from per-node syslog text: Stage I, then the full analysis
+    /// pipeline. Returns the results plus merged extraction statistics. A
+    /// thin [`InMemorySource`] adapter over [`PipelineBuilder::run_source`].
     pub fn run_text(&self, node_logs: &[(NodeId, Vec<String>)]) -> (StudyResults, ExtractStats) {
-        use dr_obs::{Counter, Stage};
-        let sink = &self.metrics;
-        match self.engine {
-            Stage1Engine::Sharded => {
-                let mut source = InMemorySource::new(node_logs);
-                match self.run_source(&mut source) {
-                    Ok(r) => r,
-                    // dr-lint: allow(panic-reachability): InMemorySource::next_chunk never returns Err
-                    Err(_) => unreachable!("in-memory sources are infallible"),
-                }
-            }
-            Stage1Engine::Baseline => {
-                let (records, stats) = {
-                    let _span = sink.span(Stage::Extract, "total");
-                    // One extractor per node: syslog year inference is
-                    // per-file state.
-                    let per_node: Vec<(Vec<ErrorRecord>, ExtractStats)> =
-                        dr_par::par_map(node_logs, |(_, lines)| {
-                            let mut ex = BaselineExtractor::new();
-                            let recs = ex.extract_all(lines.iter().map(|s| s.as_str()));
-                            (recs, ex.stats())
-                        });
-                    let mut records = Vec::new();
-                    let mut stats = ExtractStats::default();
-                    for (mut recs, s) in per_node {
-                        records.append(&mut recs);
-                        stats.merge(&s);
-                    }
-                    dr_xid::record::sort_records(&mut records);
-                    (records, stats)
-                };
-                sink.add(Stage::Extract, Counter::Lines, stats.lines);
-                sink.add(Stage::Extract, Counter::XidLines, stats.xid_lines);
-                sink.add(Stage::Extract, Counter::Records, records.len() as u64);
-                (self.run_records(&records), stats)
-            }
+        let mut source = InMemorySource::new(node_logs);
+        match self.run_source(&mut source) {
+            Ok(r) => r,
+            // dr-lint: allow(panic-reachability): InMemorySource::next_chunk never returns Err
+            Err(_) => unreachable!("in-memory sources are infallible"),
         }
     }
 
@@ -430,15 +296,24 @@ impl<'a> PipelineBuilder<'a> {
         self.run_coalesced(coalesced)
     }
 
-    /// Run the analyses from already-coalesced errors.
+    /// Run the analyses from already-coalesced errors: fold the whole
+    /// corpus through the incremental [`StudyEngine`], then snapshot every
+    /// section — bit-identical to the batch analyses by the tier-1
+    /// differential test. Every accumulator is a pure function of the
+    /// ingested sequence, so the results are also bit-identical with any
+    /// sink.
     pub fn run_coalesced(&self, coalesced: Vec<CoalescedError>) -> StudyResults {
-        StudyResults::from_coalesced_observed(
-            coalesced,
-            self.jobs,
-            self.downtime,
-            self.config,
-            &self.metrics,
-        )
+        use dr_obs::{Counter, Stage};
+        let sink = &self.metrics;
+        sink.add(Stage::Stats, Counter::Episodes, coalesced.len() as u64);
+        let mut engine = StudyEngine::new(self.config, self.jobs, self.downtime);
+        {
+            let _span = sink.span(Stage::Stats, "fold");
+            for e in &coalesced {
+                engine.ingest(e);
+            }
+        }
+        engine.finish_observed(coalesced, sink)
     }
 }
 
@@ -466,7 +341,7 @@ mod tests {
             rec(900, 3, Xid::NvlinkError),
         ];
         let cfg = StudyConfig::ampere_study().with_window(1_000.0, 10);
-        let r = StudyResults::from_records(&records, None, None, cfg);
+        let r = PipelineBuilder::new(cfg).run_records(&records);
         assert_eq!(r.coalesced.len(), 3);
         assert_eq!(r.table1_row(Xid::GspRpcTimeout).unwrap().count, 1);
         assert_eq!(r.overall_mtbe_h.0, Some(1_000.0 / 3.0));
@@ -486,8 +361,9 @@ mod tests {
         let lines: Vec<String> = records.iter().map(|r| format_line(r, 0)).collect();
         let logs = vec![(dr_xid::NodeId(1), lines)];
         let cfg = StudyConfig::ampere_study().with_window(1_000.0, 10);
-        let (from_text, stats) = PipelineBuilder::new(cfg).run_text(&logs);
-        let from_records = StudyResults::from_records(&records, None, None, cfg);
+        let builder = PipelineBuilder::new(cfg);
+        let (from_text, stats) = builder.run_text(&logs);
+        let from_records = builder.run_records(&records);
         assert_eq!(stats.xid_lines, 3);
         assert_eq!(from_text.coalesced.len(), from_records.coalesced.len());
         assert_eq!(
@@ -517,9 +393,17 @@ mod tests {
             logs.push((dr_xid::NodeId(node), lines));
         }
         let cfg = StudyConfig::ampere_study().with_window(1_000.0, 10);
-        let (base, base_stats) = PipelineBuilder::new(cfg)
-            .engine(Stage1Engine::Baseline)
-            .run_text(&logs);
+        // The reference: per-node extraction on the baseline engine,
+        // concatenated, globally sorted, then batch-coalesced.
+        let mut records = Vec::new();
+        let mut base_stats = ExtractStats::default();
+        for (_, lines) in &logs {
+            let mut ex = dr_logscan::BaselineExtractor::new();
+            records.append(&mut ex.extract_all(lines.iter().map(|s| s.as_str())));
+            base_stats.merge(&ex.stats());
+        }
+        dr_xid::record::sort_records(&mut records);
+        let base = PipelineBuilder::new(cfg).run_records(&records);
         for target in [Some(1), Some(200), Some(1 << 20), None] {
             let mut b = PipelineBuilder::new(cfg);
             if let Some(t) = target {
@@ -556,19 +440,6 @@ mod tests {
             format!("{from_records:?}"),
             "record replay must be bit-identical to the text path"
         );
-    }
-
-    #[test]
-    fn baseline_engine_rejects_record_store_capture() {
-        let cfg = StudyConfig::ampere_study().with_window(1_000.0, 10);
-        let logs = vec![(dr_xid::NodeId(1), Vec::<String>::new())];
-        let mut source = crate::source::InMemorySource::new(&logs);
-        let err = PipelineBuilder::new(cfg)
-            .engine(Stage1Engine::Baseline)
-            .record_store("/tmp/never-written.bin")
-            .run_source(&mut source)
-            .expect_err("baseline + record_store must be a usage error");
-        assert!(matches!(err, DataError::Usage { .. }), "{err}");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! the same output, sorted by `(start, gpu, xid, detail)`.
 
 use crate::coalesce::{coalesce, CoalesceConfig, CoalescedError};
-use crate::source::{pull_wave, InMemorySource, LogChunk, LogSource, Prefetcher, Wave};
+use crate::source::{pull_wave, LogChunk, LogSource, Prefetcher, Wave};
 use crate::stream::StreamCoalescer;
 use dr_logscan::extract::scanner_update_month;
 use dr_logscan::{ExtractStats, XidExtractor};
@@ -197,42 +197,6 @@ impl WaveConfig {
     }
 }
 
-/// Sharded Stage I: extract every node's records with byte-balanced
-/// parallel chunks and replayed scanner state. Returns one time-ordered
-/// record stream per node (same order as `node_logs`) plus merged
-/// extraction statistics. Bit-identical to a serial per-node scan for any
-/// `target_bytes`.
-pub fn extract_sharded(
-    node_logs: &[(NodeId, Vec<String>)],
-    target_bytes: Option<u64>,
-) -> (Vec<Vec<ErrorRecord>>, ExtractStats) {
-    extract_sharded_observed(node_logs, target_bytes, &dr_obs::MetricsSink::disabled())
-}
-
-/// [`extract_sharded`] with observability: shard/extract spans, byte and
-/// chunk counters, and per-chunk throughput histograms recorded into
-/// `sink`. The returned records and stats are exactly those of
-/// `extract_sharded` — the sink is write-only and never read back.
-pub fn extract_sharded_observed(
-    node_logs: &[(NodeId, Vec<String>)],
-    target_bytes: Option<u64>,
-    sink: &dr_obs::MetricsSink,
-) -> (Vec<Vec<ErrorRecord>>, ExtractStats) {
-    let mut source = InMemorySource::new(node_logs);
-    match extract_source_observed(&mut source, target_bytes, sink) {
-        Ok(r) => r,
-        Err(_) => unreachable!("in-memory sources are infallible"),
-    }
-}
-
-/// Streaming sharded Stage I over any [`LogSource`] with a disabled sink.
-pub fn extract_source<'s>(
-    source: &mut dyn LogSource<'s>,
-    target_bytes: Option<u64>,
-) -> Result<(Vec<Vec<ErrorRecord>>, ExtractStats), DataError> {
-    extract_source_observed(source, target_bytes, &dr_obs::MetricsSink::disabled())
-}
-
 /// The streaming heart of Stage I: pull line-aligned chunks from `source`
 /// one *wave* (≈ workers × target bytes) at a time, run the
 /// summarize → prefix-fold → extract phases on each wave, and drop the
@@ -308,14 +272,6 @@ pub fn extract_source_prefetch_observed<'s>(
         }
         Ok(driver.finish())
     })
-}
-
-/// [`extract_source_prefetch_observed`] with a disabled sink.
-pub fn extract_source_prefetch<'s>(
-    source: &mut (dyn LogSource<'s> + Send),
-    target_bytes: Option<u64>,
-) -> Result<(Vec<Vec<ErrorRecord>>, ExtractStats), DataError> {
-    extract_source_prefetch_observed(source, target_bytes, &dr_obs::MetricsSink::disabled())
 }
 
 /// Per-run extraction state shared by the synchronous and prefetching
@@ -414,17 +370,9 @@ impl WaveDriver {
 /// the incremental coalescer, avoiding the global record sort. Returns
 /// exactly what batch [`coalesce`] would, sorted by
 /// `(start, gpu, xid, detail)`; non-monotonic streams (malformed logs)
-/// fall back to the batch path.
-pub fn merge_and_coalesce(
-    per_node: Vec<Vec<ErrorRecord>>,
-    cfg: CoalesceConfig,
-) -> Vec<CoalescedError> {
-    merge_and_coalesce_observed(per_node, cfg, &dr_obs::MetricsSink::disabled())
-}
-
-/// [`merge_and_coalesce`] with observability: a `coalesce/total` span plus
-/// input record and output episode counters. Output is exactly that of
-/// `merge_and_coalesce` — the sink is write-only.
+/// fall back to the batch path. Records a `coalesce/total` span plus
+/// input record and output episode counters on `sink`, which is
+/// write-only and never changes the output.
 pub fn merge_and_coalesce_observed(
     per_node: Vec<Vec<ErrorRecord>>,
     cfg: CoalesceConfig,
@@ -477,66 +425,11 @@ fn merge_and_coalesce_inner(
     out
 }
 
-/// The full sharded Stage I + streaming Stage II front half of the
-/// pipeline: text in, coalesced errors and extraction stats out.
-pub fn extract_and_coalesce(
-    node_logs: &[(NodeId, Vec<String>)],
-    cfg: CoalesceConfig,
-    target_bytes: Option<u64>,
-) -> (Vec<CoalescedError>, ExtractStats) {
-    extract_and_coalesce_observed(node_logs, cfg, target_bytes, &dr_obs::MetricsSink::disabled())
-}
-
-/// [`extract_and_coalesce`] with observability across both stages.
-/// Results are bit-identical whether the sink records or is disabled.
-pub fn extract_and_coalesce_observed(
-    node_logs: &[(NodeId, Vec<String>)],
-    cfg: CoalesceConfig,
-    target_bytes: Option<u64>,
-    sink: &dr_obs::MetricsSink,
-) -> (Vec<CoalescedError>, ExtractStats) {
-    let (per_node, stats) = extract_sharded_observed(node_logs, target_bytes, sink);
-    (merge_and_coalesce_observed(per_node, cfg, sink), stats)
-}
-
-/// Streaming front half over any [`LogSource`]: wave-based sharded
-/// extraction, then the k-way merge into the streaming coalescer. Only
-/// records (not text) survive Stage I, so memory stays bounded by one
-/// wave of chunks however large the corpus.
-pub fn extract_and_coalesce_source<'s>(
-    source: &mut dyn LogSource<'s>,
-    cfg: CoalesceConfig,
-    target_bytes: Option<u64>,
-) -> Result<(Vec<CoalescedError>, ExtractStats), DataError> {
-    extract_and_coalesce_source_observed(source, cfg, target_bytes, &dr_obs::MetricsSink::disabled())
-}
-
-/// [`extract_and_coalesce_source`] with observability across both stages.
-pub fn extract_and_coalesce_source_observed<'s>(
-    source: &mut dyn LogSource<'s>,
-    cfg: CoalesceConfig,
-    target_bytes: Option<u64>,
-    sink: &dr_obs::MetricsSink,
-) -> Result<(Vec<CoalescedError>, ExtractStats), DataError> {
-    let (per_node, stats) = extract_source_observed(source, target_bytes, sink)?;
-    Ok((merge_and_coalesce_observed(per_node, cfg, sink), stats))
-}
-
-/// [`extract_and_coalesce_source_observed`] on the prefetching Stage I
-/// driver: same coalesced output, I/O overlapped with extraction.
-pub fn extract_and_coalesce_source_prefetch_observed<'s>(
-    source: &mut (dyn LogSource<'s> + Send),
-    cfg: CoalesceConfig,
-    target_bytes: Option<u64>,
-    sink: &dr_obs::MetricsSink,
-) -> Result<(Vec<CoalescedError>, ExtractStats), DataError> {
-    let (per_node, stats) = extract_source_prefetch_observed(source, target_bytes, sink)?;
-    Ok((merge_and_coalesce_observed(per_node, cfg, sink), stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::InMemorySource;
+    use dr_obs::MetricsSink;
     use dr_xid::syslog::{format_line, format_noise_line};
     use dr_xid::{Duration, ErrorDetail, GpuId, Timestamp, Xid};
 
@@ -587,6 +480,23 @@ mod tests {
         (per_node, stats)
     }
 
+    /// Stage I on the synchronous or the prefetching driver over an
+    /// in-memory copy of `logs`.
+    fn extract(
+        logs: &[(NodeId, Vec<String>)],
+        target_bytes: Option<u64>,
+        prefetch: bool,
+    ) -> (Vec<Vec<ErrorRecord>>, ExtractStats) {
+        let mut source = InMemorySource::new(logs);
+        let sink = MetricsSink::disabled();
+        let out = if prefetch {
+            extract_source_prefetch_observed(&mut source, target_bytes, &sink)
+        } else {
+            extract_source_observed(&mut source, target_bytes, &sink)
+        };
+        out.expect("in-memory sources are infallible")
+    }
+
     #[test]
     fn chunks_partition_lines_exactly() {
         let logs = synthetic_logs(3, 40);
@@ -621,11 +531,15 @@ mod tests {
     fn sharded_extraction_is_bit_identical_to_serial() {
         let logs = synthetic_logs(3, 60);
         let (serial, serial_stats) = serial_extract(&logs);
-        // Chunk sizes from "one line per chunk" up to "one chunk per node".
-        for target in [1, 64, 512, 4 * 1024, u64::MAX] {
-            let (sharded, stats) = extract_sharded(&logs, Some(target));
-            assert_eq!(sharded, serial, "divergence at target_bytes={target}");
-            assert_eq!(stats, serial_stats, "stats divergence at {target}");
+        // Chunk sizes from "one line per chunk" up to "one chunk per node",
+        // on both Stage I drivers.
+        for prefetch in [false, true] {
+            for target in [1, 64, 512, 4 * 1024, u64::MAX] {
+                let (sharded, stats) = extract(&logs, Some(target), prefetch);
+                let at = format!("target_bytes={target}, prefetch={prefetch}");
+                assert_eq!(sharded, serial, "divergence at {at}");
+                assert_eq!(stats, serial_stats, "stats divergence at {at}");
+            }
         }
     }
 
@@ -633,9 +547,9 @@ mod tests {
     fn sharded_extraction_is_worker_count_invariant() {
         let logs = synthetic_logs(2, 50);
         dr_par::set_worker_override(Some(1));
-        let (one, s1) = extract_sharded(&logs, Some(256));
+        let (one, s1) = extract(&logs, Some(256), false);
         dr_par::set_worker_override(Some(8));
-        let (eight, s8) = extract_sharded(&logs, Some(256));
+        let (eight, s8) = extract(&logs, Some(256), false);
         dr_par::set_worker_override(None);
         assert_eq!(one, eight);
         assert_eq!(s1, s8);
@@ -660,11 +574,12 @@ mod tests {
     #[test]
     fn merge_and_coalesce_matches_batch() {
         let logs = synthetic_logs(4, 50);
-        let (per_node, _) = extract_sharded(&logs, Some(512));
+        let (per_node, _) = extract(&logs, Some(512), false);
         let mut all: Vec<ErrorRecord> = per_node.iter().flatten().copied().collect();
         sort_records(&mut all);
         let batch = coalesce(&all, CoalesceConfig::default());
-        let streamed = merge_and_coalesce(per_node, CoalesceConfig::default());
+        let streamed =
+            merge_and_coalesce_observed(per_node, CoalesceConfig::default(), &MetricsSink::disabled());
         assert_eq!(streamed, batch);
     }
 
@@ -687,7 +602,8 @@ mod tests {
         let mut all: Vec<ErrorRecord> = per_node.iter().flatten().copied().collect();
         sort_records(&mut all);
         let batch = coalesce(&all, CoalesceConfig::default());
-        let merged = merge_and_coalesce(per_node, CoalesceConfig::default());
+        let merged =
+            merge_and_coalesce_observed(per_node, CoalesceConfig::default(), &MetricsSink::disabled());
         assert_eq!(merged, batch);
     }
 }

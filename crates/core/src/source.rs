@@ -368,12 +368,14 @@ pub fn pull_wave<'s>(
     target: u64,
     budget: u64,
 ) -> Result<Option<Wave<'s>>, DataError> {
+    let n_nodes = source.nodes().len();
     let mut chunks = Vec::new();
     let mut bytes = 0u64;
     while bytes < budget {
         let Some(chunk) = source.next_chunk(target)? else {
             break;
         };
+        check_chunk_node(&chunk, n_nodes)?;
         bytes += chunk.bytes;
         chunks.push(chunk);
     }
@@ -382,6 +384,24 @@ pub fn pull_wave<'s>(
     } else {
         Ok(Some(Wave { chunks, bytes }))
     }
+}
+
+/// Reject a chunk whose `node` is not an index into its source's
+/// [`LogSource::nodes`] table of `n_nodes` entries. [`LogSource`] is a
+/// public trait, so an implementation can break that contract; Stage I
+/// (through [`pull_wave`]) and the live watch loop both check every
+/// chunk here instead of panicking or silently dropping it.
+pub(crate) fn check_chunk_node(chunk: &LogChunk<'_>, n_nodes: usize) -> Result<(), DataError> {
+    if chunk.node < n_nodes {
+        return Ok(());
+    }
+    Err(DataError::Io {
+        path: "<log source>".to_string(),
+        message: format!(
+            "chunk names node index {} but the source declares {n_nodes} nodes",
+            chunk.node
+        ),
+    })
 }
 
 /// Double-buffered wave prefetch over any [`LogSource`]: a dedicated I/O

@@ -276,7 +276,11 @@ pub fn extract_to_store<'s>(
     path: &Path,
 ) -> Result<(StoreSummary, dr_logscan::ExtractStats), DataError> {
     let nodes = source.nodes().to_vec();
-    let (per_node, stats) = crate::shard::extract_source(source, target_bytes)?;
+    let (per_node, stats) = crate::shard::extract_source_observed(
+        source,
+        target_bytes,
+        &dr_obs::MetricsSink::disabled(),
+    )?;
     let summary = write_store(path, &nodes, &per_node)?;
     Ok((summary, stats))
 }

@@ -23,7 +23,7 @@
 
 use crate::coalesce::CoalescedError;
 use crate::engine::AnalysisEngine;
-use crate::pipeline::{StudyConfig, StudyResults};
+use crate::pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 use crate::source::LogSource;
 use crate::stream::{StreamCoalescer, WatermarkBuffer};
 use dr_logscan::XidExtractor;
@@ -442,11 +442,12 @@ impl WatchSession {
         {
             let _span = sink.span(Stage::Extract, "poll");
             while let Some(chunk) = source.next_chunk(self.cfg.chunk_bytes)? {
+                crate::source::check_chunk_node(&chunk, n_nodes)?;
                 delta.lines += chunk.lines.len() as u64;
                 delta.bytes += chunk.bytes;
-                let Some(ex) = self.extractors.get_mut(chunk.node) else {
-                    continue;
-                };
+                // In range: the check above, and the table grown to
+                // `n_nodes` extractors at the top of the poll.
+                let ex = &mut self.extractors[chunk.node];
                 let recs = ex.extract_all(chunk.lines.iter().map(|s| s.as_str()));
                 delta.records += recs.len() as u64;
                 for r in recs {
@@ -572,7 +573,9 @@ impl WatchSession {
         self.drain();
         let mut episodes = std::mem::take(&mut self.episodes);
         episodes.sort_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
-        StudyResults::from_coalesced_observed(episodes, None, None, self.cfg.study, sink)
+        PipelineBuilder::new(self.cfg.study)
+            .metrics(sink.clone())
+            .run_coalesced(episodes)
     }
 }
 

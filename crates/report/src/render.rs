@@ -271,7 +271,7 @@ pub fn render_summary(results: &StudyResults) -> String {
 mod tests {
     use super::*;
     use dr_xid::{ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp};
-    use resilience_core::StudyConfig;
+    use resilience_core::{PipelineBuilder, StudyConfig};
 
     fn tiny_results() -> StudyResults {
         let g1 = GpuId::at_slot(NodeId(1), 0);
@@ -283,12 +283,8 @@ mod tests {
             ErrorRecord::new(Timestamp::from_secs(503), g2, Xid::NvlinkError, ErrorDetail::NONE),
             ErrorRecord::new(Timestamp::from_secs(900), g1, Xid::GspRpcTimeout, ErrorDetail::NONE),
         ];
-        StudyResults::from_records(
-            &records,
-            None,
-            None,
-            StudyConfig::ampere_study().with_window(1_000.0, 10),
-        )
+        PipelineBuilder::new(StudyConfig::ampere_study().with_window(1_000.0, 10))
+            .run_records(&records)
     }
 
     #[test]

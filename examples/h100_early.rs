@@ -10,7 +10,7 @@
 //! cargo run --release --example h100_early
 //! ```
 
-use gpu_resilience::core::{StudyConfig, StudyResults};
+use gpu_resilience::core::{PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::report::{self, h100_comparison};
 use gpu_resilience::xid::Xid;
@@ -27,7 +27,9 @@ fn main() {
 
     let cfg = StudyConfig::ampere_study()
         .with_window(out.observation_hours(), out.fleet.node_count() as u32);
-    let results = StudyResults::from_records(&out.records, None, Some(&out.downtime), cfg);
+    let results = PipelineBuilder::new(cfg)
+        .downtime(&out.downtime)
+        .run_records(&out.records);
 
     println!("{}", report::render_table1(&results).render());
 

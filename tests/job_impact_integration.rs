@@ -6,7 +6,7 @@
 //! associations from timestamps alone (the ±20 s join), without access to
 //! the ground truth.
 
-use gpu_resilience::core::{StudyConfig, StudyResults};
+use gpu_resilience::core::{PipelineBuilder, StudyConfig, StudyResults};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::slurm::{
     apply_errors, DrainWindows, JobLoadConfig, JobState, MaskingModel, Scheduler,
@@ -31,8 +31,10 @@ fn build_world(seed: u64) -> World {
     apply_errors(&mut schedule.jobs, &out.events, &MaskingModel::default(), &mut rng);
     let cfg = StudyConfig::ampere_study()
         .with_window(out.observation_hours(), out.fleet.node_count() as u32);
-    let results =
-        StudyResults::from_records(&out.records, Some(&schedule.jobs), Some(&out.downtime), cfg);
+    let results = PipelineBuilder::new(cfg)
+        .jobs(&schedule.jobs)
+        .downtime(&out.downtime)
+        .run_records(&out.records);
     World {
         out,
         jobs: schedule.jobs,

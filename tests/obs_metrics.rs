@@ -3,7 +3,7 @@
 //! `gpures-metrics/v1` schema, and every `PipelineBuilder` entry point
 //! (`run_text`, `run_source` over each engine and chunking) must agree.
 
-use gpu_resilience::core::{PipelineBuilder, Stage1Engine, StudyConfig};
+use gpu_resilience::core::{PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
@@ -102,10 +102,7 @@ fn run_source_agrees_with_run_text_across_engines_and_chunkings() {
             PipelineBuilder::new(cfg).jobs(&jobs).downtime(&out.downtime),
         ),
         ("chunked-4k", PipelineBuilder::new(cfg).chunk_bytes(4096)),
-        (
-            "baseline-engine",
-            PipelineBuilder::new(cfg).engine(Stage1Engine::Baseline),
-        ),
+        ("prefetch", PipelineBuilder::new(cfg).prefetch(true)),
     ];
     for (name, builder) in builders {
         let (r_text, s_text) = builder.run_text(&out.text_logs);

@@ -10,7 +10,7 @@
 //! projection headlines, which are cheap.
 
 use gpu_resilience::availsim::{simulate_mean, ProjectionConfig};
-use gpu_resilience::core::{StudyConfig, StudyResults};
+use gpu_resilience::core::{PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::report::{ampere_comparison, h100_comparison, Verdict};
 use gpu_resilience::slurm::{apply_errors, DrainWindows, JobLoadConfig, MaskingModel, Scheduler};
@@ -36,12 +36,10 @@ fn full_ampere_study_has_no_mismatches() {
     let mut rng = StdRng::seed_from_u64(99);
     apply_errors(&mut schedule.jobs, &out.events, &MaskingModel::default(), &mut rng);
 
-    let results = StudyResults::from_records(
-        &out.records,
-        Some(&schedule.jobs),
-        Some(&out.downtime),
-        StudyConfig::ampere_study(),
-    );
+    let results = PipelineBuilder::new(StudyConfig::ampere_study())
+        .jobs(&schedule.jobs)
+        .downtime(&out.downtime)
+        .run_records(&out.records);
     let cmp = ampere_comparison(&results);
     let mismatched: Vec<_> = cmp
         .items
@@ -72,7 +70,9 @@ fn h100_section6_has_no_mismatches() {
     let out = Campaign::run(CampaignConfig::h100_study(616));
     let cfg = StudyConfig::ampere_study()
         .with_window(out.observation_hours(), out.fleet.node_count() as u32);
-    let results = StudyResults::from_records(&out.records, None, Some(&out.downtime), cfg);
+    let results = PipelineBuilder::new(cfg)
+        .downtime(&out.downtime)
+        .run_records(&out.records);
     let cmp = h100_comparison(&results);
     assert_eq!(
         cmp.mismatches(),

@@ -6,7 +6,7 @@
 //! truth. Paper-number comparisons live in the `paper_numbers` test and
 //! the `delta_study` example.
 
-use gpu_resilience::core::{coalesce, CoalesceConfig, PipelineBuilder, StudyConfig, StudyResults};
+use gpu_resilience::core::{coalesce, CoalesceConfig, PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::xid::Xid;
 
@@ -65,8 +65,9 @@ fn text_path_agrees_with_record_path() {
 
     let cfg = StudyConfig::ampere_study()
         .with_window(out.observation_hours(), out.fleet.node_count() as u32);
-    let (from_text, stats) = PipelineBuilder::new(cfg).run_text(&out.text_logs);
-    let from_records = StudyResults::from_records(&subset, None, None, cfg);
+    let builder = PipelineBuilder::new(cfg);
+    let (from_text, stats) = builder.run_text(&out.text_logs);
+    let from_records = builder.run_records(&subset);
 
     assert_eq!(stats.xid_lines as usize, subset.len());
     assert_eq!(stats.malformed, 0, "rendered lines must re-parse");

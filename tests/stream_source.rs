@@ -4,12 +4,15 @@
 //! worker count, and the disk path must do it in bounded memory.
 
 use gpu_resilience::core::{
-    DirSource, GeneratorSource, InMemorySource, PipelineBuilder, StudyConfig, StudyResults,
+    DirSource, GeneratorSource, InMemorySource, LogChunk, LogSource, PipelineBuilder,
+    StudyConfig, StudyResults, WatchConfig, WatchSession,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
 use gpu_resilience::report::files;
+use gpu_resilience::xid::{DataError, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -265,4 +268,71 @@ fn deferred_campaign_text_streams_without_materializing() {
         streamed, materialized.text_logs,
         "deferred campaign must stream the exact corpus the eager one materializes"
     );
+}
+
+/// A `LogSource` that breaks the trait contract: it declares one node,
+/// then yields one XID line in a chunk naming node index 1.
+struct OutOfRangeSource {
+    nodes: Vec<NodeId>,
+    sent: bool,
+}
+
+impl OutOfRangeSource {
+    fn new() -> Self {
+        OutOfRangeSource {
+            nodes: vec![NodeId(1)],
+            sent: false,
+        }
+    }
+}
+
+impl<'a> LogSource<'a> for OutOfRangeSource {
+    fn nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    fn next_chunk(&mut self, _target_bytes: u64) -> Result<Option<LogChunk<'a>>, DataError> {
+        if std::mem::replace(&mut self.sent, true) {
+            return Ok(None);
+        }
+        let rec = ErrorRecord::new(
+            Timestamp::from_secs(3_600),
+            GpuId::at_slot(NodeId(1), 0),
+            Xid::MmuError,
+            ErrorDetail::NONE,
+        );
+        let line = gpu_resilience::xid::syslog::format_line(&rec, 0);
+        Ok(Some(LogChunk {
+            node: self.nodes.len(),
+            bytes: line.len() as u64 + 1,
+            lines: Cow::Owned(vec![line]),
+        }))
+    }
+}
+
+#[test]
+fn out_of_range_chunk_node_is_a_typed_error_on_batch_and_live_paths() {
+    let cfg = StudyConfig::ampere_study().with_window(1_000.0, 1);
+    let names_the_index = |err: &DataError| {
+        let msg = err.to_string();
+        assert!(
+            msg.contains("node index 1") && msg.contains("declares 1 nodes"),
+            "error must name the index and the node count, got: {msg}"
+        );
+    };
+    for prefetch in [false, true] {
+        let err = PipelineBuilder::new(cfg)
+            .prefetch(prefetch)
+            .run_source(&mut OutOfRangeSource::new())
+            .expect_err("an out-of-range chunk must fail the batch pipeline");
+        names_the_index(&err);
+    }
+    let mut session = WatchSession::new(WatchConfig {
+        study: cfg,
+        ..WatchConfig::default()
+    });
+    let err = session
+        .run_observed(&mut OutOfRangeSource::new(), &MetricsSink::disabled())
+        .expect_err("an out-of-range chunk must fail the watch poll");
+    names_the_index(&err);
 }
