@@ -72,6 +72,8 @@ pub mod stats;
 pub mod store;
 pub mod stream;
 pub mod tail;
+#[cfg(test)]
+mod testutil;
 pub mod watch;
 
 pub use coalesce::{coalesce, coalesce_observed, CoalesceConfig, CoalescedError};
@@ -86,11 +88,11 @@ pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 pub use propagation::{NvlinkSpread, PropagationAnalysis, PropagationEdge};
 pub use shard::{
     extract_source_observed, extract_source_prefetch_observed, merge_and_coalesce_observed,
-    plan_chunks, ChunkSpec, WaveConfig,
+    WaveConfig,
 };
 pub use source::{
-    collect_source, pull_wave, DirSource, GeneratorSource, InMemorySource, LogChunk, LogSource,
-    Prefetcher, Wave, WaveRx,
+    collect_source, pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk,
+    LogSource, Prefetcher, Wave, WaveRx,
 };
 pub use stats::{lost_gpu_hours, table1, LostHours, Table1Row};
 pub use store::{

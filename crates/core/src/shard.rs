@@ -41,57 +41,9 @@ use crate::stream::StreamCoalescer;
 use dr_logscan::extract::scanner_update_month;
 use dr_logscan::{ExtractStats, XidExtractor};
 use dr_xid::record::sort_records;
-use dr_xid::{DataError, ErrorRecord, NodeId};
+use dr_xid::{DataError, ErrorRecord};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// One unit of Stage I work: a contiguous line range of one node's log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkSpec {
-    /// Index into the `node_logs` slice.
-    pub node: usize,
-    /// First line (inclusive).
-    pub start: usize,
-    /// Past-the-end line.
-    pub end: usize,
-    /// Total bytes of the lines in the chunk.
-    pub bytes: u64,
-}
-
-/// Split every node's log at line boundaries into chunks of roughly
-/// `target_bytes` each. Chunks partition each node's lines exactly (no
-/// gaps, no overlaps, in order); a non-empty node always yields at least
-/// one chunk.
-pub fn plan_chunks(node_logs: &[(NodeId, Vec<String>)], target_bytes: u64) -> Vec<ChunkSpec> {
-    let target = target_bytes.max(1);
-    let mut chunks = Vec::new();
-    for (node, (_, lines)) in node_logs.iter().enumerate() {
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for (i, line) in lines.iter().enumerate() {
-            acc += line.len() as u64 + 1; // +1 for the newline the file had
-            if acc >= target {
-                chunks.push(ChunkSpec {
-                    node,
-                    start,
-                    end: i + 1,
-                    bytes: acc,
-                });
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < lines.len() {
-            chunks.push(ChunkSpec {
-                node,
-                start,
-                end: lines.len(),
-                bytes: acc,
-            });
-        }
-    }
-    chunks
-}
 
 /// How a chunk transforms year-inference state, independent of the state
 /// it starts from: the month of its first state-updating line, the number
@@ -106,7 +58,7 @@ pub struct StateSummary {
 }
 
 /// Phase 1: fold a chunk's state-updating months into a [`StateSummary`].
-pub fn summarize_chunk(lines: &[String]) -> Option<StateSummary> {
+pub fn summarize_chunk<'l>(lines: impl IntoIterator<Item = &'l str>) -> Option<StateSummary> {
     let mut summary: Option<StateSummary> = None;
     for line in lines {
         let Some(month) = scanner_update_month(line) else {
@@ -333,7 +285,7 @@ impl WaveDriver {
             let _child = span.child("extract-chunks");
             dr_par::par_map(&work, |(c, (year, last_month))| {
                 let mut ex = XidExtractor::with_scanner_state(*year, *last_month);
-                let recs = ex.extract_all_observed(c.lines.iter().map(|s| s.as_str()), sink);
+                let recs = ex.extract_all_observed(&c.lines, sink);
                 (recs, ex.stats())
             })
         };
@@ -429,9 +381,10 @@ fn merge_and_coalesce_inner(
 mod tests {
     use super::*;
     use crate::source::InMemorySource;
+    use crate::testutil::plan_chunks;
     use dr_obs::MetricsSink;
     use dr_xid::syslog::{format_line, format_noise_line};
-    use dr_xid::{Duration, ErrorDetail, GpuId, Timestamp, Xid};
+    use dr_xid::{Duration, ErrorDetail, GpuId, NodeId, Timestamp, Xid};
 
     /// A rollover-heavy multi-node synthetic campaign: XID bursts, noise,
     /// and garbage, with several year rollovers per node.
@@ -566,7 +519,7 @@ mod tests {
 
         let mut state = (2022, 1u8);
         for chunk in lines.chunks(7) {
-            state = apply_summary(state, summarize_chunk(chunk));
+            state = apply_summary(state, summarize_chunk(chunk.iter().map(String::as_str)));
         }
         assert_eq!(state, direct);
     }

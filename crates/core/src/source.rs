@@ -10,28 +10,38 @@
 //! pulling the next — peak resident log text is O(workers ×
 //! target_bytes) regardless of corpus size.
 //!
-//! Three implementations cover every way the repo obtains logs:
+//! A chunk's [`Lines`] take one of two forms. [`InMemorySource`] lends
+//! slices of a corpus that is already materialized ([`Lines::Borrowed`]);
+//! every source that reads or renders text packs a chunk into one owned
+//! buffer plus a span per line ([`Lines::Packed`]), so a chunk costs two
+//! allocations however many lines it holds. Three sources cover every way
+//! the repo obtains logs in batch:
 //!
 //! - [`InMemorySource`] — wraps an already-materialized
-//!   `&[(NodeId, Vec<String>)]`; chunk boundaries reproduce
-//!   [`crate::shard::plan_chunks`] exactly, so every existing in-memory
-//!   entry point is a thin adapter over the streaming path.
-//! - [`DirSource`] — buffered incremental reads of a log directory (one
-//!   `.log` file per node), replacing whole-file `read_to_string` in
-//!   `gpures analyze`.
+//!   `&[(NodeId, Vec<String>)]` without copying it.
+//! - [`DirSource`] — incremental reads of a log directory (one `.log`
+//!   file per node), as `gpures analyze` runs. Each chunk is filled by
+//!   bounded `Read::read` calls into one buffer, its newlines found by a
+//!   word-at-a-time search, and its UTF-8 validated once; a partial last
+//!   line carries over to the node's next chunk. The buffer is sized to
+//!   `min(target, bytes left in the file)` plus one read block of at most
+//!   1 MiB, and grows past that only for a line that crosses it.
 //! - [`GeneratorSource`] — pulls rendered lines straight out of a
 //!   campaign's lazy [`dr_faults::textgen`] streams, so
 //!   `gpures campaign` writes a corpus it never holds.
 //!
-//! All three yield identical line content for identical underlying data;
-//! the pipeline's results are bit-identical across sources, chunk sizes,
-//! and worker counts (tier-1 tested).
+//! [`crate::tail::TailSource`] follows growing files with the same
+//! packed reads. All sources yield identical line content for identical
+//! underlying data, and every source closes a chunk on the first line
+//! whose bytes reach the target (the tail counts a line's bytes as on
+//! disk, the others its stripped length + 1); the pipeline's results are
+//! bit-identical across sources, chunk sizes, and worker counts (tier-1
+//! tested).
 
 use dr_faults::{CampaignOutput, NodeTextStream};
 use dr_xid::{DataError, NodeId};
-use std::borrow::Cow;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -39,15 +49,132 @@ use std::thread;
 
 /// One unit of streamed log text: a run of consecutive lines from one
 /// node's log. `node` indexes the source's [`LogSource::nodes`] slice.
+/// A chunk read from a file holds its text in one buffer of at most
+/// `min(target, bytes left in the file)` plus one read block (≤ 1 MiB)
+/// plus the longest line that crosses it.
 #[derive(Clone, Debug)]
 pub struct LogChunk<'a> {
     /// Index into [`LogSource::nodes`].
     pub node: usize,
-    /// The chunk's lines (no trailing newlines).
-    pub lines: Cow<'a, [String]>,
+    /// The chunk's lines (no line terminators).
+    pub lines: Lines<'a>,
     /// Byte volume as counted on disk: line bytes plus one newline each.
     pub bytes: u64,
 }
+
+/// The lines of one [`LogChunk`], without their line terminators.
+#[derive(Clone, Debug)]
+pub enum Lines<'a> {
+    /// Lines lent by a materialized corpus ([`InMemorySource`]).
+    Borrowed(&'a [String]),
+    /// Lines packed into one owned buffer (every other source).
+    Packed(PackedLines),
+}
+
+impl Lines<'_> {
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        match self {
+            Lines::Borrowed(lines) => lines.len(),
+            Lines::Packed(packed) => packed.spans.len(),
+        }
+    }
+
+    /// Whether there are no lines.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The lines in order, as `&str`.
+    pub fn iter(&self) -> LinesIter<'_> {
+        LinesIter(match self {
+            Lines::Borrowed(lines) => IterForm::Borrowed(lines.iter()),
+            Lines::Packed(packed) => IterForm::Packed(&packed.text, packed.spans.iter()),
+        })
+    }
+}
+
+impl<'c> IntoIterator for &'c Lines<'_> {
+    type Item = &'c str;
+    type IntoIter = LinesIter<'c>;
+
+    fn into_iter(self) -> LinesIter<'c> {
+        self.iter()
+    }
+}
+
+/// Packs owned lines, as a test or custom [`LogSource`] builds a chunk.
+impl<S: AsRef<str>> FromIterator<S> for Lines<'_> {
+    fn from_iter<I: IntoIterator<Item = S>>(lines: I) -> Self {
+        let mut packed = PackedLines::default();
+        for line in lines {
+            packed.push(line.as_ref());
+        }
+        Lines::Packed(packed)
+    }
+}
+
+/// A chunk's text in one owned `String`, plus the byte span of each line
+/// in it. Only this module builds one, and every span it records starts
+/// and ends next to an ASCII byte (or at an end) of validated UTF-8, so
+/// each span is a `char`-boundary slice of `text`.
+#[derive(Clone, Debug, Default)]
+pub struct PackedLines {
+    text: String,
+    spans: Vec<(usize, usize)>,
+}
+
+impl PackedLines {
+    fn push(&mut self, line: &str) {
+        let start = self.text.len();
+        self.text.push_str(line);
+        self.spans.push((start, self.text.len()));
+    }
+
+    /// Validate `buf` as UTF-8 and pair it with its line `spans`; on
+    /// invalid input, the offset in `buf` of the first invalid byte.
+    pub(crate) fn from_utf8(buf: Vec<u8>, spans: Vec<(usize, usize)>) -> Result<Self, usize> {
+        match String::from_utf8(buf) {
+            Ok(text) => Ok(PackedLines { text, spans }),
+            Err(e) => Err(e.utf8_error().valid_up_to()),
+        }
+    }
+}
+
+/// Iterator over the lines of a [`Lines`].
+#[derive(Clone, Debug)]
+pub struct LinesIter<'c>(IterForm<'c>);
+
+#[derive(Clone, Debug)]
+enum IterForm<'c> {
+    Borrowed(std::slice::Iter<'c, String>),
+    Packed(&'c str, std::slice::Iter<'c, (usize, usize)>),
+}
+
+impl<'c> Iterator for LinesIter<'c> {
+    type Item = &'c str;
+
+    fn next(&mut self) -> Option<&'c str> {
+        match &mut self.0 {
+            IterForm::Borrowed(lines) => lines.next().map(String::as_str),
+            // Spans are char-boundary slices by construction; `get` keeps
+            // a violated invariant from becoming a panic.
+            IterForm::Packed(text, spans) => spans
+                .next()
+                .map(|&(lo, hi)| text.get(lo..hi).unwrap_or_default()),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = match &self.0 {
+            IterForm::Borrowed(lines) => lines.len(),
+            IterForm::Packed(_, spans) => spans.len(),
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for LinesIter<'_> {}
 
 /// A pull-based stream of per-node log text in line-aligned chunks.
 ///
@@ -72,9 +199,8 @@ pub trait LogSource<'a> {
 }
 
 /// [`LogSource`] over an already-materialized corpus. Chunks borrow the
-/// underlying lines (no copy) and reproduce the boundaries
-/// [`crate::shard::plan_chunks`] would plan, making the streaming path a
-/// strict generalization of the in-memory one.
+/// underlying lines (no copy), making the streaming path a strict
+/// generalization of the in-memory one.
 pub struct InMemorySource<'a> {
     logs: &'a [(NodeId, Vec<String>)],
     nodes: Vec<NodeId>,
@@ -118,7 +244,7 @@ impl<'a> LogSource<'a> for InMemorySource<'a> {
             }
             return Ok(Some(LogChunk {
                 node: self.node,
-                lines: Cow::Borrowed(&lines[start..self.line]),
+                lines: Lines::Borrowed(&lines[start..self.line]),
                 bytes: acc,
             }));
         }
@@ -138,20 +264,155 @@ impl<'a> LogSource<'a> for InMemorySource<'a> {
 
 /// [`LogSource`] over a directory of per-node `.log` files (the layout
 /// `dr_report::files::write_node_logs` produces: `<host><id>.log`, one
-/// per node, sorted by path). Files are read incrementally through a
-/// `BufReader` — at no point is a whole file resident.
+/// per node, sorted by path). Files are read incrementally into packed
+/// chunks (see the module docs) — at no point is a whole file resident
+/// unless the chunk target asks for it.
 pub struct DirSource {
     nodes: Vec<NodeId>,
     paths: Vec<PathBuf>,
     cur: usize,
-    reader: Option<BufReader<File>>,
+    reader: Option<FileCursor>,
     total_bytes: u64,
+}
+
+/// Read position in the file [`DirSource`] is working through.
+struct FileCursor {
+    file: File,
+    /// The bytes read past the previous chunk's last line.
+    carry: Vec<u8>,
+    /// File offset of `carry`'s first byte.
+    offset: u64,
+    /// Bytes not yet read, as the file's size at open tells it.
+    left: u64,
 }
 
 fn io_err(path: &Path, e: std::io::Error) -> DataError {
     DataError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
+    }
+}
+
+/// The message for a chunk whose bytes are not UTF-8: `offset` is the
+/// absolute file offset of the first invalid byte.
+pub(crate) fn utf8_message(offset: u64) -> String {
+    format!("invalid UTF-8 at byte offset {offset}")
+}
+
+/// Smallest and largest single `read` a packed chunk issues.
+const MIN_READ: usize = 8 << 10;
+const MAX_READ: usize = 1 << 20;
+
+/// Position of the first `\n` in `hay`, eight bytes per step (SWAR).
+fn find_newline(hay: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    const NL: u64 = LO * b'\n' as u64;
+    let mut words = hay.chunks_exact(8);
+    let mut base = 0;
+    for word in &mut words {
+        let x = u64::from_le_bytes(<[u8; 8]>::try_from(word).unwrap_or_default()) ^ NL;
+        // Nonzero exactly when some byte of `x` is zero; the lowest
+        // flagged byte is the first `\n` (borrows only run upward).
+        let hit = x.wrapping_sub(LO) & !x & HI;
+        if hit != 0 {
+            return Some(base + (hit.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|i| base + i)
+}
+
+/// The `\n`-terminated lines [`read_lines`] found in its buffer.
+pub(crate) struct Scanned {
+    /// Each line's span in the buffer, one `\r` before the `\n` stripped.
+    pub(crate) spans: Vec<(usize, usize)>,
+    /// Stripped length + 1 per line: the chunk's `bytes`.
+    pub(crate) bytes: u64,
+    /// Buffer offset just past the last line's `\n`.
+    pub(crate) end: usize,
+    /// Whether the reader hit end of file.
+    pub(crate) eof: bool,
+}
+
+/// Read from `reader` onto the end of `buf` (which may already hold a
+/// carried-over partial line) until the `\n`-terminated lines in it
+/// reach `target`, or the reader ends. A line weighs its raw length when
+/// `raw` is set (the tail's rule) and its stripped length + 1 otherwise.
+///
+/// `left` — bytes left in the file past `buf`, as far as its size is
+/// known — is counted down by each read. It bounds the buffer to
+/// `min(target, buf + left)` plus one read block of at most
+/// [`MAX_READ`]: each read asks for what the target or the file still
+/// needs, at least [`MIN_READ`], and the buffer grows beyond that only by
+/// a line that crosses it.
+pub(crate) fn read_lines(
+    reader: &mut impl Read,
+    buf: &mut Vec<u8>,
+    target: u64,
+    left: &mut u64,
+    raw: bool,
+) -> std::io::Result<Scanned> {
+    let to_usize = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    let carried = buf.len() as u64;
+    let first = target
+        .min(carried.saturating_add(*left))
+        .saturating_sub(carried);
+    buf.reserve_exact(to_usize(first).saturating_add(MIN_READ));
+    let mut spans = Vec::new();
+    let (mut weight, mut bytes) = (0u64, 0u64);
+    // `start`: the current line's first byte; `scanned`: bytes searched.
+    let (mut start, mut scanned) = (0usize, 0usize);
+    loop {
+        while let Some(at) = buf.get(scanned..).and_then(find_newline) {
+            let nl = scanned + at;
+            let stop = if nl > start && buf.get(nl - 1) == Some(&b'\r') {
+                nl - 1
+            } else {
+                nl
+            };
+            spans.push((start, stop));
+            bytes += (stop - start) as u64 + 1;
+            let len = if raw { nl + 1 } else { stop + 1 } - start;
+            weight += len as u64;
+            start = nl + 1;
+            scanned = start;
+            if weight >= target {
+                return Ok(Scanned {
+                    spans,
+                    bytes,
+                    end: start,
+                    eof: false,
+                });
+            }
+        }
+        let filled = buf.len();
+        scanned = filled;
+        let pending = (filled - start) as u64;
+        let need = target.saturating_sub(weight + pending).min(*left);
+        let want = to_usize(need.max(pending)).clamp(MIN_READ, MAX_READ);
+        buf.reserve_exact(want);
+        buf.resize(filled + want, 0);
+        let n = loop {
+            match reader.read(buf.get_mut(filled..).unwrap_or_default()) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                r => break r?,
+            }
+        };
+        buf.truncate(filled + n);
+        *left = left.saturating_sub(n as u64);
+        if n == 0 {
+            return Ok(Scanned {
+                spans,
+                bytes,
+                end: start,
+                eof: true,
+            });
+        }
     }
 }
 
@@ -212,55 +473,59 @@ impl LogSource<'static> for DirSource {
         &self.nodes
     }
 
+    /// Invalid UTF-8 fails with [`DataError::Io`] naming the file and the
+    /// byte offset of the first invalid byte.
     fn next_chunk(&mut self, target_bytes: u64) -> Result<Option<LogChunk<'static>>, DataError> {
         let target = target_bytes.max(1);
-        while self.cur < self.paths.len() {
-            let path = &self.paths[self.cur];
-            if self.reader.is_none() {
-                let file = File::open(path).map_err(|e| io_err(path, e))?;
-                self.reader = Some(BufReader::new(file));
-            }
-            let Some(reader) = self.reader.as_mut() else {
-                continue;
+        while let Some(path) = self.paths.get(self.cur) {
+            let cursor = match &mut self.reader {
+                Some(cursor) => cursor,
+                None => {
+                    let file = File::open(path).map_err(|e| io_err(path, e))?;
+                    let left = file.metadata().map_err(|e| io_err(path, e))?.len();
+                    self.reader.insert(FileCursor {
+                        file,
+                        carry: Vec::new(),
+                        offset: 0,
+                        left,
+                    })
+                }
             };
-            let mut lines = Vec::new();
-            let mut acc = 0u64;
-            let mut eof = false;
-            while acc < target {
-                let mut buf = String::new();
-                let n = reader.read_line(&mut buf).map_err(|e| io_err(path, e))?;
-                if n == 0 {
-                    eof = true;
-                    break;
-                }
-                if buf.ends_with('\n') {
-                    buf.pop();
-                    if buf.ends_with('\r') {
-                        buf.pop();
-                    }
-                }
-                acc += buf.len() as u64 + 1;
-                lines.push(buf);
+            let mut buf = std::mem::take(&mut cursor.carry);
+            let scanned = read_lines(&mut cursor.file, &mut buf, target, &mut cursor.left, false)
+                .map_err(|e| io_err(path, e))?;
+            let Scanned {
+                mut spans,
+                mut bytes,
+                mut end,
+                eof,
+            } = scanned;
+            if eof && end < buf.len() {
+                // An unterminated final line is still a line (and keeps
+                // any `\r`, which only a `\n` strips).
+                spans.push((end, buf.len()));
+                bytes += (buf.len() - end) as u64 + 1;
+                end = buf.len();
             }
-            if eof {
-                self.reader = None;
-            }
-            if lines.is_empty() {
-                // Empty file (or a final read that hit EOF immediately):
-                // move on without emitting a zero-line chunk.
-                if eof {
-                    self.cur += 1;
-                }
-                continue;
-            }
+            cursor.carry = buf.split_off(end);
+            let offset = cursor.offset;
+            cursor.offset += end as u64;
             let node = self.cur;
             if eof {
+                self.reader = None;
                 self.cur += 1;
             }
+            if spans.is_empty() {
+                continue;
+            }
+            let lines = PackedLines::from_utf8(buf, spans).map_err(|at| DataError::Io {
+                path: path.display().to_string(),
+                message: utf8_message(offset + at as u64),
+            })?;
             return Ok(Some(LogChunk {
                 node,
-                lines: Cow::Owned(lines),
-                bytes: acc,
+                lines: Lines::Packed(lines),
+                bytes,
             }));
         }
         Ok(None)
@@ -302,20 +567,20 @@ impl<'a> LogSource<'static> for GeneratorSource<'a> {
         let target = target_bytes.max(1);
         while self.cur < self.streams.len() {
             let stream = &mut self.streams[self.cur];
-            let mut lines = Vec::new();
+            let mut lines = PackedLines::default();
             let mut acc = 0u64;
             while acc < target {
                 let Some(line) = stream.next() else { break };
                 acc += line.len() as u64 + 1;
-                lines.push(line);
+                lines.push(&line);
             }
-            if lines.is_empty() {
+            if lines.spans.is_empty() {
                 self.cur += 1;
                 continue;
             }
             return Ok(Some(LogChunk {
                 node: self.cur,
-                lines: Cow::Owned(lines),
+                lines: Lines::Packed(lines),
                 bytes: acc,
             }));
         }
@@ -326,7 +591,8 @@ impl<'a> LogSource<'static> for GeneratorSource<'a> {
 /// Drain a source into the materialized `(node, lines)` form. Nodes that
 /// yielded no chunks still appear, with empty line vectors. This is the
 /// batch adapter for callers that genuinely need the whole corpus (the
-/// baseline differential oracle, tests).
+/// baseline differential oracle, tests). It pulls one chunk per file, so
+/// a packed source sizes one buffer to each whole file.
 pub fn collect_source<'s>(
     source: &mut dyn LogSource<'s>,
 ) -> Result<Vec<(NodeId, Vec<String>)>, DataError> {
@@ -339,7 +605,7 @@ pub fn collect_source<'s>(
                 message: "chunk node index out of range for the source's node list".to_string(),
             });
         };
-        slot.1.extend(chunk.lines.into_owned());
+        slot.1.extend(chunk.lines.iter().map(str::to_owned));
     }
     Ok(out)
 }
@@ -530,6 +796,7 @@ impl<'s> WaveRx<'s, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::plan_chunks;
 
     fn corpus() -> Vec<(NodeId, Vec<String>)> {
         vec![
@@ -542,22 +809,111 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn in_memory_chunks_match_plan_chunks_boundaries() {
-        let logs = corpus();
-        for target in [1u64, 7, 64, u64::MAX] {
-            let plan = crate::shard::plan_chunks(&logs, target);
-            let mut src = InMemorySource::new(&logs);
-            let mut got = Vec::new();
-            while let Some(c) = src.next_chunk(target).unwrap() {
-                got.push((c.node, c.lines.len(), c.bytes));
-            }
-            let want: Vec<_> = plan
-                .iter()
-                .map(|c| (c.node, c.end - c.start, c.bytes))
-                .collect();
-            assert_eq!(got, want, "target {target}");
+    /// Write `logs` as a log directory, one `\n`-terminated file per node.
+    fn write_dir(tag: &str, logs: &[(NodeId, Vec<String>)]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gpures_source_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (node, lines) in logs {
+            let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            std::fs::write(dir.join(format!("{}.log", node.hostname())), text).unwrap();
         }
+        dir
+    }
+
+    /// `(node, lines, bytes)` of every chunk `src` yields at `target`.
+    fn chunk_shape(src: &mut dyn LogSource<'_>, target: u64) -> Vec<(usize, usize, u64)> {
+        let mut got = Vec::new();
+        while let Some(c) = src.next_chunk(target).unwrap() {
+            got.push((c.node, c.lines.len(), c.bytes));
+        }
+        got
+    }
+
+    #[test]
+    fn every_source_chunks_match_plan_chunks_boundaries() {
+        let campaign = dr_faults::Campaign::run(dr_faults::CampaignConfig {
+            duration_days: 2.0,
+            ..dr_faults::CampaignConfig::tiny(11)
+        });
+        for (tag, logs) in [
+            ("corpus", corpus()),
+            ("campaign", campaign.text_logs.clone()),
+        ] {
+            let dir = write_dir(tag, &logs);
+            for target in [1u64, 7, 64, 4096, u64::MAX] {
+                let want: Vec<_> = plan_chunks(&logs, target)
+                    .iter()
+                    .map(|c| (c.node, c.end - c.start, c.bytes))
+                    .collect();
+                let at = format!("{tag} target {target}");
+                let mut mem = InMemorySource::new(&logs);
+                assert_eq!(chunk_shape(&mut mem, target), want, "in-memory, {at}");
+                let mut disk = DirSource::open(&dir).unwrap();
+                assert_eq!(chunk_shape(&mut disk, target), want, "dir, {at}");
+                // The tail visits nodes round-robin; each node's order counts.
+                let mut tail = crate::tail::TailSource::open(&dir).unwrap();
+                let mut tail_shape = chunk_shape(&mut tail, target);
+                tail_shape.sort_by_key(|c| c.0);
+                assert_eq!(tail_shape, want, "tail, {at}");
+                if tag == "campaign" {
+                    let mut gen = GeneratorSource::from_campaign(&campaign);
+                    assert_eq!(chunk_shape(&mut gen, target), want, "generator, {at}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn find_newline_matches_a_bytewise_search_at_every_alignment() {
+        let mut hay = vec![b'x'; 40];
+        assert_eq!(find_newline(&hay), None);
+        for nl in 0..hay.len() {
+            hay[nl] = b'\n';
+            // High bytes next to the hit must not be flagged instead.
+            if nl + 1 < hay.len() {
+                hay[nl + 1] = 0x8a;
+            }
+            for from in 0..=nl {
+                assert_eq!(
+                    find_newline(&hay[from..]),
+                    Some(nl - from),
+                    "nl {nl} from {from}"
+                );
+            }
+            hay[nl] = b'x';
+            if nl + 1 < hay.len() {
+                hay[nl + 1] = b'x';
+            }
+        }
+    }
+
+    #[test]
+    fn packed_chunks_stay_within_the_allocation_bound() {
+        // Lines of 100 bytes: a 64 KiB target must not make a 1 MiB
+        // buffer, and a whole-file target sizes the buffer to the file.
+        let line = "y".repeat(99);
+        let logs = vec![(NodeId(3), vec![line; 5_000])];
+        let dir = write_dir("bound", &logs);
+        let file_len = 5_000 * 100;
+        for (target, cap) in [
+            (64 << 10, (64 << 10) + 100 + MIN_READ),
+            (u64::MAX, file_len + MIN_READ),
+        ] {
+            let mut src = DirSource::open(&dir).unwrap();
+            while let Some(c) = src.next_chunk(target).unwrap() {
+                let Lines::Packed(p) = &c.lines else {
+                    panic!("dir chunks are packed")
+                };
+                assert!(
+                    p.text.capacity() <= cap,
+                    "capacity {} > {cap}",
+                    p.text.capacity()
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -589,7 +945,7 @@ mod tests {
             self.yielded += 1;
             Ok(Some(LogChunk {
                 node: 0,
-                lines: Cow::Owned(vec!["noise line".to_string()]),
+                lines: ["noise line"].into_iter().collect(),
                 bytes: 11,
             }))
         }
@@ -716,7 +1072,7 @@ mod tests {
         while let Some(c) = src.next_chunk(6).unwrap() {
             assert!(c.node >= last_node, "chunks must be node-major");
             last_node = c.node;
-            all[c.node].extend(c.lines.iter().cloned());
+            all[c.node].extend(c.lines.iter().map(str::to_owned));
         }
         for (i, (_, lines)) in logs.iter().enumerate() {
             assert_eq!(&all[i], lines);

@@ -5,8 +5,11 @@
 //! *while they grow*, surviving log rotation and process restarts:
 //!
 //! - **Growth** — each poll re-opens a file, seeks to the saved offset,
-//!   and consumes only complete (`\n`-terminated) lines; a partially
-//!   written final line stays on disk for the next poll.
+//!   and reads a packed chunk the way [`crate::source::DirSource`] does,
+//!   but consumes only complete (`\n`-terminated) lines; a partially
+//!   written final line stays on disk for the next poll. Invalid UTF-8
+//!   fails the poll with [`DataError::Tail`] naming the file and byte
+//!   offset, and leaves the cursor before it.
 //! - **Rotation** — a changed inode (Unix) or a file shrinking below the
 //!   saved offset means the path was rotated or truncated; the cursor
 //!   resets to byte 0 of the new file.
@@ -22,9 +25,10 @@
 //! decides when to poll again (the crate never sleeps or reads a clock;
 //! pacing lives in the binary).
 
-use crate::source::{scan_log_dir, LogChunk, LogSource};
+use crate::source::{
+    read_lines, scan_log_dir, utf8_message, Lines, LogChunk, LogSource, PackedLines,
+};
 use dr_xid::{DataError, NodeId};
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -190,7 +194,7 @@ impl TailSource {
         let Some(cur) = self.cursors.get_mut(idx) else {
             return Ok(None);
         };
-        let file = match File::open(&cur.path) {
+        let mut file = match File::open(&cur.path) {
             Ok(f) => f,
             // Mid-rotation gap: the old file is gone, the new one not yet
             // created. Keep the cursor; the next poll sees the new inode.
@@ -211,41 +215,28 @@ impl TailSource {
             return Ok(None);
         }
 
-        let mut reader = BufReader::new(file);
-        reader
-            .seek(SeekFrom::Start(cur.offset))
+        file.seek(SeekFrom::Start(cur.offset))
             .map_err(|e| tail_err(&cur.path, e))?;
-        let mut lines = Vec::new();
-        let mut consumed = 0u64;
-        let mut emitted = 0u64;
-        while consumed < target {
-            let mut buf = String::new();
-            let n = reader
-                .read_line(&mut buf)
-                .map_err(|e| tail_err(&cur.path, e))?;
-            if n == 0 {
-                break;
-            }
-            if !buf.ends_with('\n') {
-                // Incomplete trailing line: leave it for the next poll.
-                break;
-            }
-            consumed += n as u64;
-            buf.pop();
-            if buf.ends_with('\r') {
-                buf.pop();
-            }
-            emitted += buf.len() as u64 + 1;
-            lines.push(buf);
-        }
-        if lines.is_empty() {
+        let mut left = meta.len() - cur.offset;
+        let mut buf = Vec::new();
+        let scanned = read_lines(&mut file, &mut buf, target, &mut left, true)
+            .map_err(|e| tail_err(&cur.path, e))?;
+        if scanned.spans.is_empty() {
             return Ok(None);
         }
-        cur.offset += consumed;
+        // Bytes past the last `\n` stay on disk for the next poll.
+        buf.truncate(scanned.end);
+        // On invalid UTF-8 the cursor stays put: the bad bytes fail every
+        // poll rather than being skipped.
+        let lines = PackedLines::from_utf8(buf, scanned.spans).map_err(|at| DataError::Tail {
+            path: cur.path.display().to_string(),
+            message: utf8_message(cur.offset + at as u64),
+        })?;
+        cur.offset += scanned.end as u64;
         Ok(Some(LogChunk {
             node: idx,
-            lines: Cow::Owned(lines),
-            bytes: emitted,
+            lines: Lines::Packed(lines),
+            bytes: scanned.bytes,
         }))
     }
 }
@@ -285,7 +276,7 @@ mod tests {
     }
 
     fn chunk_lines(c: &LogChunk<'_>) -> Vec<String> {
-        c.lines.iter().cloned().collect()
+        c.lines.iter().map(str::to_owned).collect()
     }
 
     #[test]

@@ -448,7 +448,7 @@ impl WatchSession {
                 // In range: the check above, and the table grown to
                 // `n_nodes` extractors at the top of the poll.
                 let ex = &mut self.extractors[chunk.node];
-                let recs = ex.extract_all(chunk.lines.iter().map(|s| s.as_str()));
+                let recs = ex.extract_all(&chunk.lines);
                 delta.records += recs.len() as u64;
                 for r in recs {
                     self.buffer.push(r);

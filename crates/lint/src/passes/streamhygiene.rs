@@ -14,8 +14,9 @@
 //!   store (or any binary artifact) be slurped whole instead of read
 //!   block-by-block through its footer index.
 //!
-//! Incremental primitives (`BufReader::read_line`, `fs::read_dir`)
-//! remain fine. The lint tool itself (`crates/lint/`) is exempt — its
+//! Incremental primitives (bounded `Read::read` calls, as the packed
+//! log sources make, `BufReader::read_line`, `fs::read_dir`) remain
+//! fine. The lint tool itself (`crates/lint/`) is exempt — its
 //! job is reading sources, which are human-sized — as are test regions
 //! and the CLI/benchmark layers outside `crates/`. A deliberate
 //! boundary case can be waived with

@@ -1,19 +1,28 @@
 //! Tier-1 streaming contract: every `LogSource` path — in-memory,
 //! campaign generator, and a campaign→disk→`DirSource` round trip —
 //! must produce bit-identical `StudyResults` at every chunk size and
-//! worker count, and the disk path must do it in bounded memory.
+//! worker count, and the disk path must do it in bounded memory. The
+//! packed file readers (`DirSource`, `TailSource`) are also checked
+//! against a line-at-a-time reference reader on generated corpora with
+//! awkward line endings, and must reject invalid UTF-8 with its position.
 
 use gpu_resilience::core::{
-    DirSource, GeneratorSource, InMemorySource, LogChunk, LogSource, PipelineBuilder,
-    StudyConfig, StudyResults, WatchConfig, WatchSession,
+    DirSource, GeneratorSource, InMemorySource, LogChunk, LogSource, PipelineBuilder, StudyConfig,
+    StudyResults, TailSource, WatchConfig, WatchSession,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
 use gpu_resilience::report::files;
-use gpu_resilience::xid::{DataError, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid};
-use std::borrow::Cow;
-use std::path::PathBuf;
+use gpu_resilience::xid::syslog::{format_line, format_noise_line};
+use gpu_resilience::xid::{
+    DataError, Duration, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid,
+};
+use proptest::prelude::*;
+use proptest::Gen;
+use std::fs::File;
+use std::io::{BufRead, BufReader, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// `dr_par::set_worker_override` is process-global; tests that set it
@@ -305,7 +314,7 @@ impl<'a> LogSource<'a> for OutOfRangeSource {
         Ok(Some(LogChunk {
             node: self.nodes.len(),
             bytes: line.len() as u64 + 1,
-            lines: Cow::Owned(vec![line]),
+            lines: [line].into_iter().collect(),
         }))
     }
 }
@@ -335,4 +344,421 @@ fn out_of_range_chunk_node_is_a_typed_error_on_batch_and_live_paths() {
         .run_observed(&mut OutOfRangeSource::new(), &MetricsSink::disabled())
         .expect_err("an out-of-range chunk must fail the watch poll");
     names_the_index(&err);
+}
+
+/// A log directory holding one invalid byte, in the second line of
+/// `gpub001.log` at file offset 8.
+fn bad_utf8_dir(tag: &str) -> PathBuf {
+    let dir = scratch_dir(tag);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join("gpub001.log"), b"alpha\nbr\xffvo\ncharlie\n").expect("write log");
+    dir
+}
+
+#[test]
+fn invalid_utf8_is_a_typed_error_naming_the_file_and_offset() {
+    let cfg = StudyConfig::ampere_study().with_window(1_000.0, 1);
+    let dir = bad_utf8_dir("bad-utf8");
+    let names_the_byte = |err: &DataError, tail: bool| {
+        let typed = match err {
+            DataError::Io { path, .. } => !tail && path.ends_with("gpub001.log"),
+            DataError::Tail { path, .. } => tail && path.ends_with("gpub001.log"),
+            _ => false,
+        };
+        assert!(typed, "wrong error variant or path: {err:?}");
+        assert!(
+            err.to_string().contains("invalid UTF-8 at byte offset 8"),
+            "error must give the offset of the first invalid byte, got: {err}"
+        );
+    };
+    for prefetch in [false, true] {
+        for chunk in [1u64, 1 << 20] {
+            let builder = PipelineBuilder::new(cfg)
+                .prefetch(prefetch)
+                .chunk_bytes(chunk);
+            let mut disk = DirSource::open(&dir).expect("open log dir");
+            let err = builder
+                .run_source(&mut disk)
+                .expect_err("dir source must fail");
+            names_the_byte(&err, false);
+            let mut tail = TailSource::open(&dir).expect("open log dir");
+            let err = builder
+                .run_source(&mut tail)
+                .expect_err("tail source must fail");
+            names_the_byte(&err, true);
+        }
+    }
+
+    // The tail consumes `alpha`, then stops in front of the bad line on
+    // every poll: nothing past it is skipped.
+    let mut tail = TailSource::open(&dir).expect("open log dir");
+    let first = tail
+        .next_chunk(1)
+        .expect("first line is valid")
+        .expect("a chunk");
+    assert_eq!(first.lines.iter().collect::<Vec<_>>(), ["alpha"]);
+    for _ in 0..2 {
+        names_the_byte(&tail.next_chunk(1).expect_err("bad line"), true);
+        assert!(tail
+            .checkpoint()
+            .starts_with(&format!("{} 6 ", inode(&dir))));
+    }
+    // Repair the byte in place: the tail resumes at the repaired line.
+    let path = dir.join("gpub001.log");
+    let mut f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .expect("reopen");
+    f.seek(SeekFrom::Start(8))
+        .and_then(|_| f.write_all(b"a"))
+        .expect("repair");
+    drop(f);
+    let rest = tail
+        .next_chunk(u64::MAX)
+        .expect("repaired")
+        .expect("a chunk");
+    assert_eq!(rest.lines.iter().collect::<Vec<_>>(), ["bravo", "charlie"]);
+
+    // The live path surfaces the same error.
+    let dir = bad_utf8_dir("bad-utf8-watch");
+    let mut session = WatchSession::new(WatchConfig {
+        study: cfg,
+        ..WatchConfig::default()
+    });
+    let mut tail = TailSource::open(&dir).expect("open log dir");
+    let err = session
+        .run_observed(&mut tail, &MetricsSink::disabled())
+        .expect_err("the watch poll must fail");
+    names_the_byte(&err, true);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(scratch_dir("bad-utf8")).ok();
+}
+
+/// The inode a checkpoint line records for `gpub001.log` (0 off Unix).
+fn inode(dir: &Path) -> u64 {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        std::fs::metadata(dir.join("gpub001.log")).map_or(0, |m| m.ino())
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = dir;
+        0
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed readers against a line-at-a-time reference
+// ---------------------------------------------------------------------------
+
+/// Chunk targets the differential checks run: one line per chunk, a few
+/// lines, a typical `--chunk-bytes`, and whole files.
+const TARGETS: [u64; 4] = [1, 7, 64 << 10, u64::MAX];
+
+/// One reference chunk: its lines and its `bytes`.
+type RefChunk = (Vec<String>, u64);
+
+/// The batch file reader before chunks were packed: `read_line` into one
+/// `String` per line, one `\r` stripped before a `\n`, a chunk closing on
+/// the first line whose stripped length + 1 reaches the target.
+fn reference_dir_chunks(path: &Path, target: u64) -> Vec<RefChunk> {
+    let mut reader = BufReader::new(File::open(path).expect("open"));
+    let mut out = Vec::new();
+    loop {
+        let (mut lines, mut acc, mut eof) = (Vec::new(), 0u64, false);
+        while acc < target.max(1) {
+            let mut buf = String::new();
+            if reader.read_line(&mut buf).expect("read") == 0 {
+                eof = true;
+                break;
+            }
+            if buf.ends_with('\n') {
+                buf.pop();
+                if buf.ends_with('\r') {
+                    buf.pop();
+                }
+            }
+            acc += buf.len() as u64 + 1;
+            lines.push(buf);
+        }
+        if !lines.is_empty() {
+            out.push((lines, acc));
+        }
+        if eof {
+            return out;
+        }
+    }
+}
+
+/// The tail reader before chunks were packed: each poll seeks to the
+/// cursor and reads whole `\n`-terminated lines until their raw length
+/// reaches the target; an unterminated last line stays unread.
+fn reference_tail_chunks(path: &Path, target: u64) -> Vec<RefChunk> {
+    let mut offset = 0u64;
+    let mut out = Vec::new();
+    loop {
+        let mut reader = BufReader::new(File::open(path).expect("open"));
+        reader.seek(SeekFrom::Start(offset)).expect("seek");
+        let (mut lines, mut consumed, mut emitted) = (Vec::new(), 0u64, 0u64);
+        while consumed < target.max(1) {
+            let mut buf = String::new();
+            let n = reader.read_line(&mut buf).expect("read");
+            if n == 0 || !buf.ends_with('\n') {
+                break;
+            }
+            consumed += n as u64;
+            buf.pop();
+            if buf.ends_with('\r') {
+                buf.pop();
+            }
+            emitted += buf.len() as u64 + 1;
+            lines.push(buf);
+        }
+        if lines.is_empty() {
+            return out;
+        }
+        offset += consumed;
+        out.push((lines, emitted));
+    }
+}
+
+/// Every chunk of `source` at `target` with its node, in source order.
+fn source_chunks(source: &mut dyn LogSource<'_>, target: u64) -> Vec<(usize, RefChunk)> {
+    let mut out = Vec::new();
+    while let Some(c) = source.next_chunk(target).expect("valid corpus") {
+        out.push((
+            c.node,
+            (c.lines.iter().map(str::to_owned).collect(), c.bytes),
+        ));
+    }
+    out
+}
+
+/// A reference reader's chunks of every file, node-major.
+fn node_major(paths: &[PathBuf], read: impl Fn(&Path) -> Vec<RefChunk>) -> Vec<(usize, RefChunk)> {
+    let per_file = paths.iter().map(|p| read(p));
+    per_file
+        .enumerate()
+        .flat_map(|(node, chunks)| chunks.into_iter().map(move |c| (node, c)))
+        .collect()
+}
+
+/// A generated log directory: one file per node, its bytes verbatim.
+struct Corpus {
+    files: Vec<String>,
+}
+
+impl Corpus {
+    fn write(&self, dir: &Path) {
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).expect("scratch dir");
+        for (i, text) in self.files.iter().enumerate() {
+            let path = dir.join(format!("{}.log", NodeId(i as u32 + 1).hostname()));
+            std::fs::write(path, text).expect("write log");
+        }
+    }
+}
+
+/// Generates corpora full of what the packed readers must get right:
+/// CRLF and LF endings, a bare `\r` mid-line, empty lines, empty files,
+/// a file that is only `\n`, a last line without `\n` (with or without a
+/// `\r`), lines longer than a read block, and runs of 2-, 3- and 4-byte
+/// characters long enough that reads split some of them. XID and noise
+/// lines with rising timestamps give the pipeline records to agree on.
+struct CorpusStrategy;
+
+impl CorpusStrategy {
+    fn file(gen: &mut Gen, node: u32) -> String {
+        match gen.below(12) {
+            0 => return String::new(),
+            1 => return "\n".to_string(),
+            _ => {}
+        }
+        // Long lines pass the smallest read (8 KiB); in one file of six
+        // they are long enough that 64 KiB chunks close mid-file.
+        let long = if gen.below(6) == 0 { 16 << 10 } else { 8 << 10 };
+        let mut at = Timestamp::EPOCH + Duration::from_hours(24 * (1 + gen.below(300)));
+        let n_lines = 1 + gen.below(32);
+        let mut text = String::new();
+        for i in 0..n_lines {
+            match gen.below(12) {
+                // Short lines, often empty: runs of them are where the
+                // small targets close chunks on a line's weight.
+                0..=2 => {
+                    for _ in 0..gen.below(7) {
+                        text.push(char::from(b'a' + gen.below(26) as u8));
+                    }
+                }
+                3 => text.push_str("kernel: bare\rreturn inside a line"),
+                4 => {
+                    let len = long + gen.below(4 * long as u64) as usize;
+                    let chars = ['a', 'é', '€', '😀'];
+                    let from = text.len();
+                    while text.len() - from < len {
+                        text.push(chars[gen.below(4) as usize]);
+                    }
+                }
+                5 => text.push_str(&format_noise_line(at, NodeId(node), i as u8)),
+                _ => {
+                    let rec = ErrorRecord::new(
+                        at,
+                        GpuId::at_slot(NodeId(node), gen.below(4) as usize),
+                        Xid::ALL[gen.below(Xid::ALL.len() as u64) as usize],
+                        ErrorDetail::new(gen.below(3) as u16, gen.below(5) as u32),
+                    );
+                    text.push_str(&format_line(&rec, gen.below(3) as u32));
+                }
+            }
+            at += Duration::from_secs(gen.below(7_200));
+            let last = i + 1 == n_lines;
+            text.push_str(match (last, gen.below(6)) {
+                (true, 0) => "",
+                (true, 1) => "\r",
+                (_, 2 | 3) => "\r\n",
+                _ => "\n",
+            });
+        }
+        text
+    }
+}
+
+impl Strategy for CorpusStrategy {
+    type Value = Corpus;
+
+    fn sample_value(&self, gen: &mut Gen) -> Corpus {
+        let nodes = 1 + gen.below(3) as u32;
+        Corpus {
+            files: (1..=nodes).map(|n| Self::file(gen, n)).collect(),
+        }
+    }
+}
+
+/// Check `DirSource` and `TailSource` over the corpus in `dir` against
+/// the reference readers: the same lines per node, the same
+/// `(node, lines, bytes)` chunk sequence at every target, and the same
+/// `StudyResults` through `run_source` with prefetch off and on.
+fn packed_readers_match_reference(dir: &Path) -> Result<(), String> {
+    let paths: Vec<PathBuf> = {
+        let mut p: Vec<PathBuf> = std::fs::read_dir(dir)
+            .expect("list")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        p.sort();
+        p
+    };
+    let nodes = paths.len() as u32;
+    let all_lines = |chunks: &[RefChunk]| -> Vec<String> {
+        chunks.iter().flat_map(|(l, _)| l.iter().cloned()).collect()
+    };
+    let reference_logs: Vec<(NodeId, Vec<String>)> = paths
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            (
+                NodeId(i as u32 + 1),
+                all_lines(&reference_dir_chunks(p, u64::MAX)),
+            )
+        })
+        .collect();
+    let cfg = StudyConfig::ampere_study().with_window(24.0 * 400.0, nodes);
+    let reference = fingerprint(
+        &PipelineBuilder::new(cfg)
+            .run_source(&mut InMemorySource::new(&reference_logs))
+            .expect("in-memory"),
+    );
+
+    let shape = |c: &[(usize, RefChunk)]| -> Vec<(usize, usize, u64)> {
+        c.iter().map(|(n, (l, b))| (*n, l.len(), *b)).collect()
+    };
+    let lines = |c: &[(usize, RefChunk)]| -> Vec<(usize, String)> {
+        c.iter()
+            .flat_map(|(n, (l, _))| l.iter().map(move |line| (*n, line.clone())))
+            .collect()
+    };
+    for target in TARGETS {
+        let want_dir = node_major(&paths, |p| reference_dir_chunks(p, target));
+        let want_tail = node_major(&paths, |p| reference_tail_chunks(p, target));
+        let got_dir = source_chunks(&mut DirSource::open(dir).expect("open"), target);
+        let mut got_tail = source_chunks(&mut TailSource::open(dir).expect("open"), target);
+        // The tail visits files round-robin; only each file's order counts.
+        got_tail.sort_by_key(|(node, _)| *node);
+        for (name, got, want) in [("dir", got_dir, want_dir), ("tail", got_tail, want_tail)] {
+            prop_assert_eq!(
+                lines(&got),
+                lines(&want),
+                "{name}: lines differ at target {target}"
+            );
+            prop_assert_eq!(
+                shape(&got),
+                shape(&want),
+                "{name}: chunk sequence differs at target {target}"
+            );
+        }
+        for prefetch in [false, true] {
+            let builder = PipelineBuilder::new(cfg)
+                .prefetch(prefetch)
+                .chunk_bytes(target);
+            let mut disk = DirSource::open(dir).expect("open");
+            let r_disk = fingerprint(&builder.run_source(&mut disk).expect("dir source"));
+            let mut tail = TailSource::open(dir).expect("open");
+            let r_tail = fingerprint(&builder.run_source(&mut tail).expect("tail source"));
+            prop_assert!(
+                r_disk == reference,
+                "dir source results diverged at target {target}, prefetch {prefetch}"
+            );
+            // The tail leaves an unterminated last line unread, so it
+            // agrees with the reference only when every file ends in `\n`.
+            let terminated = paths.iter().all(|p| {
+                let text = std::fs::read(p).expect("read back");
+                text.is_empty() || text.ends_with(b"\n")
+            });
+            prop_assert!(
+                !terminated || r_tail == reference,
+                "tail source results diverged at target {target}, prefetch {prefetch}"
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn packed_readers_match_the_line_at_a_time_reference(corpus in CorpusStrategy) {
+        // One worker keeps one-line chunks cheap; worker-count invariance
+        // is checked above.
+        let _workers = WORKER_LOCK.lock().expect("worker lock");
+        gpu_resilience::par::set_worker_override(Some(1));
+        let dir = scratch_dir("differential");
+        corpus.write(&dir);
+        let outcome = packed_readers_match_reference(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        gpu_resilience::par::set_worker_override(None);
+        outcome?;
+    }
+}
+
+#[test]
+fn packed_readers_match_the_reference_on_split_characters() {
+    // A 3-byte character straddles file offset 8 192 (where the first
+    // read of a small-target chunk ends) and 65 536 (where a 64 KiB
+    // chunk's first read ends), then comes a line longer than the
+    // largest read (1 MiB) ending in `\r` without `\n`; then a lone
+    // `\n`, then an empty file.
+    let mut first = format!("{}€€€\r\n", "a".repeat((8 << 10) - 1));
+    first.push_str(&"a".repeat((64 << 10) - 1 - first.len()));
+    first.push_str("€€€\n");
+    first.push_str(&"€😀".repeat((1 << 20) / 7 + 1));
+    first.push('\r');
+    let corpus = Corpus {
+        files: vec![first, "\n".to_string(), String::new()],
+    };
+    let dir = scratch_dir("split-chars");
+    corpus.write(&dir);
+    let outcome = packed_readers_match_reference(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    if let Err(e) = outcome {
+        panic!("{e}");
+    }
 }
