@@ -34,10 +34,10 @@
 //!   extract pass tees per-node record streams into a checksummed
 //!   binary file, and [`store::RecordSource`] replays them into the
 //!   pipeline in milliseconds with bit-identical results.
-//! - [`stream`] — the online variant: incremental Algorithm 1, a
-//!   constant-memory live Table 1 (P² quantiles), and the event-time
-//!   [`stream::WatermarkBuffer`] that reorders late log lines for
-//!   monitoring deployments.
+//! - [`stream`] — the online operators: the event-time
+//!   [`stream::WatermarkBuffer`] that reorders late log lines, and
+//!   [`stream::StreamCoalescer`], incremental Algorithm 1 over the
+//!   reordered stream.
 //! - [`engine`] — the fold-based analysis core: every batch analysis
 //!   restated as an [`engine::AnalysisEngine`] accumulator
 //!   (`ingest` per episode, `snapshot` at any point), composed into
@@ -46,10 +46,10 @@
 //! - [`tail`] — [`tail::TailSource`]: a [`source::LogSource`] that
 //!   follows growing, rotating per-node log files with inode/offset
 //!   checkpoints for resumable live ingestion.
-//! - [`watch`] — the live path: [`watch::WatchSession`] chains tailed
-//!   sources through extraction, watermarking, and incremental
-//!   coalescing into rolling-window accumulators and deterministic
-//!   event-time threshold alerts.
+//! - [`watch`] — the live path and its one front door (`gpures watch`):
+//!   [`watch::WatchSession`] chains tailed sources through extraction,
+//!   watermarking, and incremental coalescing into rolling-window
+//!   accumulators and deterministic event-time alerts.
 //!
 //! Everything operates on plain data types (`ErrorRecord`, `JobRecord`),
 //! so the pipeline runs unchanged on synthetic campaigns or real logs.
@@ -99,7 +99,7 @@ pub use store::{
     extract_to_store, write_store, InMemoryRecordSource, RecordBatch, RecordSource, RecordStore,
     RecordStoreWriter, StoreRecordSource, StoreSummary,
 };
-pub use stream::{OnlineRow, OnlineStats, StreamCoalescer, WatermarkBuffer};
+pub use stream::{StreamCoalescer, WatermarkBuffer};
 pub use tail::TailSource;
 pub use watch::{
     Alert, AlertKind, OffenderRate, OffenderRateAcc, WatchConfig, WatchSession, WatchSnapshot,

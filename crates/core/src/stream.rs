@@ -1,18 +1,15 @@
-//! Online (streaming) variant of the pipeline.
+//! Online (streaming) operators behind the live path.
 //!
-//! The batch pipeline answers "what happened over 855 days"; an SRE
-//! monitor needs the same quantities *live*: coalesce errors as lines
-//! arrive, keep running counts/MTBE, and track persistence quantiles in
-//! constant memory (the P² estimator) — the operational deployment of the
-//! paper's methodology that its Section 4.3 recommendations imply.
-//!
-//! [`StreamCoalescer`] is Algorithm 1 as an incremental operator: it is
-//! **exactly equivalent** to the batch [`coalesce`](crate::coalesce::coalesce)
-//! on a time-ordered stream (property-tested), emitting each coalesced
+//! The batch pipeline answers "what happened over 855 days"; a live
+//! [`crate::watch::WatchSession`] needs the same episodes as lines
+//! arrive. [`WatermarkBuffer`] turns interleaved per-node arrivals into
+//! one time-ordered record stream, and [`StreamCoalescer`] is
+//! Algorithm 1 as an incremental operator over it: **exactly
+//! equivalent** to the batch [`coalesce`](crate::coalesce::coalesce) on
+//! a time-ordered stream (property-tested), emitting each coalesced
 //! error as soon as its merge window expires.
 
 use crate::coalesce::{CoalesceConfig, CoalescedError};
-use dr_stats::{Mtbe, P2Quantile};
 use dr_xid::{Duration, ErrorDetail, ErrorRecord, GpuId, Timestamp, Xid};
 use std::collections::BTreeMap;
 
@@ -31,29 +28,14 @@ pub struct StreamCoalescer {
     open: BTreeMap<(GpuId, Xid, ErrorDetail), OpenEpisode>,
     /// Latest record timestamp seen (stream clock).
     now: Option<Timestamp>,
-    /// Write-only metrics; counts are flushed in bulk on [`Self::finish`]
-    /// so the per-record path stays two plain integer increments.
-    sink: dr_obs::MetricsSink,
-    pushed: u64,
-    emitted: u64,
 }
 
 impl StreamCoalescer {
     pub fn new(cfg: CoalesceConfig) -> Self {
-        Self::with_metrics(cfg, dr_obs::MetricsSink::disabled())
-    }
-
-    /// A coalescer that reports record/episode counters into `sink` when
-    /// the stream finishes. Emission is unaffected — the sink is
-    /// write-only.
-    pub fn with_metrics(cfg: CoalesceConfig, sink: dr_obs::MetricsSink) -> Self {
         StreamCoalescer {
             cfg,
             open: BTreeMap::new(),
             now: None,
-            sink,
-            pushed: 0,
-            emitted: 0,
         }
     }
 
@@ -72,7 +54,6 @@ impl StreamCoalescer {
             assert!(rec.at >= now, "stream must be time-ordered");
         }
         self.now = Some(rec.at);
-        self.pushed += 1;
         let mut closed = self.expire(rec.at);
 
         let key = rec.identity();
@@ -105,38 +86,17 @@ impl StreamCoalescer {
                 );
             }
         }
-        self.emitted += closed.len() as u64;
         closed
     }
 
-    /// Advance the stream clock without a record (e.g. a timer tick),
-    /// closing episodes whose windows expired.
-    pub fn tick(&mut self, now: Timestamp) -> Vec<CoalescedError> {
-        if let Some(cur) = self.now {
-            if now < cur {
-                return Vec::new();
-            }
-        }
-        self.now = Some(now);
-        let closed = self.expire(now);
-        self.emitted += closed.len() as u64;
-        closed
-    }
-
-    /// End of stream: close everything still open and flush counters to
-    /// the metrics sink (a no-op for a disabled sink).
+    /// End of stream: close everything still open.
     pub fn finish(self) -> Vec<CoalescedError> {
-        use dr_obs::{Counter, Stage};
         let mut out: Vec<CoalescedError> = self
             .open
             .into_iter()
             .map(|(key, ep)| close(key, ep))
             .collect();
         out.sort_by_key(|e| (e.start, e.gpu, e.xid));
-        self.sink
-            .add(Stage::Coalesce, Counter::Records, self.pushed);
-        self.sink
-            .add(Stage::Coalesce, Counter::Episodes, self.emitted + out.len() as u64);
         out
     }
 
@@ -266,96 +226,6 @@ fn close((gpu, xid, detail): (GpuId, Xid, ErrorDetail), ep: OpenEpisode) -> Coal
     }
 }
 
-/// Constant-memory running Table 1: per-XID counts, streaming persistence
-/// quantiles (P²), and live MTBE against the elapsed observation window.
-#[derive(Debug)]
-pub struct OnlineStats {
-    node_count: u32,
-    started: Option<Timestamp>,
-    latest: Option<Timestamp>,
-    per_xid: BTreeMap<Xid, XidOnline>,
-}
-
-#[derive(Debug)]
-struct XidOnline {
-    count: u64,
-    persistence_sum_s: f64,
-    p50: P2Quantile,
-    p95: P2Quantile,
-}
-
-/// One row of the live Table 1 view.
-#[derive(Clone, Copy, Debug)]
-pub struct OnlineRow {
-    pub xid: Xid,
-    pub count: u64,
-    pub mtbe_per_node_h: Option<f64>,
-    pub persistence_mean_s: f64,
-    pub persistence_p50_s: Option<f64>,
-    pub persistence_p95_s: Option<f64>,
-}
-
-impl OnlineStats {
-    pub fn new(node_count: u32) -> Self {
-        OnlineStats {
-            node_count: node_count.max(1),
-            started: None,
-            latest: None,
-            per_xid: BTreeMap::new(),
-        }
-    }
-
-    /// Ingest one closed episode.
-    pub fn observe(&mut self, e: &CoalescedError) {
-        self.started = Some(self.started.map_or(e.start, |s| s.min(e.start)));
-        self.latest = Some(self.latest.map_or(e.last, |l| l.max(e.last)));
-        let entry = self.per_xid.entry(e.xid).or_insert_with(|| XidOnline {
-            count: 0,
-            persistence_sum_s: 0.0,
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-        });
-        let p = e.persistence().as_secs_f64();
-        entry.count += 1;
-        entry.persistence_sum_s += p;
-        entry.p50.push(p);
-        entry.p95.push(p);
-    }
-
-    /// Elapsed observation window in hours.
-    pub fn observation_hours(&self) -> f64 {
-        match (self.started, self.latest) {
-            (Some(s), Some(l)) => (l - s).as_hours_f64(),
-            _ => 0.0,
-        }
-    }
-
-    /// The live Table 1 rows, in the paper's order.
-    pub fn rows(&self) -> Vec<OnlineRow> {
-        let hours = self.observation_hours();
-        Xid::TABLE1
-            .iter()
-            .map(|&xid| {
-                let entry = self.per_xid.get(&xid);
-                let count = entry.map_or(0, |e| e.count);
-                let mtbe = (count > 0 && hours > 0.0)
-                    .then(|| Mtbe::new(hours.max(1e-9), self.node_count))
-                    .and_then(|m| m.per_node_hours(count));
-                OnlineRow {
-                    xid,
-                    count,
-                    mtbe_per_node_h: mtbe,
-                    persistence_mean_s: entry
-                        .filter(|e| e.count > 0)
-                        .map_or(0.0, |e| e.persistence_sum_s / e.count as f64),
-                    persistence_p50_s: entry.and_then(|e| e.p50.estimate()),
-                    persistence_p95_s: entry.and_then(|e| e.p95.estimate()),
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,48 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn tick_closes_without_new_records() {
-        let mut s = StreamCoalescer::new(CoalesceConfig::default());
-        s.push(&rec(0.0, 1, Xid::NvlinkError));
-        assert!(s.tick(Timestamp::from_secs(3)).is_empty());
-        let closed = s.tick(Timestamp::from_secs(30));
-        assert_eq!(closed.len(), 1);
-        assert_eq!(s.open_count(), 0);
-    }
-
-    #[test]
     #[should_panic]
     fn rejects_out_of_order_records() {
         let mut s = StreamCoalescer::new(CoalesceConfig::default());
         s.push(&rec(10.0, 1, Xid::MmuError));
         s.push(&rec(5.0, 1, Xid::MmuError));
-    }
-
-    #[test]
-    fn online_stats_tracks_counts_and_quantiles() {
-        let mut o = OnlineStats::new(10);
-        for k in 0..200u64 {
-            let start = Timestamp::from_secs(k * 1_000);
-            o.observe(&CoalescedError {
-                gpu: GpuId::at_slot(NodeId(1), 0),
-                xid: Xid::MmuError,
-                detail: ErrorDetail::NONE,
-                start,
-                last: start + Duration::from_secs_f64(2.0 + (k % 5) as f64),
-                merged: 2,
-            });
-        }
-        let rows = o.rows();
-        let mmu = rows.iter().find(|r| r.xid == Xid::MmuError).unwrap();
-        assert_eq!(mmu.count, 200);
-        assert!((mmu.persistence_mean_s - 4.0).abs() < 0.1);
-        let p50 = mmu.persistence_p50_s.unwrap();
-        assert!((3.0..=5.0).contains(&p50), "p50 {p50}");
-        assert!(mmu.mtbe_per_node_h.unwrap() > 0.0);
-        // Unseen XIDs report zero rows.
-        let dbe = rows.iter().find(|r| r.xid == Xid::DoubleBitEcc).unwrap();
-        assert_eq!(dbe.count, 0);
-        assert!(dbe.mtbe_per_node_h.is_none());
     }
 
     #[test]

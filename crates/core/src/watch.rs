@@ -8,12 +8,15 @@
 //! [`WatermarkBuffer`], coalesces with the incremental
 //! [`StreamCoalescer`], and folds every completed episode into
 //! rolling-window [`AnalysisEngine`] accumulators (windowed MTBE,
-//! per-offender rates, windowed propagation pressure) plus two
-//! threshold alerts (emerging defective offender, XID-95 storm onset).
+//! per-offender rates, windowed propagation pressure) plus three
+//! alerts: emerging defective offender, XID-95 storm onset, and an
+//! episode persisting longer than [`LONG_PERSISTER`] (the Section 4.3
+//! tail, where a reset is due).
 //!
 //! **Determinism.** Everything here is keyed on *event time* — the
 //! timestamps inside the log lines — never on a wall clock. Alerts
-//! trigger on crossing edges of windowed counts, so replaying the same
+//! trigger on crossing edges of windowed counts or on a completed
+//! episode's persistence, so replaying the same
 //! corpus yields the same alerts at the same event times regardless of
 //! poll cadence. Draining a completed corpus and calling
 //! [`WatchSession::finish_observed`] produces a [`StudyResults`]
@@ -276,6 +279,11 @@ impl AnalysisEngine for WindowedPropagationAcc {
     }
 }
 
+/// Persistence beyond which a completed episode raises
+/// [`AlertKind::LongPersister`]: the paper's long tail, where a GPU reset
+/// is recommended.
+pub const LONG_PERSISTER: Duration = Duration::from_secs(600);
+
 /// Why an alert fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlertKind {
@@ -284,9 +292,16 @@ pub enum AlertKind {
     /// Windowed XID-95 (uncontained ECC) episodes crossed the storm
     /// threshold — the onset signature Section 5 calls out on H100.
     Xid95Storm { count: u64 },
+    /// A completed episode persisted longer than [`LONG_PERSISTER`].
+    LongPersister {
+        gpu: GpuId,
+        xid: Xid,
+        persistence: Duration,
+        merged: u32,
+    },
 }
 
-/// A threshold crossing, stamped with the *event time* of the episode
+/// A fired alert, stamped with the *event time* of the episode
 /// that caused it (never wall-clock time — replay gives identical
 /// alerts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,6 +321,16 @@ impl fmt::Display for Alert {
             AlertKind::Xid95Storm { count } => write!(
                 f,
                 "[t+{secs:.0}s] XID-95 storm onset: {count} uncontained ECC episodes in window"
+            ),
+            AlertKind::LongPersister {
+                gpu,
+                xid,
+                persistence,
+                merged,
+            } => write!(
+                f,
+                "[t+{secs:.0}s] long-persisting {xid} on {gpu}: {:.0}s, {merged} lines; reset recommended",
+                persistence.as_secs_f64()
             ),
         }
     }
@@ -507,6 +532,18 @@ impl WatchSession {
             });
         }
 
+        if e.persistence() > LONG_PERSISTER {
+            self.alerts.push(Alert {
+                at: e.start,
+                kind: AlertKind::LongPersister {
+                    gpu: e.gpu,
+                    xid: e.xid,
+                    persistence: e.persistence(),
+                    merged: e.merged,
+                },
+            });
+        }
+
         self.episodes.push(e);
     }
 
@@ -700,6 +737,24 @@ mod tests {
             .join("\n");
         assert!(text.contains("XID-95 storm onset"));
         assert!(text.contains("[t+50s]"));
+    }
+
+    #[test]
+    fn long_persister_alert_fires_only_beyond_the_limit() {
+        let mut session = WatchSession::new(WatchConfig::default());
+        let mut long = ep(5_000, 3, 1, Xid::NvlinkError);
+        long.last = long.start + LONG_PERSISTER; // at the limit: no alert
+        session.observe_episode(long);
+        long.last = long.last + Duration::from_secs(1);
+        long.merged = 121;
+        session.observe_episode(long);
+        let alerts = session.take_new_alerts();
+        assert_eq!(alerts.len(), 1, "alerts: {alerts:?}");
+        assert_eq!(
+            alerts[0].to_string(),
+            "[t+5000s] long-persisting XID 74 (NVLink Error) on gpub003/0000:0f:00: 601s, 121 lines; \
+             reset recommended"
+        );
     }
 
     #[test]

@@ -115,13 +115,13 @@ fn test_region_fns_are_not_symbols() {
 #[test]
 fn dot_export_names_every_symbol() {
     let src = "pub struct Engine;\n\
-               impl Engine { pub fn run(&self) { tick(); } }\n\
-               fn tick() {}\n";
+               impl Engine { pub fn run(&self) { step(); } }\n\
+               fn step() {}\n";
     let (_, g) = graph_of(&[("crates/demo/src/lib.rs", src)]);
     let dot = g.to_dot();
     assert!(dot.starts_with("digraph calls {"));
     assert!(dot.contains("Engine::run"));
-    assert!(dot.contains("tick"));
+    assert!(dot.contains("step"));
     assert!(dot.trim_end().ends_with('}'));
 }
 

@@ -3,7 +3,7 @@
 //! Everything the characterization pipeline and the fault generator need:
 //!
 //! - [`online`]: streaming count/mean/variance/min/max (Welford).
-//! - [`quantile`]: exact quantiles over samples and the streaming P² estimator.
+//! - [`quantile`]: exact quantiles over samples and the Table 1 summary triple.
 //! - [`histogram`]: linear and log-scale histograms, empirical CDFs.
 //! - [`dist`]: distribution samplers (Exp, LogNormal, Weibull, Pareto,
 //!   Categorical) and moment/quantile-based fitters. Implemented from
@@ -24,4 +24,4 @@ pub use histogram::{Ecdf, Histogram, LogHistogram};
 pub use kstest::{ks_two_sample, KsResult};
 pub use mtbe::Mtbe;
 pub use online::OnlineStats;
-pub use quantile::{quantile_sorted, quantiles, P2Quantile, SummaryStats};
+pub use quantile::{quantile_sorted, SummaryStats};

@@ -1,4 +1,4 @@
-//! Quantiles: exact (over collected samples) and streaming (P² estimator).
+//! Exact quantiles over collected samples.
 
 /// Linear-interpolation quantile over an **already sorted** slice
 /// (type-7 / the default used by R and NumPy). `q` in `[0, 1]`.
@@ -18,13 +18,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
         let frac = pos - lo as f64;
         Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
-}
-
-/// Sort a copy of `samples` and extract several quantiles at once.
-pub fn quantiles(samples: &[f64], qs: &[f64]) -> Vec<Option<f64>> {
-    let mut v = samples.to_vec();
-    v.sort_by(f64::total_cmp);
-    qs.iter().map(|&q| quantile_sorted(&v, q)).collect()
 }
 
 /// The (mean, P50, P95) triple reported for error persistence in Table 1.
@@ -54,148 +47,10 @@ impl SummaryStats {
     }
 }
 
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// CACM 1985): five markers track the target quantile without storing the
-/// sample set. Used when the pipeline runs in constant-memory mode over
-/// very large log streams.
-#[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based as in the paper).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    n: u64,
-    /// First five observations, collected before the estimator activates.
-    warmup: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Create an estimator for quantile `q` (e.g. 0.95).
-    pub fn new(q: f64) -> Self {
-        let q = q.clamp(0.0, 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            n: 0,
-            warmup: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Incorporate one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        if self.warmup.len() < 5 {
-            self.warmup.push(x);
-            if self.warmup.len() == 5 {
-                self.warmup.sort_by(f64::total_cmp);
-                for (h, w) in self.heights.iter_mut().zip(&self.warmup) {
-                    *h = *w;
-                }
-            }
-            return;
-        }
-
-        // Find the cell k containing x, adjusting extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if self.heights[i] <= x && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-
-        // Adjust interior markers with the parabolic (or linear) formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                let parabolic = self.parabolic(i, d);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, d)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// The `(i-1, i, i+1)` neighborhood of a marker array. `push` only
-    /// adjusts interior markers (`i` in `1..4`), so the clamped reads
-    /// never actually fall back.
-    fn window(a: &[f64; 5], i: usize) -> (f64, f64, f64) {
-        let at = |k: usize| a.get(k).copied().unwrap_or(f64::NAN);
-        (at(i.saturating_sub(1)), at(i), at(i + 1))
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (pl, pc, pr) = Self::window(&self.positions, i);
-        let (hl, hc, hr) = Self::window(&self.heights, i);
-        hc + d / (pr - pl)
-            * ((pc - pl + d) * (hr - hc) / (pr - pc) + (pr - pc - d) * (hc - hl) / (pc - pl))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let (hl, hc, hr) = Self::window(&self.heights, i);
-        let (pl, pc, pr) = Self::window(&self.positions, i);
-        let (hj, pj) = if d > 0.0 { (hr, pr) } else { (hl, pl) };
-        hc + d * (hj - hc) / (pj - pc)
-    }
-
-    /// Current estimate; `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.n == 0 {
-            return None;
-        }
-        if self.warmup.len() < 5 || self.n <= 5 {
-            // Fall back to exact quantile over the (tiny) warm-up set.
-            let mut v = self.warmup.clone();
-            v.sort_by(f64::total_cmp);
-            return quantile_sorted(&v, self.q);
-        }
-        Some(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::prelude::*;
-    #[allow(unused_imports)]
-    use rand::Rng;
 
     #[test]
     fn exact_quantile_basics() {
@@ -222,40 +77,6 @@ mod tests {
         assert_eq!(SummaryStats::from_samples(&[]), SummaryStats::default());
     }
 
-    #[test]
-    fn p2_tracks_uniform_median() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut est = P2Quantile::new(0.5);
-        for _ in 0..50_000 {
-            est.push(rng.gen::<f64>());
-        }
-        let e = est.estimate().unwrap();
-        assert!((e - 0.5).abs() < 0.01, "estimate {e}");
-    }
-
-    #[test]
-    fn p2_tracks_exponential_p95() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut est = P2Quantile::new(0.95);
-        for _ in 0..100_000 {
-            let u: f64 = rng.gen();
-            est.push(-(1.0f64 - u).ln()); // Exp(1)
-        }
-        let truth = -(0.05f64).ln(); // ~2.9957
-        let e = est.estimate().unwrap();
-        assert!((e - truth).abs() / truth < 0.05, "estimate {e} truth {truth}");
-    }
-
-    #[test]
-    fn p2_small_inputs_fall_back_to_exact() {
-        let mut est = P2Quantile::new(0.5);
-        assert_eq!(est.estimate(), None);
-        for x in [3.0, 1.0, 2.0] {
-            est.push(x);
-        }
-        assert_eq!(est.estimate(), Some(2.0));
-    }
-
     proptest! {
         /// The exact quantile is monotone in q and bounded by min/max.
         #[test]
@@ -267,18 +88,6 @@ mod tests {
             let b = quantile_sorted(&xs, hi).unwrap();
             prop_assert!(a <= b + 1e-9);
             prop_assert!(a >= xs[0] - 1e-9 && b <= xs[xs.len() - 1] + 1e-9);
-        }
-
-        /// P² estimate always lies within the observed range.
-        #[test]
-        fn p2_within_range(xs in prop::collection::vec(0.0f64..1e3, 6..300),
-                           q in 0.05f64..0.95) {
-            let mut est = P2Quantile::new(q);
-            for &x in &xs { est.push(x); }
-            let e = est.estimate().unwrap();
-            let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(e >= min - 1e-9 && e <= max + 1e-9);
         }
     }
 }

@@ -108,18 +108,6 @@ const PROJECT: FlagSet = FlagSet {
     positional_required: false,
 };
 
-const MONITOR: FlagSet = FlagSet {
-    cmd: "monitor",
-    summary: "live Table 1 from a syslog stream (FILE or stdin)",
-    flags: &[
-        Flag::optional("log", "FILE", "syslog file to follow (default: stdin)"),
-        Flag::optional("nodes", "N", "node population (default 206)"),
-        Flag::optional("every", "K", "print a status block every K episodes (default 500)"),
-    ],
-    positional: None,
-    positional_required: false,
-};
-
 const WATCH: FlagSet = FlagSet {
     cmd: "watch",
     summary: "live-tail per-node syslogs: rolling-window analytics + alerts",
@@ -156,13 +144,24 @@ const BENCH: FlagSet = FlagSet {
     positional_required: false,
 };
 
-const ALL_SETS: [&FlagSet; 8] = [
-    &CAMPAIGN, &ANALYZE, &SWEEP, &INCIDENTS, &PROJECT, &MONITOR, &WATCH, &BENCH,
+/// A subcommand's entry point, called with its parsed flags.
+type Handler = fn(&cli::Opts) -> Result<(), String>;
+
+/// Every subcommand: its flag table and its handler. The usage text and
+/// the dispatch in `main` both read this one list.
+const ALL_SETS: [(&FlagSet, Handler); 7] = [
+    (&CAMPAIGN, cmd_campaign),
+    (&ANALYZE, cmd_analyze),
+    (&SWEEP, cmd_sweep),
+    (&INCIDENTS, cmd_incidents),
+    (&PROJECT, cmd_project),
+    (&WATCH, cmd_watch),
+    (&BENCH, cmd_bench),
 ];
 
 fn usage() -> String {
     let mut s = String::from("usage:\n");
-    for set in ALL_SETS {
+    for (set, _) in ALL_SETS {
         s.push_str("  ");
         s.push_str(&set.usage_line());
         s.push('\n');
@@ -181,7 +180,7 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let Some(set) = ALL_SETS.iter().find(|s| s.cmd == cmd.as_str()) else {
+    let Some(&(set, run)) = ALL_SETS.iter().find(|(s, _)| s.cmd == cmd.as_str()) else {
         eprintln!("error: unknown command {cmd:?}\n{}", usage());
         return ExitCode::FAILURE;
     };
@@ -192,18 +191,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "campaign" => cmd_campaign(&opts),
-        "analyze" => cmd_analyze(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "incidents" => cmd_incidents(),
-        "project" => cmd_project(&opts),
-        "monitor" => cmd_monitor(&opts),
-        "watch" => cmd_watch(&opts),
-        "bench" => cmd_bench(&opts),
-        _ => unreachable!("command validated against ALL_SETS"),
-    };
-    match result {
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -256,7 +244,10 @@ fn cmd_campaign(opts: &cli::Opts) -> Result<(), String> {
         "h100" => CampaignConfig::h100_study(seed),
         other => return Err(format!("unknown --shape {other:?}")),
     };
-    cfg.duration_days = opts.num("days", cfg.duration_days).s()?;
+    cfg.duration_days = opts
+        .positive("days", "must be a positive number of days")
+        .s()?
+        .unwrap_or(cfg.duration_days);
     cfg.text.nodes = opts.num("text-nodes", cfg.text.nodes.max(4)).s()?;
     // The CLI streams text straight to disk; never materialize it.
     cfg.text.defer = true;
@@ -369,8 +360,7 @@ fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
         }
     };
 
-    let default_hours = 855.0 * 24.0;
-    let hours: f64 = opts.num("hours", default_hours).s()?;
+    let hours = observation_hours(opts)?;
     let dt: u64 = opts.num("dt", 5).s()?;
     let chunk_bytes = opts
         .positive::<u64>(
@@ -486,6 +476,15 @@ fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
     }
     write_metrics(metrics_path.as_deref(), &sink)?;
     Ok(())
+}
+
+/// `--hours` (shared by `analyze` and `watch`): the observation window
+/// MTBE is normalized over, 855 days when absent.
+fn observation_hours(opts: &cli::Opts) -> Result<f64, String> {
+    Ok(opts
+        .positive("hours", "must be a positive number of hours")
+        .s()?
+        .unwrap_or(855.0 * 24.0))
 }
 
 /// Print a study's stdout report: Table 1, Tables 2/3 when jobs were
@@ -633,7 +632,7 @@ fn cmd_sweep(opts: &cli::Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_incidents() -> Result<(), String> {
+fn cmd_incidents(_opts: &cli::Opts) -> Result<(), String> {
     for s in all_scenarios() {
         println!("{}\n", s.render());
     }
@@ -643,9 +642,15 @@ fn cmd_incidents() -> Result<(), String> {
 fn cmd_project(opts: &cli::Opts) -> Result<(), String> {
     use gpu_resilience::availsim::{simulate_mean, ProjectionConfig};
     let mut cfg = ProjectionConfig::paper_scenario(opts.num("seed", 1).s()?);
-    cfg.job_gpus = opts.num("gpus", cfg.job_gpus).s()?;
+    cfg.job_gpus = opts
+        .positive("gpus", "must be a positive GPU count")
+        .s()?
+        .unwrap_or(cfg.job_gpus);
     let recovery: f64 = opts.num("recovery-min", 40.0).s()?;
-    let runs: u32 = opts.num("runs", 40).s()?;
+    let runs = opts
+        .positive("runs", "must be a positive run count")
+        .s()?
+        .unwrap_or(40);
     let r = simulate_mean(&cfg.with_recovery_minutes(recovery), runs);
     println!(
         "{} GPUs, {:.0}-minute recovery: overprovision {:.1}% (~{:.0} extra GPUs), \
@@ -656,91 +661,6 @@ fn cmd_project(opts: &cli::Opts) -> Result<(), String> {
         r.required_overprovision * cfg.job_gpus as f64,
         r.efficiency * 100.0,
         r.restarts / runs as u64,
-    );
-    Ok(())
-}
-
-/// Streaming mode: feed syslog lines (a file or stdin) through the online
-/// pipeline — incremental coalescing plus the constant-memory live
-/// Table 1 — and print a status block every `--every` closed episodes.
-/// This is the shape of the SRE monitor the paper's Section 4.3 calls for.
-fn cmd_monitor(opts: &cli::Opts) -> Result<(), String> {
-    use gpu_resilience::core::{CoalesceConfig, OnlineStats, StreamCoalescer};
-    use gpu_resilience::logscan::XidExtractor;
-    use std::io::BufRead;
-
-    let nodes: u32 = opts.num("nodes", 206).s()?;
-    let every: u64 = opts.num("every", 500).s()?;
-    let reader: Box<dyn BufRead> = match opts.path("log") {
-        Some(p) => Box::new(std::io::BufReader::new(
-            std::fs::File::open(&p).map_err(|e| format!("{}: {e}", p.display()))?,
-        )),
-        None => Box::new(std::io::BufReader::new(std::io::stdin())),
-    };
-
-    let mut extractor = XidExtractor::new();
-    let mut coalescer = StreamCoalescer::new(CoalesceConfig::default());
-    let mut stats = OnlineStats::new(nodes);
-    let mut closed_total = 0u64;
-    let mut last_print = 0u64;
-
-    let print_status = |stats: &OnlineStats, closed_total: u64, open: usize| {
-        println!(
-            "-- live Table 1 after {closed_total} coalesced errors ({open} bursts open, \
-             {:.1} h observed) --",
-            stats.observation_hours()
-        );
-        for row in stats.rows() {
-            if row.count == 0 {
-                continue;
-            }
-            println!(
-                "  {:<22} count {:>8}  MTBE/node {:>12}  persistence mean {:>8.2}s  p50 {:>7.2}s  p95 {:>8.2}s",
-                row.xid.abbrev(),
-                row.count,
-                row.mtbe_per_node_h
-                    .map(|h| format!("{h:.1} h"))
-                    .unwrap_or_else(|| "-".into()),
-                row.persistence_mean_s,
-                row.persistence_p50_s.unwrap_or(0.0),
-                row.persistence_p95_s.unwrap_or(0.0),
-            );
-        }
-    };
-
-    for line in reader.lines() {
-        let line = line.map_err(|e| e.to_string())?;
-        let Some(record) = extractor.extract_line(&line) else {
-            continue;
-        };
-        for episode in coalescer.push(&record) {
-            stats.observe(&episode);
-            closed_total += 1;
-            // Long-persister alert: the tail the paper says to watch.
-            if episode.persistence().as_secs_f64() > 600.0 {
-                println!(
-                    "ALERT long-persisting {} on {} ({:.0}s, {} lines) — reset recommended",
-                    episode.xid,
-                    episode.gpu,
-                    episode.persistence().as_secs_f64(),
-                    episode.merged
-                );
-            }
-        }
-        if closed_total >= last_print + every {
-            last_print = closed_total;
-            print_status(&stats, closed_total, coalescer.open_count());
-        }
-    }
-    for episode in coalescer.finish() {
-        stats.observe(&episode);
-        closed_total += 1;
-    }
-    print_status(&stats, closed_total, 0);
-    let s = extractor.stats();
-    eprintln!(
-        "scanned {} lines ({} XID lines, {} unknown, {} malformed)",
-        s.lines, s.xid_lines, s.unknown_xid, s.malformed
     );
     Ok(())
 }
@@ -810,10 +730,13 @@ fn publish_watch_gauges(session: &WatchSession, sink: &MetricsSink) {
 fn cmd_watch(opts: &cli::Opts) -> Result<(), String> {
     let log_dir = opts.required_path("logs").s()?;
     let follow = opts.on_off("follow", true).s()?;
-    let hours: f64 = opts.num("hours", 855.0 * 24.0).s()?;
+    let hours = observation_hours(opts)?;
     let dt: u64 = opts.num("dt", 5).s()?;
     let lateness: u64 = opts.num("lateness-secs", 120).s()?;
-    let window_hours: f64 = opts.num("window-hours", 24.0).s()?;
+    let window_hours = opts
+        .positive("window-hours", "must be a positive number of hours")
+        .s()?
+        .unwrap_or(24.0);
     let offender_threshold: u64 = opts.num("offender-threshold", 5).s()?;
     let storm_threshold: u64 = opts.num("storm-threshold", 3).s()?;
     let interval: u64 = opts.num("interval-secs", 2).s()?;

@@ -237,11 +237,10 @@ impl Opts {
         }
     }
 
-    /// An optional numeric flag that must be **positive** when given. An
-    /// explicit `0` used to silently mean "use the default", which made
-    /// `--chunk-bytes 0` look like a working configuration; it is a
-    /// typed usage error carrying the hint instead.
-    pub fn positive<T: std::str::FromStr + PartialEq + Default>(
+    /// An optional numeric flag that must be **positive** when given:
+    /// zero, negatives, NaN and infinities are a typed usage error
+    /// carrying `hint`, never a default or a panic further down.
+    pub fn positive<T: std::str::FromStr + PartialOrd + Default>(
         &self,
         key: &str,
         hint: &str,
@@ -253,10 +252,13 @@ impl Opts {
             option: format!("--{key}"),
             message: format!("`{v}` is not a valid value"),
         })?;
-        if n == T::default() {
+        // Every integer parses as a finite `f64` too, so this rejects
+        // only the `inf` spellings of a float (NaN already fails `> 0`).
+        let finite = v.parse::<f64>().is_ok_and(f64::is_finite);
+        if !(n > T::default() && finite) {
             return Err(DataError::Usage {
                 option: format!("--{key}"),
-                message: hint.to_string(),
+                message: format!("`{v}` {hint}"),
             });
         }
         Ok(Some(n))
@@ -342,6 +344,13 @@ mod tests {
             .positive::<u64>("chunk-bytes", "must be positive")
             .expect_err("zero rejected");
         assert!(e.to_string().contains("must be positive"), "{e}");
+
+        for bad in ["0", "-1", "nan", "inf", "1e400"] {
+            let o = TEST_SET.parse(&args(&["--out", "d", "--chunk-bytes", bad])).expect("parses");
+            assert!(o.positive::<f64>("chunk-bytes", "").is_err(), "{bad} accepted");
+        }
+        let o = TEST_SET.parse(&args(&["--out", "d", "--chunk-bytes", "0.5"])).expect("parses");
+        assert_eq!(o.positive::<f64>("chunk-bytes", "").expect("positive"), Some(0.5));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! End-to-end tests of the `gpures` binary: campaign-to-disk, file-based
-//! analysis, the streaming monitor, incidents, and the projection command.
+//! analysis, record-store replay, sweeps, incidents, the projection
+//! command, and the typed usage errors of every subcommand.
 
 use gpu_resilience::obs::json::Json;
+use gpu_resilience::xid::{syslog, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -90,38 +92,6 @@ fn campaign_analyze_round_trip() {
 }
 
 #[test]
-fn monitor_streams_a_log_file() {
-    let dir = temp_dir("monitor");
-    let out = gpures()
-        .args(["campaign", "--out"])
-        .arg(&dir)
-        .args(["--shape", "tiny", "--seed", "6", "--days", "8"])
-        .output()
-        .expect("run campaign");
-    assert!(out.status.success());
-
-    // Pick the largest node log and stream it.
-    let log = std::fs::read_dir(dir.join("logs"))
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .max_by_key(|p| p.metadata().map(|m| m.len()).unwrap_or(0))
-        .expect("a log file");
-    let out = gpures()
-        .args(["monitor", "--log"])
-        .arg(&log)
-        .args(["--nodes", "6", "--every", "50"])
-        .output()
-        .expect("run monitor");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("live Table 1"), "no live table:\n{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("scanned"), "no scan summary:\n{stderr}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn incidents_and_project_commands() {
     let out = gpures().arg("incidents").output().expect("run incidents");
     assert!(out.status.success());
@@ -168,6 +138,67 @@ fn degenerate_stream_flags_are_usage_errors() {
         stderr.contains("--workers") && stderr.contains("positive"),
         "expected a usage hint naming the flag, got:\n{stderr}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Numeric flags that must be positive reject zero, negatives, NaN and
+/// infinities with a usage error naming the flag (exit 1), instead of
+/// panicking in a constructor (exit 101) or printing NaN.
+#[test]
+fn non_positive_numeric_flags_are_usage_errors() {
+    let dir = temp_dir("positive");
+    // A valid one-line corpus and its record store, so every invocation
+    // would otherwise run to the analysis.
+    let logs = dir.join("logs");
+    std::fs::create_dir_all(&logs).expect("mkdir logs");
+    let line = syslog::format_line(
+        &ErrorRecord::new(
+            Timestamp::from_secs(86_400),
+            GpuId::at_slot(NodeId(1), 0),
+            Xid::MmuError,
+            ErrorDetail::new(1, 2),
+        ),
+        77,
+    );
+    std::fs::write(logs.join("gpub001.log"), format!("{line}\n")).expect("write log");
+    let store = dir.join("records.grcs");
+    let out = gpures()
+        .args(["analyze", "--hours", "24", "--logs"])
+        .arg(&logs)
+        .arg("--records")
+        .arg(&store)
+        .output()
+        .expect("write store");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let logs = logs.to_str().expect("utf-8 path");
+    let store = store.to_str().expect("utf-8 path");
+    let campaign_out = dir.join("campaign");
+    let campaign_out = campaign_out.to_str().expect("utf-8 path");
+    let cases: &[(&str, &[&str])] = &[
+        ("hours", &["analyze", "--logs", logs, "--hours", "0"]),
+        ("hours", &["analyze", "--logs", logs, "--hours", "-5"]),
+        ("hours", &["analyze", "--logs", logs, "--hours", "nan"]),
+        ("hours", &["analyze", "--logs", logs, "--hours", "inf"]),
+        ("hours", &["analyze", "--from-records", store, "--hours", "-1"]),
+        ("hours", &["watch", "--follow", "off", "--logs", logs, "--hours", "-5"]),
+        ("window-hours", &["watch", "--follow", "off", "--logs", logs, "--window-hours", "-1"]),
+        ("window-hours", &["watch", "--follow", "off", "--logs", logs, "--window-hours", "nan"]),
+        ("days", &["campaign", "--out", campaign_out, "--days", "0"]),
+        ("days", &["campaign", "--out", campaign_out, "--days", "-1"]),
+        ("days", &["campaign", "--out", campaign_out, "--days", "nan"]),
+        ("runs", &["project", "--runs", "0"]),
+        ("gpus", &["project", "--gpus", "0"]),
+    ];
+    for (flag, args) in cases {
+        let out = gpures().args(*args).output().expect("run gpures");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--{flag}")),
+            "{args:?}: the usage error must name --{flag}, got:\n{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -295,6 +326,15 @@ fn bad_usage_fails_cleanly() {
 
     let out = gpures().arg("frobnicate").output().expect("run unknown");
     assert!(!out.status.success());
+
+    // The retired `monitor` command is an unknown command like any other.
+    let out = gpures().arg("monitor").output().expect("run monitor");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown command \"monitor\"") && stderr.contains("gpures watch"),
+        "{stderr}"
+    );
 
     let out = gpures()
         .args(["analyze", "--logs", "/nonexistent-dir-xyz"])

@@ -120,12 +120,12 @@ fn record_replay_records_peak_gauge_without_changing_results() {
 
     let sink = MetricsSink::recording();
     let mut observed = store.reader(&store_path).expect("reader");
-    let with_metrics = PipelineBuilder::new(cfg)
+    let metered = PipelineBuilder::new(cfg)
         .metrics(sink.clone())
         .run_record_source(&mut observed)
         .expect("observed replay");
     assert_eq!(
-        format!("{with_metrics:?}"),
+        format!("{metered:?}"),
         format!("{baseline:?}"),
         "attaching a metrics sink must never change replay results"
     );

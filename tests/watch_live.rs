@@ -50,7 +50,10 @@ const DAY: u64 = 86_400;
 
 /// The shared two-node corpus: a coalescing burst, a second GPU on the
 /// same node (propagation), and enough per-GPU repeats to cross the
-/// offender threshold used by the alert tests.
+/// offender threshold used by the alert tests. Node 1's file ends
+/// (`DAY + 25 200`) after node 2's begins (`DAY + 1 800`), so the files
+/// read one after the other go back in event time across nodes: the
+/// order the watermark must restore before the coalescer sees it.
 fn corpus() -> (Vec<String>, Vec<String>) {
     let node1: Vec<String> = (0..6)
         .map(|k| line(DAY + 3_600 * k, 1, 0, Xid::MmuError))
@@ -146,7 +149,10 @@ fn checkpoint_resume_skips_already_consumed_lines() {
 #[test]
 fn alerts_are_identical_across_poll_cadences_and_chunk_sizes() {
     let dir = tmp_dir("alerts");
-    let (node1, node2) = corpus();
+    let (node1, mut node2) = corpus();
+    // One NVLink episode re-logged every 4 s for 604 s: past the
+    // long-persister limit (600 s) and inside the 5 s merge window.
+    node2.extend((0..=151).map(|k| line(DAY + 50_000 + 4 * k, 2, 3, Xid::NvlinkError)));
     append(&dir.join("gpub001.log"), &node1);
     append(&dir.join("gpub002.log"), &node2);
 
@@ -174,7 +180,8 @@ fn alerts_are_identical_across_poll_cadences_and_chunk_sizes() {
     );
     assert_eq!(format!("{results_big:?}"), format!("{results_small:?}"));
 
-    // The corpus is built to cross both thresholds exactly once each.
+    // The corpus is built to cross both thresholds and the persistence
+    // limit exactly once each.
     assert!(
         alerts_big.iter().any(|a| a.contains("emerging offender")),
         "alerts: {alerts_big:?}"
@@ -182,6 +189,17 @@ fn alerts_are_identical_across_poll_cadences_and_chunk_sizes() {
     assert!(
         alerts_big.iter().any(|a| a.contains("XID-95 storm onset")),
         "alerts: {alerts_big:?}"
+    );
+    let long: Vec<&String> = alerts_big
+        .iter()
+        .filter(|a| a.contains("long-persisting"))
+        .collect();
+    assert_eq!(long.len(), 1, "alerts: {alerts_big:?}");
+    assert!(
+        long[0].starts_with(&format!("[t+{}s]", DAY + 50_000))
+            && long[0].contains("604s, 152 lines; reset recommended"),
+        "alert: {}",
+        long[0]
     );
     std::fs::remove_dir_all(&dir).ok();
 }
