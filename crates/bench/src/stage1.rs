@@ -11,7 +11,7 @@
 //!   headline number (target ≥3×).
 //! * `BENCH_pipeline.json` — end-to-end Stage I+II front half
 //!   ([`front_half`]: byte-balanced shards, replayed scanner state,
-//!   k-way merge into the streaming coalescer) at one worker vs. the
+//!   per-node streaming coalesce) at one worker vs. the
 //!   full `dr-par` pool.
 //!
 //! Workload generation is **arithmetic, not random**: the build runs in
@@ -264,9 +264,9 @@ fn scaling_efficiency(lps: f64, lps_one: f64, requested: usize, pool: usize) -> 
 
 /// The sharded Stage I + streaming Stage II front half the pipeline, obs
 /// and stream reports time: wave extraction on the synchronous or the
-/// prefetching driver, then the k-way merge into the streaming
-/// coalescer. Returns the coalesced episode count and the extraction
-/// stats.
+/// prefetching driver, then the per-node streaming coalesce
+/// ([`merge_and_coalesce_observed`]). Returns the coalesced episode
+/// count and the extraction stats.
 pub fn front_half(
     source: &mut (dyn LogSource<'_> + Send),
     target_bytes: Option<u64>,

@@ -106,8 +106,15 @@ pub fn coalesce(records: &[ErrorRecord], cfg: CoalesceConfig) -> Vec<CoalescedEr
             i += 1;
         }
     }
-    out.sort_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
+    sort_episodes(&mut out);
     out
+}
+
+/// Batch output order: by `(start, gpu, xid, detail)`. Two episodes of
+/// one identity never share a start (records at equal times always
+/// merge), so the key is unique and the unstable sort deterministic.
+pub(crate) fn sort_episodes(episodes: &mut [CoalescedError]) {
+    episodes.sort_unstable_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
 }
 
 /// [`coalesce`] with observability: a `coalesce/total` span plus input

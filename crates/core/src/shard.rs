@@ -28,22 +28,23 @@
 //! chunk size and worker count.
 //!
 //! Stage I → Stage II then avoids the global sort barrier: per-node record
-//! streams are already time-ordered, so a k-way heap merge feeds the
-//! incremental [`StreamCoalescer`] directly. If a pathological log yields
-//! a non-monotonic stream (e.g. a day regression without a month rollover),
-//! the code falls back to the batch path — batch and stream coalescing are
-//! equivalent on ordered streams (property-tested), so both routes return
-//! the same output, sorted by `(start, gpu, xid, detail)`.
+//! streams are already time-ordered, and a GPU (hence every coalescing
+//! identity) lives on one node, so each node's stream runs through its
+//! own incremental [`StreamCoalescer`] with no cross-node merge at all;
+//! only the episodes are sorted. If a pathological log yields a
+//! non-monotonic stream (e.g. a day regression without a month rollover),
+//! or a stream holds another node's GPUs, the code falls back to the batch
+//! path — batch and stream coalescing are equivalent on ordered streams
+//! (property-tested), so both routes return the same output, sorted by
+//! `(start, gpu, xid, detail)`.
 
-use crate::coalesce::{coalesce, CoalesceConfig, CoalescedError};
+use crate::coalesce::{coalesce, sort_episodes, CoalesceConfig, CoalescedError};
 use crate::source::{pull_wave, LogChunk, LogSource, Prefetcher, Wave};
 use crate::stream::StreamCoalescer;
 use dr_logscan::extract::scanner_update_month;
 use dr_logscan::{ExtractStats, XidExtractor};
 use dr_xid::record::sort_records;
-use dr_xid::{DataError, ErrorRecord};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use dr_xid::{DataError, ErrorRecord, NodeId};
 
 /// How a chunk transforms year-inference state, independent of the state
 /// it starts from: the month of its first state-updating line, the number
@@ -318,13 +319,11 @@ impl WaveDriver {
     }
 }
 
-/// Stage I/II handoff: k-way merge the per-node time-ordered streams into
-/// the incremental coalescer, avoiding the global record sort. Returns
-/// exactly what batch [`coalesce`] would, sorted by
-/// `(start, gpu, xid, detail)`; non-monotonic streams (malformed logs)
-/// fall back to the batch path. Records a `coalesce/total` span plus
-/// input record and output episode counters on `sink`, which is
-/// write-only and never changes the output.
+/// Stage I/II handoff: coalesce the per-node time-ordered streams
+/// without a global record sort. Returns exactly what batch [`coalesce`]
+/// would, sorted by `(start, gpu, xid, detail)`. Records a
+/// `coalesce/total` span plus input record and output episode counters
+/// on `sink`, which is write-only and never changes the output.
 pub fn merge_and_coalesce_observed(
     per_node: Vec<Vec<ErrorRecord>>,
     cfg: CoalesceConfig,
@@ -339,42 +338,52 @@ pub fn merge_and_coalesce_observed(
     out
 }
 
+/// An identity's GPU lives on one node, so when every stream is
+/// time-ordered and holds one node no other stream holds, no episode
+/// spans two streams: each stream runs through its own
+/// [`StreamCoalescer`], one after another, into one output, and a total
+/// sort gives batch order. Any other input (a malformed log's day
+/// regression, a caller's mixed streams) takes the batch path.
 fn merge_and_coalesce_inner(
     per_node: Vec<Vec<ErrorRecord>>,
     cfg: CoalesceConfig,
 ) -> Vec<CoalescedError> {
-    let monotonic = per_node
-        .iter()
-        .all(|recs| recs.windows(2).all(|w| w[0].at <= w[1].at));
-    if !monotonic {
+    if !per_node_streams(&per_node) {
         let mut records: Vec<ErrorRecord> = per_node.into_iter().flatten().collect();
         sort_records(&mut records);
         return coalesce(&records, cfg);
     }
-
-    // Heap of (next timestamp, node index) over the per-node cursors;
-    // the node index tie-break keeps the merge deterministic.
-    let mut cursors = vec![0usize; per_node.len()];
-    let mut heap: BinaryHeap<Reverse<(dr_xid::Timestamp, usize)>> = per_node
-        .iter()
-        .enumerate()
-        .filter_map(|(i, recs)| recs.first().map(|r| Reverse((r.at, i))))
-        .collect();
-
-    let mut stream = StreamCoalescer::new(cfg);
     let mut out = Vec::new();
-    while let Some(Reverse((_, node))) = heap.pop() {
-        let rec = &per_node[node][cursors[node]];
-        out.extend(stream.push(rec));
-        cursors[node] += 1;
-        if let Some(next) = per_node[node].get(cursors[node]) {
-            heap.push(Reverse((next.at, node)));
+    for recs in &per_node {
+        let mut stream = StreamCoalescer::new(cfg);
+        for rec in recs {
+            stream.push_into(rec, &mut out);
         }
+        out.extend(stream.finish());
     }
-    out.extend(stream.finish());
-    // Batch output order, so the two routes are interchangeable.
-    out.sort_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
+    sort_episodes(&mut out);
     out
+}
+
+/// Whether every stream is time-ordered and holds the GPUs of exactly
+/// one node that no other stream holds.
+fn per_node_streams(per_node: &[Vec<ErrorRecord>]) -> bool {
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(per_node.len());
+    for recs in per_node {
+        let Some(first) = recs.first() else {
+            continue;
+        };
+        let node = first.gpu.node;
+        let ordered = recs
+            .windows(2)
+            .all(|w| w[0].at <= w[1].at && w[1].gpu.node == node);
+        if !ordered {
+            return false;
+        }
+        nodes.push(node);
+    }
+    nodes.sort_unstable();
+    nodes.windows(2).all(|w| w[0] != w[1])
 }
 
 #[cfg(test)]
@@ -558,5 +567,87 @@ mod tests {
         let merged =
             merge_and_coalesce_observed(per_node, CoalesceConfig::default(), &MetricsSink::disabled());
         assert_eq!(merged, batch);
+    }
+
+    /// One node's stream: `(seconds, slot, xid, detail)` draws, sorted.
+    fn node_stream(node: u32, draws: &[(u64, u8, u8, u8)]) -> Vec<ErrorRecord> {
+        const XIDS: [Xid; 3] = [Xid::MmuError, Xid::NvlinkError, Xid::GspRpcTimeout];
+        let mut recs: Vec<ErrorRecord> = draws
+            .iter()
+            .map(|&(secs, slot, xid, detail)| {
+                ErrorRecord::new(
+                    Timestamp::from_secs(secs),
+                    GpuId::at_slot(NodeId(node), usize::from(slot)),
+                    XIDS[usize::from(xid)],
+                    ErrorDetail::new(u16::from(detail), 0),
+                )
+            })
+            .collect();
+        recs.sort_by_key(|r| r.at);
+        recs
+    }
+
+    fn batch_of(per_node: &[Vec<ErrorRecord>], cfg: CoalesceConfig) -> Vec<CoalescedError> {
+        let mut all: Vec<ErrorRecord> = per_node.iter().flatten().copied().collect();
+        sort_records(&mut all);
+        coalesce(&all, cfg)
+    }
+
+    proptest::proptest! {
+        /// The per-node route and the batch fallback both return batch
+        /// Algorithm 1 over the sorted concatenation. Each case runs the
+        /// clean per-node streams (per-node route) and one perturbation:
+        /// a record moved onto another node's stream, a node split over
+        /// two streams, a stream made non-monotone (all three fall back),
+        /// or empty streams spliced in (still per-node).
+        #[test]
+        fn merge_and_coalesce_equals_batch_on_both_routes(
+            a in proptest::collection::vec((1u64..400, 0u8..3, 0u8..3, 0u8..2), 2..60),
+            b in proptest::collection::vec((1u64..400, 0u8..3, 0u8..3, 0u8..2), 2..60),
+            c in proptest::collection::vec((1u64..400, 0u8..3, 0u8..3, 0u8..2), 0..20),
+            window in 1u64..30,
+            persistence in 1u64..5,
+            perturbation in 0u8..4,
+        ) {
+            let cfg = CoalesceConfig {
+                window: Duration::from_secs(window),
+                max_persistence: Duration::from_secs(window * persistence),
+            };
+            let sink = MetricsSink::disabled();
+            let clean = vec![node_stream(0, &a), node_stream(1, &b), node_stream(2, &c)];
+            proptest::prop_assert!(per_node_streams(&clean));
+            let batch = batch_of(&clean, cfg);
+            proptest::prop_assert_eq!(
+                &merge_and_coalesce_observed(clean.clone(), cfg, &sink),
+                &batch
+            );
+
+            let mut streams = clean;
+            match perturbation {
+                0 => {
+                    let moved = streams[0].remove(0);
+                    streams[1].push(moved);
+                    streams[1].sort_by_key(|r| r.at);
+                }
+                1 => {
+                    let half = streams[0].len() / 2;
+                    let tail = streams[0].split_off(half);
+                    streams.push(tail);
+                }
+                2 => {
+                    let mut early = streams[1][0];
+                    early.at = Timestamp::from_secs(0);
+                    streams[1].push(early);
+                }
+                _ => {
+                    streams.insert(0, Vec::new());
+                    streams.insert(2, Vec::new());
+                    streams.push(Vec::new());
+                }
+            }
+            proptest::prop_assert_eq!(per_node_streams(&streams), perturbation == 3);
+            let batch = batch_of(&streams, cfg);
+            proptest::prop_assert_eq!(merge_and_coalesce_observed(streams, cfg, &sink), batch);
+        }
     }
 }

@@ -7,25 +7,26 @@
 //! Algorithm 1 as an incremental operator over it: **exactly
 //! equivalent** to the batch [`coalesce`](crate::coalesce::coalesce) on
 //! a time-ordered stream (property-tested), emitting each coalesced
-//! error as soon as its merge window expires.
+//! error as soon as its merge window expires. The batch path uses the
+//! same operator once per node
+//! ([`merge_and_coalesce_observed`](crate::shard::merge_and_coalesce_observed)):
+//! a node's stream is time-ordered and holds all of its GPUs' records,
+//! so no merge across nodes is needed.
 
-use crate::coalesce::{CoalesceConfig, CoalescedError};
-use dr_xid::{Duration, ErrorDetail, ErrorRecord, GpuId, Timestamp, Xid};
-use std::collections::BTreeMap;
-
-/// An episode still inside its merge window.
-#[derive(Clone, Copy, Debug)]
-struct OpenEpisode {
-    start: Timestamp,
-    last: Timestamp,
-    merged: u32,
-}
+use crate::coalesce::{sort_episodes, CoalesceConfig, CoalescedError};
+use dr_xid::{Duration, ErrorRecord, Timestamp};
 
 /// Incremental Algorithm 1.
+///
+/// The open set is a flat `Vec` (one entry per identity, in no
+/// particular order): each record scans it once, expiring stale
+/// episodes and finding its own on the way, so a record costs
+/// O(open episodes) and allocates nothing unless an episode closes.
 #[derive(Clone, Debug)]
 pub struct StreamCoalescer {
     cfg: CoalesceConfig,
-    open: BTreeMap<(GpuId, Xid, ErrorDetail), OpenEpisode>,
+    /// Episodes still inside their merge window.
+    open: Vec<CoalescedError>,
     /// Latest record timestamp seen (stream clock).
     now: Option<Timestamp>,
 }
@@ -34,7 +35,7 @@ impl StreamCoalescer {
     pub fn new(cfg: CoalesceConfig) -> Self {
         StreamCoalescer {
             cfg,
-            open: BTreeMap::new(),
+            open: Vec::new(),
             now: None,
         }
     }
@@ -44,82 +45,79 @@ impl StreamCoalescer {
         self.open.len()
     }
 
-    /// Feed one record (records must arrive in time order) and collect any
-    /// episodes the advancing clock closed.
+    /// Feed one record (records must arrive in time order) and append
+    /// the episodes the advancing clock closed to `out`, in
+    /// `(start, gpu, xid, detail)` order.
     ///
     /// # Panics
     /// If `rec` is older than a previously pushed record.
-    pub fn push(&mut self, rec: &ErrorRecord) -> Vec<CoalescedError> {
+    pub fn push_into(&mut self, rec: &ErrorRecord, out: &mut Vec<CoalescedError>) {
         if let Some(now) = self.now {
             assert!(rec.at >= now, "stream must be time-ordered");
         }
         self.now = Some(rec.at);
-        let mut closed = self.expire(rec.at);
+        let window = self.cfg.window;
+        let base = out.len();
 
-        let key = rec.identity();
-        match self.open.get_mut(&key) {
-            Some(ep)
-                if rec.at - ep.last <= self.cfg.window
-                    && rec.at - ep.start <= self.cfg.max_persistence =>
-            {
+        // One scan: close every episode whose window expired and find
+        // the record's own. `swap_remove` only moves an unscanned entry
+        // into the hole, so `own` stays valid.
+        let mut own = None;
+        let mut i = 0;
+        while i < self.open.len() {
+            let ep = &self.open[i];
+            if rec.at - ep.last > window {
+                out.push(self.open.swap_remove(i));
+                continue;
+            }
+            if ep.gpu == rec.gpu && ep.xid == rec.xid && ep.detail == rec.detail {
+                own = Some(i);
+            }
+            i += 1;
+        }
+
+        match own {
+            // Still inside the window (the scan expired it otherwise):
+            // merge unless the persistence cut-off splits.
+            Some(i) if rec.at - self.open[i].start <= self.cfg.max_persistence => {
+                let ep = &mut self.open[i];
                 ep.last = rec.at;
                 ep.merged += 1;
             }
-            Some(ep) => {
-                // Same identity, but the gap or the persistence cut-off
-                // splits: close the old episode, open a new one.
-                closed.push(close(key, *ep));
-                *ep = OpenEpisode {
-                    start: rec.at,
-                    last: rec.at,
-                    merged: 1,
-                };
-            }
-            None => {
-                self.open.insert(
-                    key,
-                    OpenEpisode {
-                        start: rec.at,
-                        last: rec.at,
-                        merged: 1,
-                    },
-                );
-            }
+            // Same identity past the cut-off: close it, open a new one.
+            Some(i) => out.push(std::mem::replace(&mut self.open[i], new_episode(rec))),
+            None => self.open.push(new_episode(rec)),
         }
-        closed
+        if out.len() - base > 1 {
+            sort_episodes(&mut out[base..]);
+        }
     }
 
-    /// End of stream: close everything still open.
+    /// End of stream: close everything still open, in
+    /// `(start, gpu, xid, detail)` order.
     pub fn finish(self) -> Vec<CoalescedError> {
-        let mut out: Vec<CoalescedError> = self
-            .open
-            .into_iter()
-            .map(|(key, ep)| close(key, ep))
-            .collect();
-        out.sort_by_key(|e| (e.start, e.gpu, e.xid));
+        let mut out = self.open;
+        sort_episodes(&mut out);
         out
     }
+}
 
-    fn expire(&mut self, now: Timestamp) -> Vec<CoalescedError> {
-        let window = self.cfg.window;
-        let mut closed: Vec<CoalescedError> = Vec::new();
-        self.open.retain(|key, ep| {
-            if now - ep.last > window {
-                closed.push(close(*key, *ep));
-                false
-            } else {
-                true
-            }
-        });
-        closed.sort_by_key(|e| (e.start, e.gpu, e.xid));
-        closed
+/// A new episode holding `rec` alone.
+fn new_episode(rec: &ErrorRecord) -> CoalescedError {
+    CoalescedError {
+        gpu: rec.gpu,
+        xid: rec.xid,
+        detail: rec.detail,
+        start: rec.at,
+        last: rec.at,
+        merged: 1,
     }
 }
 
 /// Event-time reorder buffer in front of [`StreamCoalescer`].
 ///
 /// A live tail interleaves per-node files, so records do not arrive
-/// globally time-ordered — but [`StreamCoalescer::push`] requires a
+/// globally time-ordered — but [`StreamCoalescer::push_into`] requires a
 /// monotone stream. The buffer holds records until the **watermark**
 /// (latest event time seen minus an allowed lateness) passes them, then
 /// releases them sorted by the total key `(at, gpu, xid, detail)`, which
@@ -215,22 +213,11 @@ impl WatermarkBuffer {
     }
 }
 
-fn close((gpu, xid, detail): (GpuId, Xid, ErrorDetail), ep: OpenEpisode) -> CoalescedError {
-    CoalescedError {
-        gpu,
-        xid,
-        detail,
-        start: ep.start,
-        last: ep.last,
-        merged: ep.merged,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coalesce::coalesce;
-    use dr_xid::{Duration, NodeId};
+    use dr_xid::{Duration, ErrorDetail, GpuId, NodeId, Xid};
     use proptest::prelude::*;
 
     fn rec(secs: f64, node: u32, xid: Xid) -> ErrorRecord {
@@ -242,25 +229,43 @@ mod tests {
         )
     }
 
+    /// Closed episodes of one `push_into` call, asserting they arrive in
+    /// `(start, gpu, xid, detail)` order.
+    fn push(s: &mut StreamCoalescer, r: &ErrorRecord) -> Vec<CoalescedError> {
+        let mut closed = Vec::new();
+        s.push_into(r, &mut closed);
+        assert!(
+            closed.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "closed out of order: {closed:?}"
+        );
+        closed
+    }
+
+    fn key(e: &CoalescedError) -> (Timestamp, GpuId, Xid, ErrorDetail) {
+        (e.start, e.gpu, e.xid, e.detail)
+    }
+
     fn stream_all(records: &[ErrorRecord], cfg: CoalesceConfig) -> Vec<CoalescedError> {
         let mut s = StreamCoalescer::new(cfg);
         let mut out = Vec::new();
         for r in records {
-            out.extend(s.push(r));
+            out.extend(push(&mut s, r));
         }
-        out.extend(s.finish());
-        out.sort_by_key(|e| (e.start, e.gpu, e.xid));
+        let rest = s.finish();
+        assert!(rest.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+        out.extend(rest);
+        sort_episodes(&mut out);
         out
     }
 
     #[test]
     fn emits_episode_after_window_expires() {
         let mut s = StreamCoalescer::new(CoalesceConfig::default());
-        assert!(s.push(&rec(0.0, 1, Xid::MmuError)).is_empty());
-        assert!(s.push(&rec(3.0, 1, Xid::MmuError)).is_empty());
+        assert!(push(&mut s, &rec(0.0, 1, Xid::MmuError)).is_empty());
+        assert!(push(&mut s, &rec(3.0, 1, Xid::MmuError)).is_empty());
         assert_eq!(s.open_count(), 1);
         // Next record 60 s later closes the episode.
-        let closed = s.push(&rec(60.0, 1, Xid::MmuError));
+        let closed = push(&mut s, &rec(60.0, 1, Xid::MmuError));
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].merged, 2);
         assert_eq!(closed[0].persistence().as_secs_f64(), 3.0);
@@ -271,8 +276,8 @@ mod tests {
     #[should_panic]
     fn rejects_out_of_order_records() {
         let mut s = StreamCoalescer::new(CoalesceConfig::default());
-        s.push(&rec(10.0, 1, Xid::MmuError));
-        s.push(&rec(5.0, 1, Xid::MmuError));
+        push(&mut s, &rec(10.0, 1, Xid::MmuError));
+        push(&mut s, &rec(5.0, 1, Xid::MmuError));
     }
 
     #[test]
@@ -318,32 +323,72 @@ mod tests {
                 }
             }
             for r in w.drain_ready() {
-                s.push(&r);
+                push(&mut s, &r);
             }
         }
         for r in w.flush() {
-            s.push(&r);
+            push(&mut s, &r);
         }
         assert_eq!(w.late_dropped(), 0);
         let out = s.finish();
         assert!(!out.is_empty());
     }
 
+    #[test]
+    fn a_split_and_an_expiry_in_one_push_close_in_start_order() {
+        // At 12 s GPU 0's episode (0 s → 8 s) reaches its persistence
+        // cut-off and splits, while GPU 1's episode (6 s) expires: the
+        // split one started first, so it comes first.
+        let cfg = CoalesceConfig {
+            window: Duration::from_secs(5),
+            max_persistence: Duration::from_secs(10),
+        };
+        let mut s = StreamCoalescer::new(cfg);
+        for (t, node) in [(0.0, 0), (4.0, 0), (6.0, 1), (8.0, 0)] {
+            assert!(push(&mut s, &rec(t, node, Xid::MmuError)).is_empty());
+        }
+        let closed = push(&mut s, &rec(12.0, 0, Xid::MmuError));
+        let starts: Vec<(f64, u32)> = closed
+            .iter()
+            .map(|e| ((e.start - Timestamp::EPOCH).as_secs_f64(), e.gpu.node.0))
+            .collect();
+        assert_eq!(starts, [(0.0, 0), (6.0, 1)]);
+        assert_eq!(s.open_count(), 1);
+    }
+
+    /// Several GPUs on two nodes, three XIDs and two details.
+    fn identity(i: u8) -> (GpuId, Xid, ErrorDetail) {
+        const XIDS: [Xid; 3] = [Xid::MmuError, Xid::NvlinkError, Xid::GspRpcTimeout];
+        let gpu = GpuId::at_slot(NodeId(u32::from(i % 2)), usize::from(i / 2 % 3));
+        (gpu, XIDS[usize::from(i / 6 % 3)], ErrorDetail::new(u16::from(i / 18 % 2), 0))
+    }
+
     proptest! {
         /// The streaming coalescer is equivalent to batch Algorithm 1 on
-        /// any time-ordered stream.
+        /// any time-ordered stream, and every `push_into` appends what it
+        /// closes in `(start, gpu, xid, detail)` order (checked in
+        /// `push`). Times are drawn from a narrow range so equal
+        /// timestamps are common, and a persistence cut-off of a few
+        /// windows splits long bursts.
         #[test]
         fn stream_equals_batch(
-            mut times in prop::collection::vec(0u64..20_000, 0..300),
-            nodes in prop::collection::vec(0u32..3, 0..300),
+            mut times in prop::collection::vec(0u64..600, 0..300),
+            ids in prop::collection::vec(0u8..36, 0..300),
             window in 2u64..30,
+            persistence in 1u64..6,
         ) {
             times.sort_unstable();
-            let n = times.len().min(nodes.len());
+            let n = times.len().min(ids.len());
             let records: Vec<_> = (0..n)
-                .map(|i| rec(times[i] as f64, nodes[i], Xid::MmuError))
+                .map(|i| {
+                    let (gpu, xid, detail) = identity(ids[i]);
+                    ErrorRecord::new(Timestamp::from_secs(times[i]), gpu, xid, detail)
+                })
                 .collect();
-            let cfg = CoalesceConfig::with_window_secs(window);
+            let cfg = CoalesceConfig {
+                window: Duration::from_secs(window),
+                max_persistence: Duration::from_secs(window * persistence),
+            };
             let batch = coalesce(&records, cfg);
             let stream = stream_all(&records, cfg);
             prop_assert_eq!(batch, stream);

@@ -486,9 +486,10 @@ impl WatchSession {
 
         let released = self.buffer.drain_ready();
         delta.released = released.len() as u64;
+        let mut closed = Vec::new();
         for r in &released {
-            let closed = self.coalescer.push(r);
-            for e in closed {
+            self.coalescer.push_into(r, &mut closed);
+            for e in closed.drain(..) {
                 self.observe_episode(e);
                 delta.episodes += 1;
             }
@@ -586,9 +587,10 @@ impl WatchSession {
     /// or threshold crossings inside the final open episodes are never
     /// surfaced. Idempotent.
     pub fn drain(&mut self) {
+        let mut closed = Vec::new();
         for r in self.buffer.flush() {
-            let closed = self.coalescer.push(&r);
-            for e in closed {
+            self.coalescer.push_into(&r, &mut closed);
+            for e in closed.drain(..) {
                 self.observe_episode(e);
             }
         }

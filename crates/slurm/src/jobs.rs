@@ -91,7 +91,7 @@ pub enum JobState {
 }
 
 /// One accounting-table row.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobRecord {
     pub id: u64,
     pub gpus: Vec<GpuId>,

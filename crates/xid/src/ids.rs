@@ -76,18 +76,46 @@ impl std::error::Error for ParsePciError {}
 impl FromStr for PciAddr {
     type Err = ParsePciError;
 
+    /// Exactly three `:`-separated hex fields, each what
+    /// `from_str_radix(_, 16)` accepts for its width: digits in either
+    /// case, leading zeros, an optional leading `+`. One pass over the
+    /// bytes.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split(':');
-        let domain = parts.next().ok_or(ParsePciError)?;
-        let bus = parts.next().ok_or(ParsePciError)?;
-        let device = parts.next().ok_or(ParsePciError)?;
-        if parts.next().is_some() {
-            return Err(ParsePciError);
-        }
+        let mut bytes = s.bytes();
+        // One field: an optional `+`, then hex digits up to the next `:`
+        // (or, for the last field, the end).
+        let mut field = |last: bool| -> Option<u16> {
+            let mut next = bytes.next();
+            if next == Some(b'+') {
+                next = bytes.next();
+            }
+            let mut value: Option<u16> = None;
+            loop {
+                match next {
+                    Some(b':') if !last => return value,
+                    None if last => return value,
+                    None => return None,
+                    Some(b) => {
+                        let d = match b {
+                            b'0'..=b'9' => b - b'0',
+                            b'a'..=b'f' => b - b'a' + 10,
+                            b'A'..=b'F' => b - b'A' + 10,
+                            _ => return None,
+                        };
+                        value = Some(value.unwrap_or(0).checked_mul(16)?.checked_add(d.into())?);
+                    }
+                }
+                next = bytes.next();
+            }
+        };
+        let byte = |v: Option<u16>| v.and_then(|v| u8::try_from(v).ok());
+        let domain = field(false).ok_or(ParsePciError)?;
+        let bus = byte(field(false)).ok_or(ParsePciError)?;
+        let device = byte(field(true)).ok_or(ParsePciError)?;
         Ok(PciAddr {
-            domain: u16::from_str_radix(domain, 16).map_err(|_| ParsePciError)?,
-            bus: u8::from_str_radix(bus, 16).map_err(|_| ParsePciError)?,
-            device: u8::from_str_radix(device, 16).map_err(|_| ParsePciError)?,
+            domain,
+            bus,
+            device,
         })
     }
 }
@@ -140,6 +168,42 @@ mod tests {
         assert!("0000:c1".parse::<PciAddr>().is_err());
         assert!("0000:c1:00:0".parse::<PciAddr>().is_err());
         assert!("zz:c1:00".parse::<PciAddr>().is_err());
+    }
+
+    #[test]
+    fn pci_parse_accepts_what_from_str_radix_accepts() {
+        let ok = |s: &str| s.parse::<PciAddr>().ok();
+        assert_eq!(ok("+0:+c1:+0"), Some(PciAddr::new(0, 0xc1, 0)));
+        assert_eq!(ok("0000ffff:00C1:0000000"), Some(PciAddr::new(0xffff, 0xc1, 0)));
+        assert_eq!(ok("FFFF:FF:fF"), Some(PciAddr::new(0xffff, 0xff, 0xff)));
+        let rejected = [
+            "10000:0:0", "0:100:0", "0:0:100", "+:0:0", "-0:0:0", "++0:0:0", "0:0:", ":0:0",
+            "0: 0:0", "0:0:0\n", "0:c١:0",
+        ];
+        for bad in rejected {
+            assert_eq!(ok(bad), None, "{bad:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The byte-level parser accepts exactly the inputs the
+        /// `split(':')` + `from_str_radix` reader it replaced accepts.
+        #[test]
+        fn pci_parse_matches_from_str_radix(
+            fields in proptest::collection::vec("[0-9a-fA-FgG+-]{0,6}", 1..5),
+        ) {
+            let s = fields.join(":");
+            let mut parts = s.split(':');
+            let oracle = (|| {
+                Some(PciAddr::new(
+                    u16::from_str_radix(parts.next()?, 16).ok()?,
+                    u8::from_str_radix(parts.next()?, 16).ok()?,
+                    u8::from_str_radix(parts.next()?, 16).ok()?,
+                ))
+            })()
+            .filter(|_| parts.next().is_none());
+            proptest::prop_assert_eq!(s.parse::<PciAddr>().ok(), oracle, "{:?}", s);
+        }
     }
 
     #[test]

@@ -224,9 +224,20 @@ fn io_err(path: &Path, e: std::io::Error) -> String {
 }
 
 /// Read a small text artifact (CSV tables, .scn files), error carrying
-/// the path.
+/// the path (and, for bytes that are not UTF-8, the offset of the
+/// first bad byte, as log sources report it).
 fn read_file(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| io_err(path, e))
+    let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    String::from_utf8(bytes).map_err(|e| {
+        DataError::Io {
+            path: path.display().to_string(),
+            message: format!(
+                "invalid UTF-8 at byte offset {}",
+                e.utf8_error().valid_up_to()
+            ),
+        }
+        .to_string()
+    })
 }
 
 /// Write a text artifact, error carrying the path.

@@ -203,6 +203,45 @@ fn non_positive_numeric_flags_are_usage_errors() {
 }
 
 #[test]
+fn invalid_utf8_in_jobs_or_downtime_names_the_file_and_offset() {
+    let dir = temp_dir("utf8");
+    let logs = dir.join("logs");
+    std::fs::create_dir_all(&logs).expect("mkdir logs");
+    std::fs::write(logs.join("gpub001.log"), "").expect("write log");
+    // A valid header, then a row whose first byte is not UTF-8.
+    let jobs_header = b"id,start_us,end_us,state,exit_code,ml,gpus\n";
+    let mut jobs = jobs_header.to_vec();
+    jobs.extend_from_slice(b"\xff1,0,5,COMPLETED,0,0,1/0000:07:00\n");
+    std::fs::write(dir.join("jobs.csv"), &jobs).expect("write jobs");
+    // A bare continuation byte three bytes in.
+    std::fs::write(dir.join("downtime.csv"), b"nod\x80e\n").expect("write downtime");
+
+    for (flag, file, offset) in [
+        ("--jobs", "jobs.csv", jobs_header.len()),
+        ("--downtime", "downtime.csv", 3),
+    ] {
+        let path = dir.join(file);
+        let out = gpures()
+            .args(["analyze", "--nodes", "1", "--hours", "24", "--logs"])
+            .arg(&logs)
+            .arg(flag)
+            .arg(&path)
+            .output()
+            .expect("run analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{}: invalid UTF-8 at byte offset {offset}",
+                path.display()
+            )),
+            "{flag}: the error must name the file and the offset, got:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn record_store_write_and_replay_round_trip() {
     let dir = temp_dir("records");
     let out = gpures()
