@@ -12,9 +12,9 @@
 //!    99.9 % and cutting overprovisioning 4×.
 
 use crate::coalesce::CoalescedError;
+use crate::engine::{EpisodeIndex, XIDS};
 use dr_stats::Mtbe;
 use dr_xid::{GpuId, Xid};
-use std::collections::BTreeMap;
 
 /// The Section 5.5 report.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,47 +40,56 @@ pub fn counterfactual(
     node_count: u32,
     mttr_h: f64,
 ) -> CounterfactualReport {
-    let mtbe = Mtbe::new(observation_hours, node_count);
-    let characterized: Vec<&CoalescedError> = errors
-        .iter()
-        .filter(|e| e.xid.is_characterized())
-        .collect();
+    let index = EpisodeIndex::new(errors.to_vec());
+    finish_counterfactual(&index, observation_hours, node_count, mttr_h)
+}
 
-    let baseline_count = characterized.len() as u64;
+/// The counterfactual from the index's per-GPU XID counts: the baseline,
+/// offender and hardened counts are all sums over that `(XID, GPU)`
+/// table. Each XID's top offender is its highest count, ties going to
+/// the last GPU in `GpuId` order.
+pub(crate) fn finish_counterfactual(
+    index: &EpisodeIndex,
+    observation_hours: f64,
+    node_count: u32,
+    mttr_h: f64,
+) -> CounterfactualReport {
+    let mtbe = Mtbe::new(observation_hours, node_count);
+    let characterized = || Xid::ALL.into_iter().filter(|x| x.is_characterized());
+
+    let baseline_count: u64 = characterized().map(|x| index.count(x)).sum();
     let baseline_mtbe_h = mtbe.per_node_hours(baseline_count).unwrap_or(f64::INFINITY);
 
     // Top offender per error type.
-    let mut per_xid_gpu: BTreeMap<(Xid, GpuId), u64> = BTreeMap::new();
-    for e in &characterized {
-        *per_xid_gpu.entry((e.xid, e.gpu)).or_default() += 1;
-    }
-    let mut offenders: Vec<(Xid, GpuId, u64)> = Vec::new();
-    for &xid in &Xid::TABLE1 {
-        if let Some((&(_, gpu), &count)) = per_xid_gpu
-            .iter()
-            .filter(|((x, _), _)| *x == xid)
-            .max_by_key(|(_, &c)| c)
-        {
-            offenders.push((xid, gpu, count));
+    let mut top: [Option<(GpuId, u64)>; XIDS] = [None; XIDS];
+    for (gpu, counts) in index.gpu_counts() {
+        for (best, &count) in top.iter_mut().zip(counts) {
+            if count > 0 && best.is_none_or(|(_, c)| count >= c) {
+                *best = Some((gpu, count));
+            }
         }
     }
-
-    let is_offender = |e: &CoalescedError| {
-        offenders
-            .iter()
-            .any(|&(xid, gpu, _)| e.xid == xid && e.gpu == gpu)
-    };
-
-    let no_offender_count = characterized.iter().filter(|e| !is_offender(e)).count() as u64;
+    let offenders: Vec<(Xid, GpuId, u64)> = Xid::TABLE1
+        .into_iter()
+        .filter_map(|xid| {
+            let (gpu, count) = top.get(xid.ordinal()).copied().flatten()?;
+            Some((xid, gpu, count))
+        })
+        .collect();
+    let offender_count: u64 = offenders.iter().map(|&(_, _, c)| c).sum();
+    let no_offender_count = baseline_count - offender_count;
     let no_offenders_mtbe_h = mtbe
         .per_node_hours(no_offender_count)
         .unwrap_or(f64::INFINITY);
 
     let peripheral = [Xid::GspRpcTimeout, Xid::PmuSpiError, Xid::NvlinkError];
-    let hardened_count = characterized
-        .iter()
-        .filter(|e| !is_offender(e) && !peripheral.contains(&e.xid))
-        .count() as u64;
+    let hardened = |xid: &Xid| !peripheral.contains(xid);
+    let hardened_count = characterized().filter(hardened).map(|x| index.count(x)).sum::<u64>()
+        - offenders
+            .iter()
+            .filter(|(xid, _, _)| hardened(xid))
+            .map(|&(_, _, c)| c)
+            .sum::<u64>();
     let hardened_mtbe_h = mtbe.per_node_hours(hardened_count).unwrap_or(f64::INFINITY);
 
     CounterfactualReport {

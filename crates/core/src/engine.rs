@@ -1,35 +1,49 @@
 //! Incremental, fold-based analysis core.
 //!
-//! Every batch analysis in this crate (`stats`, `propagation`,
-//! `job_impact`, `counterfactual`, `downtime`) is a pure function over a
-//! fully-materialized slice — which means the pipeline can only answer
-//! questions about corpora that have already ended. [`AnalysisEngine`]
-//! recasts each pass as an *accumulator*: `ingest` one element at a
-//! time, `snapshot` the answer whenever you want it. Folding a whole
-//! corpus through an accumulator and snapshotting once is **bit-identical**
-//! to the batch function on the same slice (tier-1 differential test):
-//! each accumulator records exactly the per-group state the batch pass
-//! would build on its first walk, in the same order, and `snapshot` runs
-//! the same arithmetic in the same sequence.
+//! [`AnalysisEngine`] is the fold shape every incremental pass shares:
+//! `ingest` one element at a time, `snapshot` the answer whenever you
+//! want it. [`StudyEngine`] is the whole study as one such fold, and is
+//! what [`crate::pipeline::PipelineBuilder::run_coalesced`] runs; the live
+//! path (`crate::watch`) layers rolling-window accumulators on the same
+//! trait.
 //!
-//! [`StudyEngine`] bundles one accumulator per study section and is what
-//! [`crate::pipeline::PipelineBuilder::run_coalesced`] folds through; the
-//! live path (`crate::watch`) layers rolling-window accumulators on the
-//! same trait.
+//! `StudyEngine` keeps one shared episode index and every study section
+//! finishes from it:
+//!
+//! - the episodes themselves, held once, in the vector that becomes
+//!   [`StudyResults::coalesced`];
+//! - each GPU interned to a dense id on first sight, with its node, a list
+//!   of `u32` positions of its episodes, and its episode count per XID;
+//! - one position list per node;
+//! - per-XID persistence samples in a dense table indexed by
+//!   [`Xid::ordinal`].
+//!
+//! Per episode the fold does one GPU lookup and a few `Vec` pushes. At
+//! finish, the sections walk the GPU and node lists in `GpuId` / `NodeId`
+//! order, each list in arrival order stable-sorted by start (a no-op for a
+//! start-ordered corpus), and the dense tables in `Xid` order. That is the
+//! iteration order of the batch definitions the engine replaced, so every
+//! float accumulation runs in the same sequence and the results are
+//! bit-identical to them: tier-1 golden digests pin whole result bundles,
+//! and a proptest compares the fold with the old map-based route, kept as
+//! the test oracle.
 
 use crate::coalesce::CoalescedError;
-use crate::counterfactual::CounterfactualReport;
+use crate::counterfactual::finish_counterfactual;
 use crate::downtime::{availability, DowntimeAcc, DowntimeStats};
-use crate::job_impact::{finish_job_impact, table3, JobImpactAnalysis, JobImpactConfig};
+use crate::job_impact::{finish_job_impact, table3};
 use crate::pipeline::{StudyConfig, StudyResults};
-use crate::propagation::{finish_propagation, PropagationAnalysis};
-use crate::stats::{CategoryMtbe, LostHours, Table1Row};
+use crate::propagation::{finish_propagation, NVLINK_SPREAD_WINDOW};
+use crate::stats::{finish_category_mtbe, finish_lost_hours, finish_overall_mtbe, finish_table1};
 use dr_faults::DowntimeInterval;
 use dr_obs::MetricsSink;
 use dr_slurm::JobRecord;
-use dr_stats::{Mtbe, SummaryStats};
-use dr_xid::{Duration, GpuId, NodeId, Xid};
+use dr_stats::SummaryStats;
+use dr_xid::{GpuId, NodeId, Timestamp, Xid};
 use std::collections::BTreeMap;
+
+/// Width of every dense per-XID table: one slot per [`Xid::ordinal`].
+pub(crate) const XIDS: usize = Xid::ALL.len();
 
 /// An incremental analysis pass: a fold over a stream of inputs
 /// (coalesced errors by default) with a read-out that can be taken at
@@ -49,381 +63,226 @@ pub trait AnalysisEngine<In = CoalescedError> {
     fn snapshot(&self) -> Self::Snapshot;
 }
 
-/// Incremental [`crate::stats::table1`]: per-XID persistence samples in
-/// arrival order, summarized on demand.
+/// One interned GPU.
 #[derive(Clone, Debug)]
-pub struct Table1Acc {
-    observation_hours: f64,
-    node_count: u32,
-    per_xid: BTreeMap<Xid, Vec<f64>>,
+struct GpuEntry {
+    /// Dense id of the GPU's node.
+    node: u32,
+    /// Positions of the GPU's episodes, in arrival order until
+    /// [`EpisodeIndex::sorted`] stable-sorts them by start.
+    episodes: Vec<u32>,
+    /// Episodes per XID ordinal.
+    counts: [u64; XIDS],
 }
 
-impl Table1Acc {
-    pub fn new(observation_hours: f64, node_count: u32) -> Self {
-        Table1Acc {
-            observation_hours,
-            node_count,
-            per_xid: BTreeMap::new(),
-        }
-    }
-}
-
-impl AnalysisEngine for Table1Acc {
-    type Snapshot = Vec<Table1Row>;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.per_xid
-            .entry(e.xid)
-            .or_default()
-            .push(e.persistence().as_secs_f64());
-    }
-
-    fn snapshot(&self) -> Vec<Table1Row> {
-        let mtbe = Mtbe::new(self.observation_hours, self.node_count);
-        Xid::TABLE1
-            .iter()
-            .map(|&xid| {
-                let persistences: &[f64] = self
-                    .per_xid
-                    .get(&xid)
-                    .map(|v| v.as_slice())
-                    .unwrap_or(&[]);
-                let count = persistences.len() as u64;
-                Table1Row {
-                    xid,
-                    count,
-                    mtbe_system_h: mtbe.system_hours(count),
-                    mtbe_per_node_h: mtbe.per_node_hours(count),
-                    persistence: SummaryStats::from_samples(persistences),
-                }
-            })
-            .collect()
-    }
-}
-
-/// Incremental [`crate::stats::overall_mtbe`]: one characterized-error
-/// counter.
-#[derive(Clone, Debug)]
-pub struct OverallMtbeAcc {
-    observation_hours: f64,
-    node_count: u32,
-    count: u64,
-}
-
-impl OverallMtbeAcc {
-    pub fn new(observation_hours: f64, node_count: u32) -> Self {
-        OverallMtbeAcc {
-            observation_hours,
-            node_count,
-            count: 0,
-        }
-    }
-}
-
-impl AnalysisEngine for OverallMtbeAcc {
-    type Snapshot = (Option<f64>, Option<f64>);
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        if e.xid.is_characterized() {
-            self.count += 1;
-        }
-    }
-
-    fn snapshot(&self) -> (Option<f64>, Option<f64>) {
-        let mtbe = Mtbe::new(self.observation_hours, self.node_count);
-        (mtbe.system_hours(self.count), mtbe.per_node_hours(self.count))
-    }
-}
-
-/// Incremental [`crate::stats::category_mtbe`]: two class counters.
-#[derive(Clone, Debug)]
-pub struct CategoryMtbeAcc {
-    observation_hours: f64,
-    node_count: u32,
-    hw_count: u64,
-    mem_count: u64,
-}
-
-impl CategoryMtbeAcc {
-    pub fn new(observation_hours: f64, node_count: u32) -> Self {
-        CategoryMtbeAcc {
-            observation_hours,
-            node_count,
-            hw_count: 0,
-            mem_count: 0,
-        }
-    }
-}
-
-impl AnalysisEngine for CategoryMtbeAcc {
-    type Snapshot = CategoryMtbe;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        let hardware = [
-            Xid::GspRpcTimeout,
-            Xid::PmuSpiError,
-            Xid::NvlinkError,
-            Xid::FallenOffBus,
-        ];
-        let memory = [Xid::DoubleBitEcc, Xid::RowRemapEvent, Xid::RowRemapFailure];
-        if hardware.contains(&e.xid) {
-            self.hw_count += 1;
-        }
-        if memory.contains(&e.xid) {
-            self.mem_count += 1;
-        }
-    }
-
-    fn snapshot(&self) -> CategoryMtbe {
-        let mtbe = Mtbe::new(self.observation_hours, self.node_count);
-        let hardware_per_node_h = mtbe.per_node_hours(self.hw_count);
-        let memory_per_node_h = mtbe.per_node_hours(self.mem_count);
-        let ratio = match (memory_per_node_h, hardware_per_node_h) {
-            (Some(m), Some(h)) if h > 0.0 => Some(m / h),
-            _ => None,
-        };
-        CategoryMtbe {
-            hardware_per_node_h,
-            memory_per_node_h,
-            ratio,
-        }
-    }
-}
-
-/// Incremental [`crate::stats::lost_gpu_hours`]. Keeps both the per-XID
-/// sample vectors (for the P95 thresholds) and the arrival sequence (for
-/// the second walk), exactly as the batch pass iterates them.
+/// The episodes of a study and the one index every section finishes from
+/// (see the module docs). The index only ever refers to the episode
+/// vector it owns, so no position in it can be out of range for a
+/// different slice. Positions are `u32`: the index addresses the first
+/// 2³² − 1 episodes (some 140 GB of them) and leaves any beyond out of
+/// the per-GPU and per-node lists.
 #[derive(Clone, Debug, Default)]
-pub struct LostHoursAcc {
-    per_xid: BTreeMap<Xid, Vec<f64>>,
-    sequence: Vec<(Xid, f64)>,
+pub(crate) struct EpisodeIndex {
+    episodes: Vec<CoalescedError>,
+    gpu_ids: BTreeMap<GpuId, u32>,
+    node_ids: BTreeMap<NodeId, u32>,
+    gpus: Vec<GpuEntry>,
+    nodes: Vec<Vec<u32>>,
+    persistence: [Vec<f64>; XIDS],
 }
 
-impl LostHoursAcc {
-    pub fn new() -> Self {
-        LostHoursAcc::default()
-    }
-}
-
-impl AnalysisEngine for LostHoursAcc {
-    type Snapshot = LostHours;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        let p = e.persistence().as_secs_f64();
-        self.per_xid.entry(e.xid).or_default().push(p);
-        self.sequence.push((e.xid, p));
+impl EpisodeIndex {
+    /// Index a whole corpus, taking ownership of its episodes.
+    pub(crate) fn new(episodes: Vec<CoalescedError>) -> Self {
+        let mut index = EpisodeIndex::default();
+        index.extend(episodes);
+        index
     }
 
-    fn snapshot(&self) -> LostHours {
-        let thresholds: BTreeMap<Xid, f64> = self
-            .per_xid
+    // dr-lint: hot(begin)
+    /// Keep one episode and index it.
+    fn push(&mut self, e: CoalescedError) {
+        self.episodes.push(e);
+        self.index_from(self.episodes.len() - 1);
+    }
+
+    /// Keep a run of episodes and index them. The first run is adopted as
+    /// the engine's own episode vector, without a copy.
+    fn extend(&mut self, episodes: Vec<CoalescedError>) {
+        let first = self.episodes.len();
+        if first == 0 {
+            self.episodes = episodes;
+        } else {
+            self.episodes.extend(episodes);
+        }
+        self.index_from(first);
+    }
+
+    /// Index the episodes from position `first` on: one GPU lookup and a
+    /// few pushes each.
+    fn index_from(&mut self, first: usize) {
+        for pos in first..self.episodes.len() {
+            let Some(&e) = self.episodes.get(pos) else {
+                break;
+            };
+            let Ok(pos) = u32::try_from(pos) else {
+                break;
+            };
+            let gpu = match self.gpu_ids.get(&e.gpu) {
+                Some(&id) => id,
+                None => self.intern(e.gpu),
+            };
+            let x = e.xid.ordinal();
+            if let Some(entry) = self.gpus.get_mut(gpu as usize) {
+                entry.episodes.push(pos);
+                entry.counts[x] += 1;
+                if let Some(list) = self.nodes.get_mut(entry.node as usize) {
+                    list.push(pos);
+                }
+            }
+            self.persistence[x].push(e.persistence().as_secs_f64());
+        }
+    }
+    // dr-lint: hot(end)
+
+    /// First sight of a GPU (and maybe of its node): give it a dense id.
+    /// Runs only for an episode whose position fits a `u32`, and there
+    /// are never more GPUs or nodes than indexed episodes, so the ids
+    /// fit too.
+    fn intern(&mut self, gpu: GpuId) -> u32 {
+        let node = match self.node_ids.get(&gpu.node) {
+            Some(&id) => id,
+            None => {
+                let id = self.nodes.len() as u32;
+                self.nodes.push(Vec::new());
+                self.node_ids.insert(gpu.node, id);
+                id
+            }
+        };
+        let id = self.gpus.len() as u32;
+        self.gpus.push(GpuEntry {
+            node,
+            episodes: Vec::new(),
+            counts: [0; XIDS],
+        });
+        self.gpu_ids.insert(gpu, id);
+        id
+    }
+
+    /// Every episode, in arrival order.
+    pub(crate) fn episodes(&self) -> &[CoalescedError] {
+        &self.episodes
+    }
+
+    /// Episodes of one XID.
+    pub(crate) fn count(&self, xid: Xid) -> u64 {
+        self.persistence
+            .get(xid.ordinal())
+            .map_or(0, |v| v.len() as u64)
+    }
+
+    /// Summary of every XID's persistence samples, by ordinal — shared by
+    /// Table 1 and the lost-hours tail split.
+    pub(crate) fn persistence_summaries(&self) -> [SummaryStats; XIDS] {
+        self.persistence
+            .each_ref()
+            .map(|v| SummaryStats::from_samples(v))
+    }
+
+    /// Each GPU with its episode count per XID ordinal, in `GpuId` order.
+    pub(crate) fn gpu_counts(&self) -> impl Iterator<Item = (GpuId, &[u64; XIDS])> + '_ {
+        self.gpu_ids
             .iter()
-            .map(|(&xid, samples)| (xid, SummaryStats::from_samples(samples).p95))
-            .collect();
-        let mut total_s = 0.0;
-        let mut tail_s = 0.0;
-        for &(xid, p) in &self.sequence {
-            total_s += p;
-            if p > thresholds.get(&xid).copied().unwrap_or(f64::INFINITY) {
-                tail_s += p;
+            .filter_map(|(&gpu, &id)| self.gpus.get(id as usize).map(|g| (gpu, &g.counts)))
+    }
+
+    /// Stable-sort every GPU and node list by start, unless it already
+    /// is. A list sorted mid-stream and appended to later sorts to the
+    /// same order as its arrival order would, so this never changes a
+    /// later finish.
+    pub(crate) fn sorted(&mut self) -> Sorted<'_> {
+        let episodes = &self.episodes;
+        let start = |&p: &u32| episodes.get(p as usize).map(|e| e.start);
+        let lists = self
+            .gpus
+            .iter_mut()
+            .map(|g| &mut g.episodes)
+            .chain(self.nodes.iter_mut());
+        for list in lists {
+            if !list.is_sorted_by_key(start) {
+                list.sort_by_key(start);
             }
         }
-        let total_h = total_s / 3_600.0;
-        let beyond_p95_h = tail_s / 3_600.0;
-        LostHours {
-            total_h,
-            beyond_p95_h,
-            tail_share: if total_h > 0.0 {
-                beyond_p95_h / total_h
-            } else {
-                0.0
-            },
-        }
+        Sorted(self)
+    }
+
+    /// The episode vector, for [`StudyResults::coalesced`].
+    fn into_episodes(self) -> Vec<CoalescedError> {
+        self.episodes
     }
 }
 
-/// Incremental [`crate::propagation::analyze_with_spread_window`]. The
-/// accumulator owns a copy of the error sequence plus the per-GPU and
-/// per-node index lists the batch pass builds on its first walk (arrival
-/// order — sorting by start happens inside the shared finish step), so
-/// `snapshot` is exactly the batch analysis minus that first walk.
-#[derive(Clone, Debug)]
-pub struct PropagationAcc {
-    window: Duration,
-    spread_window: Duration,
-    errors: Vec<CoalescedError>,
-    by_gpu: BTreeMap<GpuId, Vec<usize>>,
-    by_node: BTreeMap<NodeId, Vec<usize>>,
-}
+/// An [`EpisodeIndex`] whose GPU and node lists are in start order: what
+/// the propagation walk and the job join read.
+pub(crate) struct Sorted<'a>(&'a EpisodeIndex);
 
-impl PropagationAcc {
-    pub fn new(window: Duration) -> Self {
-        Self::with_spread_window(window, Duration::from_secs(10))
+impl<'a> Sorted<'a> {
+    /// Each GPU's episode positions, in `GpuId` order.
+    pub(crate) fn gpu_lists(&self) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let index = self.0;
+        index
+            .gpu_ids
+            .values()
+            .filter_map(|&id| index.gpus.get(id as usize).map(|g| g.episodes.as_slice()))
     }
 
-    pub fn with_spread_window(window: Duration, spread_window: Duration) -> Self {
-        PropagationAcc {
-            window,
-            spread_window,
-            errors: Vec::new(),
-            by_gpu: BTreeMap::new(),
-            by_node: BTreeMap::new(),
-        }
-    }
-}
-
-impl AnalysisEngine for PropagationAcc {
-    type Snapshot = PropagationAnalysis;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        let i = self.errors.len();
-        self.errors.push(*e);
-        self.by_gpu.entry(e.gpu).or_default().push(i);
-        self.by_node.entry(e.gpu.node).or_default().push(i);
+    /// Each node's episode positions, in `NodeId` order.
+    pub(crate) fn node_lists(&self) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let index = self.0;
+        index
+            .node_ids
+            .values()
+            .filter_map(|&id| index.nodes.get(id as usize).map(Vec::as_slice))
     }
 
-    fn snapshot(&self) -> PropagationAnalysis {
-        finish_propagation(
-            &self.errors,
-            self.by_gpu.clone(),
-            self.by_node.clone(),
-            self.window,
-            self.spread_window,
-        )
+    /// One GPU's episode positions (empty if it has none).
+    pub(crate) fn gpu_list(&self, gpu: GpuId) -> &'a [u32] {
+        let index = self.0;
+        index
+            .gpu_ids
+            .get(&gpu)
+            .and_then(|&id| index.gpus.get(id as usize))
+            .map_or(&[], |g| g.episodes.as_slice())
     }
-}
 
-/// Incremental [`crate::job_impact::analyze_jobs`]: the per-GPU error
-/// index accrues one error at a time; the per-job join runs at snapshot
-/// via the shared finish step.
-#[derive(Clone, Debug)]
-pub struct JobImpactAcc<'a> {
-    jobs: &'a [JobRecord],
-    cfg: JobImpactConfig,
-    by_gpu: BTreeMap<GpuId, Vec<CoalescedError>>,
-}
+    /// The episode at a position of one of the lists.
+    pub(crate) fn episode(&self, pos: u32) -> Option<&'a CoalescedError> {
+        self.0.episodes.get(pos as usize)
+    }
 
-impl<'a> JobImpactAcc<'a> {
-    pub fn new(jobs: &'a [JobRecord], cfg: JobImpactConfig) -> Self {
-        JobImpactAcc {
-            jobs,
-            cfg,
-            by_gpu: BTreeMap::new(),
-        }
+    /// Start time of the episode at `pos` (the lists' sort key).
+    pub(crate) fn start(&self, pos: u32) -> Option<Timestamp> {
+        self.episode(pos).map(|e| e.start)
+    }
+
+    /// Resolve a list into `out` (cleared first), in list order.
+    pub(crate) fn resolve(&self, list: &[u32], out: &mut Vec<&'a CoalescedError>) {
+        out.clear();
+        out.extend(list.iter().filter_map(|&p| self.episode(p)));
     }
 }
 
-impl AnalysisEngine for JobImpactAcc<'_> {
-    type Snapshot = JobImpactAnalysis;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.by_gpu.entry(e.gpu).or_default().push(*e);
-    }
-
-    fn snapshot(&self) -> JobImpactAnalysis {
-        finish_job_impact(self.jobs, self.by_gpu.clone(), self.cfg)
-    }
-}
-
-/// Incremental [`crate::counterfactual::counterfactual`]: the entire
-/// what-if reduces to one `(XID, GPU) → count` table over characterized
-/// errors — baseline, offender, and hardened counts are all sums over
-/// it, so ingest is a single map increment.
-#[derive(Clone, Debug)]
-pub struct CounterfactualAcc {
-    observation_hours: f64,
-    node_count: u32,
-    per_xid_gpu: BTreeMap<(Xid, GpuId), u64>,
-}
-
-impl CounterfactualAcc {
-    pub fn new(observation_hours: f64, node_count: u32) -> Self {
-        CounterfactualAcc {
-            observation_hours,
-            node_count,
-            per_xid_gpu: BTreeMap::new(),
-        }
-    }
-
-    /// The report at an explicit mean-time-to-repair (the batch pass's
-    /// `mttr_h` argument). The trait [`AnalysisEngine::snapshot`] uses
-    /// the 0.3 h paper default.
-    pub fn snapshot_with_mttr(&self, mttr_h: f64) -> CounterfactualReport {
-        let mtbe = Mtbe::new(self.observation_hours, self.node_count);
-        let baseline_count: u64 = self.per_xid_gpu.values().sum();
-        let baseline_mtbe_h = mtbe.per_node_hours(baseline_count).unwrap_or(f64::INFINITY);
-
-        let mut offenders: Vec<(Xid, GpuId, u64)> = Vec::new();
-        for &xid in &Xid::TABLE1 {
-            if let Some((&(_, gpu), &count)) = self
-                .per_xid_gpu
-                .iter()
-                .filter(|((x, _), _)| *x == xid)
-                .max_by_key(|(_, &c)| c)
-            {
-                offenders.push((xid, gpu, count));
-            }
-        }
-        let offender_count: u64 = offenders.iter().map(|&(_, _, c)| c).sum();
-        let no_offender_count = baseline_count - offender_count;
-        let no_offenders_mtbe_h = mtbe
-            .per_node_hours(no_offender_count)
-            .unwrap_or(f64::INFINITY);
-
-        let peripheral = [Xid::GspRpcTimeout, Xid::PmuSpiError, Xid::NvlinkError];
-        let hardened_count: u64 = self
-            .per_xid_gpu
-            .iter()
-            .filter(|(&(xid, gpu), _)| {
-                !offenders.iter().any(|&(ox, og, _)| ox == xid && og == gpu)
-                    && !peripheral.contains(&xid)
-            })
-            .map(|(_, &c)| c)
-            .sum();
-        let hardened_mtbe_h = mtbe.per_node_hours(hardened_count).unwrap_or(f64::INFINITY);
-
-        CounterfactualReport {
-            baseline_mtbe_h,
-            no_offenders_mtbe_h,
-            hardened_mtbe_h,
-            baseline_availability: Mtbe::availability(baseline_mtbe_h, mttr_h),
-            hardened_availability: Mtbe::availability(hardened_mtbe_h, mttr_h),
-            offenders,
-        }
-    }
-}
-
-impl AnalysisEngine for CounterfactualAcc {
-    type Snapshot = CounterfactualReport;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        if e.xid.is_characterized() {
-            *self.per_xid_gpu.entry((e.xid, e.gpu)).or_default() += 1;
-        }
-    }
-
-    fn snapshot(&self) -> CounterfactualReport {
-        self.snapshot_with_mttr(0.3)
-    }
-}
-
-/// The full study as one fold: every batch section of
-/// [`StudyResults`], each as its incremental accumulator.
-/// [`crate::pipeline::PipelineBuilder::run_coalesced`] constructs one of
-/// these, ingests the corpus, and finishes; live sessions can snapshot
-/// mid-stream through the individual accumulators.
+/// The full study as one fold: every section of [`StudyResults`],
+/// finished from one shared episode index (see the module docs).
+/// [`crate::pipeline::PipelineBuilder::run_coalesced`] hands it the whole
+/// corpus and finishes; a live caller can [`StudyEngine::ingest`] one
+/// episode at a time and [`AnalysisEngine::snapshot`] mid-stream.
 #[derive(Clone, Debug)]
 pub struct StudyEngine<'a> {
     config: StudyConfig,
     jobs: Option<&'a [JobRecord]>,
     downtime: Option<&'a [DowntimeInterval]>,
-    table1: Table1Acc,
-    overall: OverallMtbeAcc,
-    category: CategoryMtbeAcc,
-    lost: LostHoursAcc,
-    propagation: PropagationAcc,
-    counterfactual: CounterfactualAcc,
-    job_impact: Option<JobImpactAcc<'a>>,
+    index: EpisodeIndex,
 }
 
 impl<'a> StudyEngine<'a> {
@@ -432,61 +291,56 @@ impl<'a> StudyEngine<'a> {
         jobs: Option<&'a [JobRecord]>,
         downtime: Option<&'a [DowntimeInterval]>,
     ) -> Self {
-        let (hours, nodes) = (config.observation_hours, config.node_count);
         StudyEngine {
             config,
             jobs,
             downtime,
-            table1: Table1Acc::new(hours, nodes),
-            overall: OverallMtbeAcc::new(hours, nodes),
-            category: CategoryMtbeAcc::new(hours, nodes),
-            lost: LostHoursAcc::new(),
-            propagation: PropagationAcc::new(config.propagation_window),
-            counterfactual: CounterfactualAcc::new(hours, nodes),
-            job_impact: jobs.map(|j| JobImpactAcc::new(j, config.job_impact)),
+            index: EpisodeIndex::default(),
         }
     }
 
-    /// Fold one coalesced error into every section's accumulator.
+    // dr-lint: hot(begin)
+    /// Fold one coalesced error: the engine keeps a copy (its only one)
+    /// and indexes it.
     pub fn ingest(&mut self, e: &CoalescedError) {
-        self.table1.ingest(e);
-        self.overall.ingest(e);
-        self.category.ingest(e);
-        self.lost.ingest(e);
-        self.propagation.ingest(e);
-        self.counterfactual.ingest(e);
-        if let Some(ji) = self.job_impact.as_mut() {
-            ji.ingest(e);
-        }
+        self.index.push(*e);
+    }
+    // dr-lint: hot(end)
+
+    /// Fold a run of coalesced errors, in order. The first run is adopted
+    /// as the engine's episode vector — the one that becomes
+    /// [`StudyResults::coalesced`] — without a copy.
+    pub fn extend(&mut self, episodes: Vec<CoalescedError>) {
+        self.index.extend(episodes);
     }
 
-    /// Snapshot every section into a [`StudyResults`] bundle. `coalesced`
-    /// is the exact sequence that was ingested (the results carry it).
-    /// Per-section spans and counters go to `sink`, which is write-only:
-    /// the results are bit-identical with any sink.
-    pub fn finish_observed(
-        self,
-        coalesced: Vec<CoalescedError>,
-        sink: &MetricsSink,
-    ) -> StudyResults {
+    /// Finish every section into a [`StudyResults`] bundle whose
+    /// `coalesced` is the exact sequence that was folded. Per-section
+    /// spans and counters go to `sink`, which is write-only: the results
+    /// are bit-identical with any sink.
+    pub fn finish_observed(self, sink: &MetricsSink) -> StudyResults {
         use dr_obs::{Counter, Stage};
+        let StudyEngine {
+            config,
+            jobs,
+            downtime,
+            mut index,
+        } = self;
+        let (hours, nodes) = (config.observation_hours, config.node_count);
         let (t1, overall, cat, lost) = {
             let _span = sink.span(Stage::Stats, "tables");
+            let summaries = index.persistence_summaries();
             (
-                self.table1.snapshot(),
-                self.overall.snapshot(),
-                self.category.snapshot(),
-                self.lost.snapshot(),
+                finish_table1(&summaries, hours, nodes),
+                finish_overall_mtbe(&index, hours, nodes),
+                finish_category_mtbe(&index, hours, nodes),
+                finish_lost_hours(&index, &summaries),
             )
-        };
-        let prop = {
-            let _span = sink.span(Stage::Propagation, "total");
-            self.propagation.snapshot()
         };
 
         let (dt, cf, avail) = {
             let _span = sink.span(Stage::Stats, "downtime");
-            let dt: Option<DowntimeStats> = self.downtime.map(|intervals| {
+            let dt: Option<DowntimeStats> = downtime.map(|intervals| {
                 let mut acc = DowntimeAcc::new();
                 for iv in intervals {
                     acc.ingest(iv);
@@ -494,7 +348,7 @@ impl<'a> StudyEngine<'a> {
                 acc.snapshot()
             });
             let mttr = dt.as_ref().map(|d| d.mean_service_h).unwrap_or(0.3);
-            let cf = self.counterfactual.snapshot_with_mttr(mttr);
+            let cf = finish_counterfactual(&index, hours, nodes, mttr);
             let avail = match (&dt, overall.1) {
                 (Some(d), Some(mtbe)) => Some(availability(mtbe, d.mean_service_h)),
                 _ => None,
@@ -502,17 +356,23 @@ impl<'a> StudyEngine<'a> {
             (dt, cf, avail)
         };
 
+        let sorted = index.sorted();
+        let prop = {
+            let _span = sink.span(Stage::Propagation, "total");
+            finish_propagation(&sorted, config.propagation_window, NVLINK_SPREAD_WINDOW)
+        };
+
         let (ji, t3) = {
-            let _span = self.jobs.map(|_| sink.span(Stage::JobImpact, "total"));
-            if let Some(j) = self.jobs {
+            let _span = jobs.map(|_| sink.span(Stage::JobImpact, "total"));
+            if let Some(j) = jobs {
                 sink.add(Stage::JobImpact, Counter::Jobs, j.len() as u64);
             }
-            let ji = self.job_impact.as_ref().map(|acc| acc.snapshot());
-            (ji, self.jobs.map(table3))
+            let ji = jobs.map(|j| finish_job_impact(j, &sorted, config.job_impact));
+            (ji, jobs.map(table3))
         };
 
         StudyResults {
-            config: self.config,
+            config,
             table1: t1,
             overall_mtbe_h: overall,
             category_mtbe: cat,
@@ -523,20 +383,32 @@ impl<'a> StudyEngine<'a> {
             table3: t3,
             downtime: dt,
             availability: avail,
-            coalesced,
+            coalesced: index.into_episodes(),
         }
+    }
+}
+
+impl AnalysisEngine for StudyEngine<'_> {
+    type Snapshot = StudyResults;
+
+    fn ingest(&mut self, e: &CoalescedError) {
+        StudyEngine::ingest(self, e);
+    }
+
+    /// The results so far, from a copy of the engine.
+    fn snapshot(&self) -> StudyResults {
+        self.clone().finish_observed(&MetricsSink::disabled())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counterfactual::counterfactual;
-    use crate::job_impact::analyze_jobs;
-    use crate::propagation::analyze;
-    use crate::stats::{category_mtbe, lost_gpu_hours, overall_mtbe, table1};
+    use crate::fold_oracle as oracle;
+    use crate::job_impact::JobImpactConfig;
     use dr_slurm::JobState;
-    use dr_xid::{ErrorDetail, Timestamp};
+    use dr_xid::{Duration, ErrorDetail};
+    use proptest::prelude::*;
 
     fn err(xid: Xid, node: u32, slot: usize, at_s: u64, persist_s: u64) -> CoalescedError {
         let start = Timestamp::from_secs(at_s);
@@ -551,7 +423,7 @@ mod tests {
     }
 
     /// A mixed corpus with bursts, multiple nodes/GPUs, and every
-    /// accumulator-relevant class represented.
+    /// section-relevant class represented.
     fn corpus() -> Vec<CoalescedError> {
         let mut v = Vec::new();
         for k in 0..40u64 {
@@ -562,7 +434,13 @@ mod tests {
                 3 => Xid::DoubleBitEcc,
                 _ => Xid::GraphicsEngineException,
             };
-            v.push(err(xid, (k % 3) as u32 + 1, (k % 4) as usize, k * 50, k % 7));
+            v.push(err(
+                xid,
+                (k % 3) as u32 + 1,
+                (k % 4) as usize,
+                k * 50,
+                k % 7,
+            ));
         }
         // A same-GPU burst for propagation edges and an NVLink cascade.
         v.push(err(Xid::PmuSpiError, 1, 0, 3_000, 1));
@@ -573,72 +451,9 @@ mod tests {
         v
     }
 
-    fn fold<A: AnalysisEngine>(acc: &mut A, errors: &[CoalescedError]) {
-        for e in errors {
-            acc.ingest(e);
-        }
-    }
-
-    #[test]
-    fn table1_fold_matches_batch_exactly() {
-        let errors = corpus();
-        let mut acc = Table1Acc::new(1_000.0, 12);
-        fold(&mut acc, &errors);
-        assert_eq!(
-            format!("{:?}", acc.snapshot()),
-            format!("{:?}", table1(&errors, 1_000.0, 12))
-        );
-    }
-
-    #[test]
-    fn overall_and_category_folds_match_batch_exactly() {
-        let errors = corpus();
-        let mut overall = OverallMtbeAcc::new(1_000.0, 12);
-        let mut cat = CategoryMtbeAcc::new(1_000.0, 12);
-        fold(&mut overall, &errors);
-        fold(&mut cat, &errors);
-        assert_eq!(overall.snapshot(), overall_mtbe(&errors, 1_000.0, 12));
-        assert_eq!(cat.snapshot(), category_mtbe(&errors, 1_000.0, 12));
-    }
-
-    #[test]
-    fn lost_hours_fold_matches_batch_exactly() {
-        let errors = corpus();
-        let mut acc = LostHoursAcc::new();
-        fold(&mut acc, &errors);
-        assert_eq!(acc.snapshot(), lost_gpu_hours(&errors));
-    }
-
-    #[test]
-    fn propagation_fold_matches_batch_exactly() {
-        let errors = corpus();
-        let mut acc = PropagationAcc::new(Duration::from_secs(60));
-        fold(&mut acc, &errors);
-        assert_eq!(
-            format!("{:?}", acc.snapshot()),
-            format!("{:?}", analyze(&errors, Duration::from_secs(60)))
-        );
-    }
-
-    #[test]
-    fn counterfactual_fold_matches_batch_exactly() {
-        let errors = corpus();
-        let mut acc = CounterfactualAcc::new(1_000.0, 12);
-        fold(&mut acc, &errors);
-        for mttr in [0.3, 1.7] {
-            assert_eq!(
-                acc.snapshot_with_mttr(mttr),
-                counterfactual(&errors, 1_000.0, 12, mttr),
-                "mttr {mttr}"
-            );
-        }
-    }
-
-    #[test]
-    fn job_impact_fold_matches_batch_exactly() {
-        let errors = corpus();
+    fn jobs() -> Vec<JobRecord> {
         let g = GpuId::at_slot(NodeId(1), 0);
-        let jobs = vec![
+        vec![
             JobRecord {
                 id: 0,
                 gpus: vec![g],
@@ -650,44 +465,253 @@ mod tests {
             },
             JobRecord {
                 id: 1,
-                gpus: vec![g],
+                gpus: vec![g, GpuId::at_slot(NodeId(2), 1)],
                 start: Timestamp::from_secs(0),
                 end: Timestamp::from_secs(10_000),
                 state: JobState::Completed,
                 exit_code: 0,
                 ml: false,
             },
-        ];
-        let mut acc = JobImpactAcc::new(&jobs, JobImpactConfig::default());
-        fold(&mut acc, &errors);
+        ]
+    }
+
+    fn config() -> StudyConfig {
+        StudyConfig::ampere_study().with_window(1_000.0, 12)
+    }
+
+    /// Fold `errors` one episode at a time (the `ingest` route).
+    fn fold(errors: &[CoalescedError], jobs: Option<&[JobRecord]>) -> StudyResults {
+        let mut engine = StudyEngine::new(config(), jobs, None);
+        for e in errors {
+            engine.ingest(e);
+        }
+        engine.finish_observed(&MetricsSink::disabled())
+    }
+
+    #[test]
+    fn table1_fold_matches_batch_exactly() {
+        let errors = corpus();
         assert_eq!(
-            format!("{:?}", acc.snapshot()),
-            format!("{:?}", analyze_jobs(&jobs, &errors, JobImpactConfig::default()))
+            format!("{:?}", fold(&errors, None).table1),
+            format!("{:?}", oracle::table1(&errors, 1_000.0, 12))
+        );
+    }
+
+    #[test]
+    fn overall_and_category_folds_match_batch_exactly() {
+        let errors = corpus();
+        let r = fold(&errors, None);
+        assert_eq!(r.overall_mtbe_h, oracle::overall_mtbe(&errors, 1_000.0, 12));
+        assert_eq!(r.category_mtbe, oracle::category_mtbe(&errors, 1_000.0, 12));
+    }
+
+    #[test]
+    fn lost_hours_fold_matches_batch_exactly() {
+        let errors = corpus();
+        assert_eq!(
+            fold(&errors, None).lost_hours,
+            oracle::lost_gpu_hours(&errors)
+        );
+    }
+
+    #[test]
+    fn propagation_fold_matches_batch_exactly() {
+        let errors = corpus();
+        assert_eq!(
+            format!("{:?}", fold(&errors, None).propagation),
+            format!(
+                "{:?}",
+                oracle::propagation(&errors, Duration::from_secs(60), NVLINK_SPREAD_WINDOW)
+            )
+        );
+    }
+
+    #[test]
+    fn counterfactual_fold_matches_batch_exactly() {
+        let errors = corpus();
+        let index = EpisodeIndex::new(errors.clone());
+        for mttr in [0.3, 1.7] {
+            assert_eq!(
+                finish_counterfactual(&index, 1_000.0, 12, mttr),
+                oracle::counterfactual(&errors, 1_000.0, 12, mttr),
+                "mttr {mttr}"
+            );
+        }
+    }
+
+    #[test]
+    fn job_impact_fold_matches_batch_exactly() {
+        let errors = corpus();
+        let jobs = jobs();
+        assert_eq!(
+            format!("{:?}", fold(&errors, Some(&jobs)).job_impact),
+            format!(
+                "{:?}",
+                Some(oracle::job_impact(
+                    &jobs,
+                    &errors,
+                    JobImpactConfig::default()
+                ))
+            )
         );
     }
 
     #[test]
     fn snapshot_is_non_destructive_and_monotone() {
         let errors = corpus();
-        let mut acc = OverallMtbeAcc::new(1_000.0, 12);
+        let mut engine = StudyEngine::new(config(), None, None);
         let (half, rest) = errors.split_at(errors.len() / 2);
-        fold(&mut acc, half);
-        let mid = acc.snapshot();
-        assert_eq!(mid, acc.snapshot(), "snapshot must not disturb state");
-        fold(&mut acc, rest);
-        assert_eq!(acc.snapshot(), overall_mtbe(&errors, 1_000.0, 12));
+        for e in half {
+            engine.ingest(e);
+        }
+        let mid = format!("{:?}", engine.snapshot());
+        assert_eq!(
+            mid,
+            format!("{:?}", engine.snapshot()),
+            "snapshot must not disturb state"
+        );
+        assert_eq!(
+            mid,
+            format!("{:?}", oracle::study(half.to_vec(), None, None, config()))
+        );
+        for e in rest {
+            engine.ingest(e);
+        }
+        assert_eq!(
+            format!("{:?}", engine.snapshot()),
+            format!("{:?}", oracle::study(errors, None, None, config()))
+        );
     }
 
     #[test]
     fn study_engine_fold_matches_batch_study_results() {
         let errors = corpus();
-        let cfg = StudyConfig::ampere_study().with_window(1_000.0, 12);
-        let mut engine = StudyEngine::new(cfg, None, None);
-        for e in &errors {
-            engine.ingest(e);
-        }
-        let folded = engine.finish_observed(errors.clone(), &MetricsSink::disabled());
-        let batch = crate::pipeline::PipelineBuilder::new(cfg).run_coalesced(errors);
+        let jobs = jobs();
+        let folded = fold(&errors, Some(&jobs));
+        let batch = crate::pipeline::PipelineBuilder::new(config())
+            .jobs(&jobs)
+            .run_coalesced(errors.clone());
+        let oracle = oracle::study(errors, Some(&jobs), None, config());
         assert_eq!(format!("{folded:?}"), format!("{batch:?}"));
+        assert_eq!(format!("{folded:?}"), format!("{oracle:?}"));
+    }
+
+    #[test]
+    fn lists_sorted_mid_stream_finish_like_arrival_order() {
+        // Out-of-order arrival, a snapshot (which sorts a copy) and a
+        // sort of the engine's own lists mid-stream must all leave the
+        // finish where one sort of the arrival order would.
+        let mut errors = corpus();
+        errors.reverse();
+        let (half, rest) = errors.split_at(errors.len() / 2);
+        let mut engine = StudyEngine::new(config(), None, None);
+        engine.extend(half.to_vec());
+        let _ = engine.index.sorted();
+        engine.extend(rest.to_vec());
+        assert_eq!(
+            format!("{:?}", engine.finish_observed(&MetricsSink::disabled())),
+            format!("{:?}", oracle::study(errors, None, None, config()))
+        );
+    }
+
+    /// One generated episode: (node, slot), (XID, start, persistence).
+    type Spec = ((u64, u64), (u64, u64, u64));
+
+    /// One generated job: (node, width), (start, length, exit).
+    type JobSpec = ((u64, u64), (u64, u64, u64));
+
+    /// A generated corpus: at least three nodes with up to eight GPUs
+    /// each and every XID, coarse start times (so starts collide),
+    /// NVLink bursts of up to eight GPUs inside ±10 s, then a
+    /// deterministic shuffle so arrival order is not start order.
+    fn episodes(specs: &[Spec], bursts: &[(u64, u64, u64)], shuffle: u64) -> Vec<CoalescedError> {
+        let mut v: Vec<CoalescedError> = specs
+            .iter()
+            .map(|&((node, slot), (x, at, persist))| {
+                let xid = Xid::ALL[x as usize % XIDS];
+                err(xid, node as u32 % 4 + 1, slot as usize % 8, at * 5, persist)
+            })
+            .collect();
+        for &(node, at, width) in bursts {
+            for slot in 0..width as usize {
+                let at = at * 5 + (slot as u64 * 3) % 11;
+                v.push(err(
+                    Xid::NvlinkError,
+                    node as u32 % 4 + 1,
+                    slot,
+                    at,
+                    slot as u64 % 3,
+                ));
+            }
+        }
+        // Fisher–Yates with a fixed LCG stream.
+        let mut state = shuffle | 1;
+        for i in (1..v.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            v.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        v
+    }
+
+    /// Generated jobs over the same GPUs, one to eight GPUs each.
+    fn generated_jobs(specs: &[JobSpec]) -> Vec<JobRecord> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(id, &((node, width), (start, len, exit)))| JobRecord {
+                id: id as u64,
+                gpus: (0..width as usize % 8 + 1)
+                    .map(|s| GpuId::at_slot(NodeId(node as u32 % 4 + 1), s))
+                    .collect(),
+                start: Timestamp::from_secs(start * 5),
+                end: Timestamp::from_secs(start * 5 + len),
+                state: if exit % 3 == 0 {
+                    JobState::Completed
+                } else {
+                    JobState::GpuFailed
+                },
+                exit_code: if exit % 3 == 0 { 0 } else { 137 },
+                ml: exit % 2 == 0,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fold_matches_the_map_based_oracle(
+            specs in prop::collection::vec(((0u64..4, 0u64..8), (0u64..14, 0u64..60, 0u64..40)), 0..160),
+            bursts in prop::collection::vec((0u64..4, 0u64..60, 1u64..9), 0..6),
+            job_specs in prop::collection::vec(((0u64..4, 0u64..8), (0u64..60, 0u64..400, 0u64..6)), 0..12),
+            shuffle in any::<u64>(),
+            window_s in 1u64..90,
+        ) {
+            let errors = episodes(&specs, &bursts, shuffle);
+            let jobs = generated_jobs(&job_specs);
+            let cfg = StudyConfig {
+                propagation_window: Duration::from_secs(window_s),
+                ..config()
+            };
+            let mut engine = StudyEngine::new(cfg, Some(&jobs), None);
+            for e in &errors {
+                engine.ingest(e);
+            }
+            let folded = engine.finish_observed(&MetricsSink::disabled());
+            let expected = oracle::study(errors, Some(&jobs), None, cfg);
+            prop_assert_eq!(format!("{folded:?}"), format!("{expected:?}"));
+        }
+    }
+
+    #[test]
+    fn empty_fold_matches_the_oracle() {
+        let jobs = jobs();
+        assert_eq!(
+            format!("{:?}", fold(&[], Some(&jobs))),
+            format!(
+                "{:?}",
+                oracle::study(Vec::new(), Some(&jobs), None, config())
+            )
+        );
     }
 }

@@ -7,10 +7,11 @@
 //! encountered the error at all versus how many died with it.
 
 use crate::coalesce::CoalescedError;
+use crate::engine::{EpisodeIndex, Sorted, XIDS};
 use dr_slurm::{JobRecord, JobState};
 use dr_stats::{quantile_sorted, Histogram};
-use dr_xid::{Duration, GpuId, Xid};
-use std::collections::{BTreeMap, BTreeSet};
+use dr_xid::{Duration, Xid};
+use std::collections::BTreeSet;
 
 /// One row of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,33 +98,19 @@ pub fn analyze_jobs(
     errors: &[CoalescedError],
     cfg: JobImpactConfig,
 ) -> JobImpactAnalysis {
-    // Index: errors per GPU in input order (the finish step sorts by
-    // start time). Owned copies — `CoalescedError` is `Copy` — so the
-    // incremental accumulator can build the identical index one error
-    // at a time without borrowing the corpus.
-    let mut by_gpu: BTreeMap<GpuId, Vec<CoalescedError>> = BTreeMap::new();
-    for e in errors {
-        by_gpu.entry(e.gpu).or_default().push(*e);
-    }
-    finish_job_impact(jobs, by_gpu, cfg)
+    let mut index = EpisodeIndex::new(errors.to_vec());
+    finish_job_impact(jobs, &index.sorted(), cfg)
 }
 
-/// The shared back half of the job-impact join: takes the per-GPU error
-/// index (arrival order — this function stable-sorts each list by start
-/// time), so the batch front door above and the incremental
-/// [`crate::engine::JobImpactAcc`] produce bit-identical results from
-/// bit-identical state.
+/// The job join over the shared episode index: each job's GPUs look up
+/// their start-ordered episode lists there.
 pub(crate) fn finish_job_impact(
     jobs: &[JobRecord],
-    mut by_gpu: BTreeMap<GpuId, Vec<CoalescedError>>,
+    index: &Sorted<'_>,
     cfg: JobImpactConfig,
 ) -> JobImpactAnalysis {
-    for v in by_gpu.values_mut() {
-        v.sort_by_key(|e| e.start);
-    }
-
-    let mut encountering: BTreeMap<Xid, BTreeSet<u64>> = BTreeMap::new();
-    let mut failed_with: BTreeMap<Xid, BTreeSet<u64>> = BTreeMap::new();
+    let mut encountering: [BTreeSet<u64>; XIDS] = Default::default();
+    let mut failed_with: [BTreeSet<u64>; XIDS] = Default::default();
     let mut gpu_failed_jobs: BTreeSet<u64> = BTreeSet::new();
 
     let mut completed = 0u64;
@@ -136,20 +123,20 @@ pub(crate) fn finish_job_impact(
         errors_vs_duration_failed: Vec::new(),
     };
 
+    let mut xids_seen: Vec<Xid> = Vec::new();
+    let mut fatal_xids: Vec<Xid> = Vec::new();
     for job in jobs {
         let elapsed_min = job.elapsed().as_secs_f64() / 60.0;
         let mut errors_seen = 0u32;
-        let mut xids_seen: Vec<Xid> = Vec::new();
-        let mut fatal_xids: Vec<Xid> = Vec::new();
+        xids_seen.clear();
+        fatal_xids.clear();
         let fail_window_start = job.end.saturating_sub(cfg.join_window);
 
         for &g in &job.gpus {
-            let Some(list) = by_gpu.get(&g) else {
-                continue;
-            };
+            let list = index.gpu_list(g);
             // All errors starting within [job.start, job.end].
-            let lo = list.partition_point(|e| e.start < job.start);
-            for e in &list[lo..] {
+            let lo = list.partition_point(|&p| index.start(p).is_some_and(|s| s < job.start));
+            for e in list.get(lo..).unwrap_or_default().iter().filter_map(|&p| index.episode(p)) {
                 if e.start > job.end {
                     break;
                 }
@@ -164,7 +151,7 @@ pub(crate) fn finish_job_impact(
         }
 
         for &x in &xids_seen {
-            encountering.entry(x).or_default().insert(job.id);
+            encountering[x.ordinal()].insert(job.id);
         }
 
         let job_failed = job.exit_code != 0;
@@ -177,21 +164,19 @@ pub(crate) fn finish_job_impact(
             gpu_failed_jobs.insert(job.id);
             lost_gpu_hours += job.gpu_hours();
             for &x in &fatal_xids {
-                failed_with.entry(x).or_default().insert(job.id);
+                failed_with[x.ordinal()].insert(job.id);
             }
             dist.gpu_failed.push(elapsed_min);
             if errors_seen > 0 {
                 dist.errors_vs_duration_failed.push((elapsed_min, errors_seen));
             }
-        } else {
-            if job.state == JobState::Completed {
-                completed += 1;
-                dist.completed.push(elapsed_min);
-                if errors_seen > 0 {
-                    dist
-                        .errors_vs_duration_completed
-                        .push((elapsed_min, errors_seen));
-                }
+        } else if job.state == JobState::Completed {
+            completed += 1;
+            dist.completed.push(elapsed_min);
+            if errors_seen > 0 {
+                dist
+                    .errors_vs_duration_completed
+                    .push((elapsed_min, errors_seen));
             }
         }
         if job_failed {
@@ -204,8 +189,8 @@ pub(crate) fn finish_job_impact(
         .iter()
         .map(|&xid| Table2Row {
             xid,
-            gpu_failed_jobs: failed_with.get(&xid).map(|s| s.len() as u64).unwrap_or(0),
-            jobs_encountering: encountering.get(&xid).map(|s| s.len() as u64).unwrap_or(0),
+            gpu_failed_jobs: failed_with[xid.ordinal()].len() as u64,
+            jobs_encountering: encountering[xid.ordinal()].len() as u64,
         })
         .collect();
     table2.sort_by_key(|r| std::cmp::Reverse(r.gpu_failed_jobs));
@@ -226,37 +211,43 @@ pub(crate) fn finish_job_impact(
     }
 }
 
-/// Recompute Table 3 from the accounting table using the standard buckets.
+/// The standard Table 3 GPU-count buckets, `(min, max)` inclusive.
+const TABLE3_BUCKETS: [(u16, u16); 8] = [
+    (1, 1),
+    (2, 4),
+    (5, 8),
+    (9, 32),
+    (33, 64),
+    (65, 128),
+    (129, 256),
+    (257, u16::MAX),
+];
+
+/// Recompute Table 3 from the accounting table using the standard
+/// buckets, in one walk of the jobs: each job lands in its bucket's
+/// elapsed samples and hour sums in job order.
 pub fn table3(jobs: &[JobRecord]) -> Vec<Table3Row> {
-    let buckets: [(u16, u16); 8] = [
-        (1, 1),
-        (2, 4),
-        (5, 8),
-        (9, 32),
-        (33, 64),
-        (65, 128),
-        (129, 256),
-        (257, u16::MAX),
-    ];
+    let mut elapsed: [Vec<f64>; 8] = Default::default();
+    let mut ml_h = [0.0f64; 8];
+    let mut non_ml_h = [0.0f64; 8];
+    for j in jobs {
+        let n = j.gpu_count() as u16;
+        let Some(b) = TABLE3_BUCKETS.iter().position(|&(lo, hi)| lo <= n && n <= hi) else {
+            continue;
+        };
+        elapsed[b].push(j.elapsed().as_secs_f64() / 60.0);
+        if j.ml {
+            ml_h[b] += j.gpu_hours();
+        } else {
+            non_ml_h[b] += j.gpu_hours();
+        }
+    }
     let total = jobs.len().max(1) as f64;
-    buckets
+    TABLE3_BUCKETS
         .iter()
-        .map(|&(lo, hi)| {
-            let mut elapsed: Vec<f64> = Vec::new();
-            let mut ml_h = 0.0;
-            let mut non_ml_h = 0.0;
-            for j in jobs {
-                let n = j.gpu_count() as u16;
-                if n < lo || n > hi {
-                    continue;
-                }
-                elapsed.push(j.elapsed().as_secs_f64() / 60.0);
-                if j.ml {
-                    ml_h += j.gpu_hours();
-                } else {
-                    non_ml_h += j.gpu_hours();
-                }
-            }
+        .zip(elapsed.iter_mut())
+        .zip(ml_h.iter().zip(&non_ml_h))
+        .map(|((&(lo, hi), elapsed), (&ml_h, &non_ml_h))| {
             elapsed.sort_by(f64::total_cmp);
             let count = elapsed.len() as u64;
             let mean = if count > 0 {
@@ -270,8 +261,8 @@ pub fn table3(jobs: &[JobRecord]) -> Vec<Table3Row> {
                 count,
                 share: count as f64 / total,
                 elapsed_mean_min: mean,
-                elapsed_p50_min: quantile_sorted(&elapsed, 0.5).unwrap_or(0.0),
-                elapsed_p99_min: quantile_sorted(&elapsed, 0.99).unwrap_or(0.0),
+                elapsed_p50_min: quantile_sorted(elapsed, 0.5).unwrap_or(0.0),
+                elapsed_p99_min: quantile_sorted(elapsed, 0.99).unwrap_or(0.0),
                 ml_gpu_hours_k: ml_h / 1_000.0,
                 non_ml_gpu_hours_k: non_ml_h / 1_000.0,
             }
@@ -282,7 +273,7 @@ pub fn table3(jobs: &[JobRecord]) -> Vec<Table3Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_xid::{ErrorDetail, NodeId, Timestamp};
+    use dr_xid::{ErrorDetail, GpuId, NodeId, Timestamp};
 
     fn gpu(node: u32, slot: usize) -> GpuId {
         GpuId::at_slot(NodeId(node), slot)

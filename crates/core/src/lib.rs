@@ -38,11 +38,15 @@
 //!   [`stream::WatermarkBuffer`] that reorders late log lines, and
 //!   [`stream::StreamCoalescer`], incremental Algorithm 1 over the
 //!   reordered stream.
-//! - [`engine`] — the fold-based analysis core: every batch analysis
-//!   restated as an [`engine::AnalysisEngine`] accumulator
-//!   (`ingest` per episode, `snapshot` at any point), composed into
-//!   [`engine::StudyEngine`] — bit-identical to the batch passes by
-//!   the tier-1 differential test.
+//! - [`engine`] — the fold-based analysis core: the
+//!   [`engine::AnalysisEngine`] fold trait (`ingest` per element,
+//!   `snapshot` at any point) and [`engine::StudyEngine`], the whole
+//!   study as one fold. It holds each episode once and keeps one shared
+//!   index over them (interned GPUs with per-GPU and per-node episode
+//!   lists, dense per-XID tables); every section of
+//!   [`pipeline::StudyResults`] finishes from that index, bit-identical
+//!   to the batch definitions (tier-1 golden digests and a proptest
+//!   against the map-based oracle kept in test code).
 //! - [`tail`] — [`tail::TailSource`]: a [`source::LogSource`] that
 //!   follows growing, rotating per-node log files with inode/offset
 //!   checkpoints for resumable live ingestion.
@@ -63,6 +67,8 @@ pub mod coalesce;
 pub mod counterfactual;
 pub mod downtime;
 pub mod engine;
+#[cfg(test)]
+mod fold_oracle;
 pub mod job_impact;
 pub mod pipeline;
 pub mod propagation;
@@ -79,10 +85,7 @@ pub mod watch;
 pub use coalesce::{coalesce, coalesce_observed, CoalesceConfig, CoalescedError};
 pub use counterfactual::{counterfactual, CounterfactualReport};
 pub use downtime::{availability, DowntimeAcc, DowntimeStats};
-pub use engine::{
-    AnalysisEngine, CategoryMtbeAcc, CounterfactualAcc, JobImpactAcc, LostHoursAcc,
-    OverallMtbeAcc, PropagationAcc, StudyEngine, Table1Acc,
-};
+pub use engine::{AnalysisEngine, StudyEngine};
 pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
 pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 pub use propagation::{NvlinkSpread, PropagationAnalysis, PropagationEdge};

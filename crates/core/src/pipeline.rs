@@ -12,7 +12,12 @@
 //! text path already validates on a node subset), from a columnar
 //! record store ([`PipelineBuilder::run_record_source`] — replay a
 //! previously extracted corpus without re-paying Stage I), or from
-//! pre-coalesced errors ([`PipelineBuilder::run_coalesced`]).
+//! pre-coalesced errors ([`PipelineBuilder::run_coalesced`]). Every route
+//! ends in [`PipelineBuilder::run_coalesced`], where the
+//! [`StudyEngine`] takes the coalesced episode vector as its own — it
+//! becomes [`StudyResults::coalesced`] — indexes it once (interned GPUs,
+//! per-GPU and per-node episode lists, dense per-XID tables), and
+//! finishes every section from that one index.
 //!
 //! Observability is strictly write-only: attaching a recording
 //! [`MetricsSink`] never changes any `StudyResults` field (bit-identity
@@ -296,12 +301,12 @@ impl<'a> PipelineBuilder<'a> {
         self.run_coalesced(coalesced)
     }
 
-    /// Run the analyses from already-coalesced errors: fold the whole
-    /// corpus through the incremental [`StudyEngine`], then snapshot every
-    /// section — bit-identical to the batch analyses by the tier-1
-    /// differential test. Every accumulator is a pure function of the
-    /// ingested sequence, so the results are also bit-identical with any
-    /// sink.
+    /// Run the analyses from already-coalesced errors: the
+    /// [`StudyEngine`] adopts the vector (it becomes
+    /// [`StudyResults::coalesced`]; no episode is copied), indexes it once,
+    /// and finishes every section from that index. Every section is a
+    /// pure function of the episode sequence, so the results are
+    /// bit-identical with any sink.
     pub fn run_coalesced(&self, coalesced: Vec<CoalescedError>) -> StudyResults {
         use dr_obs::{Counter, Stage};
         let sink = &self.metrics;
@@ -309,11 +314,9 @@ impl<'a> PipelineBuilder<'a> {
         let mut engine = StudyEngine::new(self.config, self.jobs, self.downtime);
         {
             let _span = sink.span(Stage::Stats, "fold");
-            for e in &coalesced {
-                engine.ingest(e);
-            }
+            engine.extend(coalesced);
         }
-        engine.finish_observed(coalesced, sink)
+        engine.finish_observed(sink)
     }
 }
 

@@ -6,8 +6,9 @@
 //! the two is the propagation time; short times suggest causality.
 
 use crate::coalesce::CoalescedError;
+use crate::engine::{EpisodeIndex, Sorted, XIDS};
 use dr_stats::OnlineStats;
-use dr_xid::{Duration, GpuId, NodeId, Xid};
+use dr_xid::{Duration, GpuId, Xid};
 use std::collections::BTreeMap;
 
 /// One edge of a propagation graph.
@@ -67,124 +68,122 @@ impl PropagationAnalysis {
     }
 }
 
+/// The ±Δt of the Figure 6 NVLink-involvement statistic: tighter than
+/// the propagation window, so chain repetitions on one GPU don't inflate
+/// the involvement.
+pub(crate) const NVLINK_SPREAD_WINDOW: Duration = Duration::from_secs(10);
+
 /// Run the propagation analysis with window Δt.
 pub fn analyze(errors: &[CoalescedError], window: Duration) -> PropagationAnalysis {
-    analyze_with_spread_window(errors, window, Duration::from_secs(10))
+    analyze_with_spread_window(errors, window, NVLINK_SPREAD_WINDOW)
 }
 
 /// [`analyze`] with an explicit NVLink-involvement window (the ±Δt used
-/// for the Figure 6 multi-GPU statistic; tighter than the propagation
-/// window so chain repetitions on one GPU don't inflate the involvement).
+/// for the Figure 6 multi-GPU statistic).
 pub fn analyze_with_spread_window(
     errors: &[CoalescedError],
     window: Duration,
     spread_window: Duration,
 ) -> PropagationAnalysis {
-    // Per-GPU and per-node indices in input order; the finish step sorts
-    // them by start time.
-    let mut by_gpu: BTreeMap<GpuId, Vec<usize>> = BTreeMap::new();
-    let mut by_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-    for (i, e) in errors.iter().enumerate() {
-        by_gpu.entry(e.gpu).or_default().push(i);
-        by_node.entry(e.gpu.node).or_default().push(i);
-    }
-    finish_propagation(errors, by_gpu, by_node, window, spread_window)
+    let mut index = EpisodeIndex::new(errors.to_vec());
+    finish_propagation(&index.sorted(), window, spread_window)
 }
 
-/// The shared back half of the propagation analysis: takes the per-GPU /
-/// per-node index lists (arrival order — this function sorts them), so
-/// the batch front door above and the incremental
-/// [`crate::engine::PropagationAcc`] produce bit-identical results from
-/// bit-identical state. Ordered maps throughout: the Welford delay
-/// accumulators are float-summation order sensitive, so iteration must
-/// be reproducible.
+/// An intra- or inter-GPU edge table: occurrences and delays per
+/// `(from, to)` XID pair, indexed by [`Xid::ordinal`].
+type EdgeTable = [[(u64, OnlineStats); XIDS]; XIDS];
+
+/// The propagation analysis over the shared episode index. GPUs and
+/// nodes are walked in id order and each list in start order, so the
+/// Welford delay accumulators — sensitive to summation order — see every
+/// delay in a reproducible sequence; the dense per-XID tables are read
+/// out in `Xid` order, keeping only the pairs and codes that occurred.
 pub(crate) fn finish_propagation(
-    errors: &[CoalescedError],
-    mut by_gpu: BTreeMap<GpuId, Vec<usize>>,
-    mut by_node: BTreeMap<NodeId, Vec<usize>>,
+    index: &Sorted<'_>,
     window: Duration,
     spread_window: Duration,
 ) -> PropagationAnalysis {
-    for v in by_gpu.values_mut() {
-        v.sort_by_key(|&i| errors[i].start);
-    }
-    for v in by_node.values_mut() {
-        v.sort_by_key(|&i| errors[i].start);
-    }
-
-    let mut sources: BTreeMap<Xid, u64> = BTreeMap::new();
-    let mut intra_edges: BTreeMap<(Xid, Xid), (u64, OnlineStats)> = BTreeMap::new();
-    let mut inter_edges: BTreeMap<(Xid, Xid), (u64, OnlineStats)> = BTreeMap::new();
-    let mut terminal_counts: BTreeMap<Xid, u64> = BTreeMap::new();
-    let mut isolated_counts: BTreeMap<Xid, u64> = BTreeMap::new();
+    let mut sources = [0u64; XIDS];
+    let mut terminal = [0u64; XIDS];
+    let mut isolated = [0u64; XIDS];
+    let mut intra: EdgeTable = [[(0, OnlineStats::new()); XIDS]; XIDS];
+    let mut inter: EdgeTable = [[(0, OnlineStats::new()); XIDS]; XIDS];
+    let mut list: Vec<&CoalescedError> = Vec::new();
 
     // Intra-GPU pass.
-    for list in by_gpu.values() {
-        for (pos, &i) in list.iter().enumerate() {
-            let e1 = &errors[i];
-            *sources.entry(e1.xid).or_default() += 1;
+    for positions in index.gpu_lists() {
+        index.resolve(positions, &mut list);
+        for (pos, e1) in list.iter().enumerate() {
+            let from = e1.xid.ordinal();
+            sources[from] += 1;
 
             // Successor: first error strictly after e1.start within Δt.
-            let successor = list[pos + 1..]
+            let successor = list
+                .get(pos + 1..)
+                .unwrap_or_default()
                 .iter()
-                .map(|&j| &errors[j])
                 .find(|e2| e2.start > e1.start);
             match successor {
                 Some(e2) if e2.start - e1.start <= window => {
-                    let delay = (e2.start - e1.start).as_secs_f64();
-                    let entry = intra_edges.entry((e1.xid, e2.xid)).or_insert((0, OnlineStats::new()));
-                    entry.0 += 1;
-                    entry.1.push(delay);
+                    let edge = &mut intra[from][e2.xid.ordinal()];
+                    edge.0 += 1;
+                    edge.1.push((e2.start - e1.start).as_secs_f64());
                 }
-                _ => {
-                    *terminal_counts.entry(e1.xid).or_default() += 1;
-                }
+                _ => terminal[from] += 1,
             }
 
-            // Predecessor: any earlier error within Δt (isolation check).
-            let has_predecessor = list[..pos]
-                .iter()
-                .rev()
-                .map(|&j| &errors[j])
-                .take_while(|e0| e1.start - e0.start <= window)
-                .next()
-                .is_some();
+            // Predecessor: the previous error within Δt (isolation check).
+            let has_predecessor = pos
+                .checked_sub(1)
+                .and_then(|p| list.get(p))
+                .is_some_and(|e0| e1.start - e0.start <= window);
             if !has_predecessor {
-                *isolated_counts.entry(e1.xid).or_default() += 1;
+                isolated[from] += 1;
             }
         }
     }
 
     // Inter-GPU pass: first error on a *different* GPU of the same node
-    // within Δt after e1.
-    for list in by_node.values() {
-        for (pos, &i) in list.iter().enumerate() {
-            let e1 = &errors[i];
-            let successor = list[pos + 1..]
+    // within Δt after e1. The node walk also yields the NVLink spread.
+    let mut nvlink = NvlinkCounts::default();
+    let mut nvlink_list: Vec<&CoalescedError> = Vec::new();
+    let mut gpus: Vec<GpuId> = Vec::new();
+    for positions in index.node_lists() {
+        index.resolve(positions, &mut list);
+        for (pos, e1) in list.iter().enumerate() {
+            let successor = list
+                .get(pos + 1..)
+                .unwrap_or_default()
                 .iter()
-                .map(|&j| &errors[j])
                 .take_while(|e2| e2.start - e1.start <= window)
                 .find(|e2| e2.gpu != e1.gpu);
             if let Some(e2) = successor {
-                let delay = (e2.start - e1.start).as_secs_f64();
-                let entry = inter_edges.entry((e1.xid, e2.xid)).or_insert((0, OnlineStats::new()));
-                entry.0 += 1;
-                entry.1.push(delay);
+                let edge = &mut inter[e1.xid.ordinal()][e2.xid.ordinal()];
+                edge.0 += 1;
+                edge.1.push((e2.start - e1.start).as_secs_f64());
             }
         }
+        nvlink_list.clear();
+        nvlink_list.extend(list.iter().filter(|e| e.xid == Xid::NvlinkError));
+        nvlink.add_node(&nvlink_list, spread_window, &mut gpus);
     }
 
-    let to_edges = |map: BTreeMap<(Xid, Xid), (u64, OnlineStats)>| -> Vec<PropagationEdge> {
-        let mut v: Vec<PropagationEdge> = map
-            .into_iter()
-            .map(|((from, to), (count, delays))| PropagationEdge {
-                from,
-                to,
-                probability: count as f64 / *sources.get(&from).unwrap_or(&1).max(&1) as f64,
-                mean_delay_s: delays.mean(),
-                count,
-            })
-            .collect();
+    let ratio = |count: u64, xid: usize| count as f64 / sources[xid].max(1) as f64;
+    let to_edges = |table: &EdgeTable| -> Vec<PropagationEdge> {
+        let mut v: Vec<PropagationEdge> = Vec::new();
+        for (from, row) in Xid::ALL.iter().zip(table) {
+            for (to, &(count, delays)) in Xid::ALL.iter().zip(row) {
+                if count > 0 {
+                    v.push(PropagationEdge {
+                        from: *from,
+                        to: *to,
+                        probability: ratio(count, from.ordinal()),
+                        mean_delay_s: delays.mean(),
+                        count,
+                    });
+                }
+            }
+        }
         v.sort_by(|a, b| {
             a.from
                 .cmp(&b.from)
@@ -193,21 +192,19 @@ pub(crate) fn finish_propagation(
         });
         v
     };
-
-    let ratio = |counts: &BTreeMap<Xid, u64>| -> BTreeMap<Xid, f64> {
-        counts
-            .iter()
-            .map(|(&xid, &c)| (xid, c as f64 / *sources.get(&xid).unwrap_or(&1).max(&1) as f64))
-            .collect()
-    };
+    let nonzero = |counts: [u64; XIDS]| Xid::ALL.into_iter().zip(counts).filter(|&(_, c)| c > 0);
 
     PropagationAnalysis {
-        intra: to_edges(intra_edges),
-        inter: to_edges(inter_edges),
-        terminal: ratio(&terminal_counts),
-        isolated: ratio(&isolated_counts),
-        sources,
-        nvlink: nvlink_spread(errors, spread_window),
+        intra: to_edges(&intra),
+        inter: to_edges(&inter),
+        terminal: nonzero(terminal)
+            .map(|(x, c)| (x, ratio(c, x.ordinal())))
+            .collect(),
+        isolated: nonzero(isolated)
+            .map(|(x, c)| (x, ratio(c, x.ordinal())))
+            .collect(),
+        sources: nonzero(sources).collect(),
+        nvlink: nvlink.finish(),
     }
 }
 
@@ -216,22 +213,22 @@ pub(crate) fn finish_propagation(
 /// for each NVLink error, count the distinct GPUs of its node that throw
 /// NVLink errors within Δt *after* it (itself included) — i.e. whether
 /// this error propagated across GPUs.
-pub fn nvlink_spread(errors: &[CoalescedError], window: Duration) -> NvlinkSpread {
-    let mut by_node: BTreeMap<_, Vec<&CoalescedError>> = BTreeMap::new();
-    for e in errors.iter().filter(|e| e.xid == Xid::NvlinkError) {
-        by_node.entry(e.gpu.node).or_default().push(e);
-    }
+#[derive(Default)]
+struct NvlinkCounts {
+    total: u64,
+    single: u64,
+    multi: u64,
+    four_plus: u64,
+    all_eight: u64,
+}
 
-    let mut total = 0u64;
-    let mut single = 0u64;
-    let mut multi = 0u64;
-    let mut four_plus = 0u64;
-    let mut all_eight = 0u64;
-    for list in by_node.values_mut() {
-        list.sort_by_key(|e| e.start);
+impl NvlinkCounts {
+    /// Count one node's NVLink errors, in start order. `gpus` is scratch.
+    fn add_node(&mut self, list: &[&CoalescedError], window: Duration, gpus: &mut Vec<GpuId>) {
         for (i, e) in list.iter().enumerate() {
-            let mut gpus: Vec<_> = vec![e.gpu];
-            for other in &list[i + 1..] {
+            gpus.clear();
+            gpus.push(e.gpu);
+            for other in list.get(i + 1..).unwrap_or_default() {
                 if other.start - e.start > window {
                     break;
                 }
@@ -239,35 +236,38 @@ pub fn nvlink_spread(errors: &[CoalescedError], window: Duration) -> NvlinkSprea
                     gpus.push(other.gpu);
                 }
             }
-            total += 1;
+            self.total += 1;
             match gpus.len() {
-                1 => single += 1,
+                1 => self.single += 1,
                 n => {
-                    multi += 1;
+                    self.multi += 1;
                     if n >= 4 {
-                        four_plus += 1;
+                        self.four_plus += 1;
                     }
                     if n >= 8 {
-                        all_eight += 1;
+                        self.all_eight += 1;
                     }
                 }
             }
         }
     }
-    let denom = total.max(1) as f64;
-    NvlinkSpread {
-        incidents: total,
-        single_gpu: single as f64 / denom,
-        multi_gpu: multi as f64 / denom,
-        four_plus: four_plus as f64 / denom,
-        all_eight,
+
+    fn finish(&self) -> NvlinkSpread {
+        let denom = self.total.max(1) as f64;
+        NvlinkSpread {
+            incidents: self.total,
+            single_gpu: self.single as f64 / denom,
+            multi_gpu: self.multi as f64 / denom,
+            four_plus: self.four_plus as f64 / denom,
+            all_eight: self.all_eight,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dr_xid::{ErrorDetail, GpuId, NodeId, Timestamp};
+    use dr_xid::{ErrorDetail, NodeId, Timestamp};
 
     fn err_at(xid: Xid, secs: f64, node: u32, slot: usize) -> CoalescedError {
         let start = Timestamp::EPOCH + Duration::from_secs_f64(secs);
@@ -374,7 +374,7 @@ mod tests {
             err_at(Xid::NvlinkError, 6.0, 2, 6),
             err_at(Xid::NvlinkError, 7.0, 2, 7),
         ];
-        let s = nvlink_spread(&errors, W);
+        let s = analyze_with_spread_window(&errors, W, W).nvlink;
         // Per-error, forward-looking accounting: 12 NVLink errors total.
         // Node 1: error@0 sees 3 GPUs ahead, error@5 sees 2, error@10 and
         // the late error see only themselves. Node 2's cascade: the k-th

@@ -2,6 +2,7 @@
 //! lost-GPU-hours with tail analysis (Section 4.3).
 
 use crate::coalesce::CoalescedError;
+use crate::engine::{EpisodeIndex, XIDS};
 use dr_stats::{Mtbe, SummaryStats};
 use dr_xid::Xid;
 
@@ -28,25 +29,36 @@ pub fn table1(
     observation_hours: f64,
     node_count: u32,
 ) -> Vec<Table1Row> {
+    let index = EpisodeIndex::new(errors.to_vec());
+    finish_table1(&index.persistence_summaries(), observation_hours, node_count)
+}
+
+/// Table 1 from the per-XID persistence summaries (indexed by
+/// [`Xid::ordinal`]); a summary's sample count is the row's count.
+pub(crate) fn finish_table1(
+    persistence: &[SummaryStats; XIDS],
+    observation_hours: f64,
+    node_count: u32,
+) -> Vec<Table1Row> {
     let mtbe = Mtbe::new(observation_hours, node_count);
     Xid::TABLE1
         .iter()
         .map(|&xid| {
-            let persistences: Vec<f64> = errors
-                .iter()
-                .filter(|e| e.xid == xid)
-                .map(|e| e.persistence().as_secs_f64())
-                .collect();
-            let count = persistences.len() as u64;
+            let summary = persistence.get(xid.ordinal()).copied().unwrap_or_default();
             Table1Row {
                 xid,
-                count,
-                mtbe_system_h: mtbe.system_hours(count),
-                mtbe_per_node_h: mtbe.per_node_hours(count),
-                persistence: SummaryStats::from_samples(&persistences),
+                count: summary.count,
+                mtbe_system_h: mtbe.system_hours(summary.count),
+                mtbe_per_node_h: mtbe.per_node_hours(summary.count),
+                persistence: summary,
             }
         })
         .collect()
+}
+
+/// Episodes of the given XIDs.
+fn count_of(index: &EpisodeIndex, xids: impl IntoIterator<Item = Xid>) -> u64 {
+    xids.into_iter().map(|x| index.count(x)).sum()
 }
 
 /// Overall MTBE across all characterized errors (the "67 node hours"
@@ -56,7 +68,15 @@ pub fn overall_mtbe(
     observation_hours: f64,
     node_count: u32,
 ) -> (Option<f64>, Option<f64>) {
-    let count = errors.iter().filter(|e| e.xid.is_characterized()).count() as u64;
+    finish_overall_mtbe(&EpisodeIndex::new(errors.to_vec()), observation_hours, node_count)
+}
+
+pub(crate) fn finish_overall_mtbe(
+    index: &EpisodeIndex,
+    observation_hours: f64,
+    node_count: u32,
+) -> (Option<f64>, Option<f64>) {
+    let count = count_of(index, Xid::ALL.into_iter().filter(|x| x.is_characterized()));
     let mtbe = Mtbe::new(observation_hours, node_count);
     (mtbe.system_hours(count), mtbe.per_node_hours(count))
 }
@@ -82,6 +102,14 @@ pub fn category_mtbe(
     observation_hours: f64,
     node_count: u32,
 ) -> CategoryMtbe {
+    finish_category_mtbe(&EpisodeIndex::new(errors.to_vec()), observation_hours, node_count)
+}
+
+pub(crate) fn finish_category_mtbe(
+    index: &EpisodeIndex,
+    observation_hours: f64,
+    node_count: u32,
+) -> CategoryMtbe {
     let mtbe = Mtbe::new(observation_hours, node_count);
     let hardware = [
         Xid::GspRpcTimeout,
@@ -90,10 +118,8 @@ pub fn category_mtbe(
         Xid::FallenOffBus,
     ];
     let memory = [Xid::DoubleBitEcc, Xid::RowRemapEvent, Xid::RowRemapFailure];
-    let hw_count = errors.iter().filter(|e| hardware.contains(&e.xid)).count() as u64;
-    let mem_count = errors.iter().filter(|e| memory.contains(&e.xid)).count() as u64;
-    let hardware_per_node_h = mtbe.per_node_hours(hw_count);
-    let memory_per_node_h = mtbe.per_node_hours(mem_count);
+    let hardware_per_node_h = mtbe.per_node_hours(count_of(index, hardware));
+    let memory_per_node_h = mtbe.per_node_hours(count_of(index, memory));
     let ratio = match (memory_per_node_h, hardware_per_node_h) {
         (Some(m), Some(h)) if h > 0.0 => Some(m / h),
         _ => None,
@@ -120,25 +146,19 @@ pub struct LostHours {
 /// Sum persistence across errors; split at the per-XID P95 to measure
 /// how much of the loss the tail carries.
 pub fn lost_gpu_hours(errors: &[CoalescedError]) -> LostHours {
-    // Per-XID p95 thresholds.
-    let mut per_xid: std::collections::BTreeMap<Xid, Vec<f64>> = std::collections::BTreeMap::new();
-    for e in errors {
-        per_xid
-            .entry(e.xid)
-            .or_default()
-            .push(e.persistence().as_secs_f64());
-    }
-    let thresholds: std::collections::BTreeMap<Xid, f64> = per_xid
-        .iter()
-        .map(|(&xid, samples)| (xid, SummaryStats::from_samples(samples).p95))
-        .collect();
+    let index = EpisodeIndex::new(errors.to_vec());
+    finish_lost_hours(&index, &index.persistence_summaries())
+}
 
+/// Lost hours over the episodes in arrival order, split at each XID's
+/// P95 from its persistence summary.
+pub(crate) fn finish_lost_hours(index: &EpisodeIndex, persistence: &[SummaryStats; XIDS]) -> LostHours {
     let mut total_s = 0.0;
     let mut tail_s = 0.0;
-    for e in errors {
+    for e in index.episodes() {
         let p = e.persistence().as_secs_f64();
         total_s += p;
-        if p > thresholds.get(&e.xid).copied().unwrap_or(f64::INFINITY) {
+        if p > persistence.get(e.xid.ordinal()).map_or(f64::INFINITY, |s| s.p95) {
             tail_s += p;
         }
     }

@@ -1,10 +1,13 @@
-//! The hot-alloc pass: no per-call heap allocation inside marked Stage I
-//! match loops.
+//! The hot-alloc pass: no per-call heap allocation inside marked hot
+//! loops — the Stage I match loops and the analysis fold's per-episode
+//! ingest.
 //!
 //! The extraction engine's throughput rests on steady-state
 //! allocation-freedom: thread lists, capture-slot pools, and scratch
 //! buffers are reused across calls, so the inner loops run without
-//! touching the allocator. That property is invisible to the type system
+//! touching the allocator. The study fold's ingest likewise only appends
+//! to vectors it already owns; a GPU's first sight, which does allocate
+//! its lists, runs in a helper outside the region. That property is invisible to the type system
 //! and trivially regressed by a drive-by `Vec::new()`. Hot code is
 //! fenced with marker comments — `hot(begin)` opens a region and
 //! `hot(end)` closes it, each written after the usual `dr-lint:` comment
@@ -12,7 +15,7 @@
 //! `vec![...]`, and `Box::new` are flagged (reuse the scratch state
 //! threaded through the call instead, e.g. `MatchScratch`).
 //!
-//! The workspace check ratchets the markers themselves: the Stage I hot
+//! The workspace check ratchets the markers themselves: the required hot
 //! files must keep at least one balanced region each, so deleting the
 //! fences does not silently retire the invariant.
 
@@ -32,11 +35,13 @@ const BEGIN: &str = "hot(begin)";
 const END: &str = "hot(end)";
 
 /// Files whose hot regions the workspace check requires: the Stage I
-/// match loops the throughput benchmark tracks.
+/// match loops and the study fold's ingest, which the benchmark's
+/// `burst-tee` and `fold-dt1` workloads track.
 const REQUIRED: &[&str] = &[
     "crates/logscan/src/regex.rs",
     "crates/logscan/src/syslog.rs",
     "crates/logscan/src/extract.rs",
+    "crates/core/src/engine.rs",
 ];
 
 /// Whether a comment token is a region marker.
@@ -118,7 +123,7 @@ impl Pass for HotAllocPass {
                     path: path.to_string(),
                     line: 1,
                     col: 1,
-                    message: "Stage I hot file is missing; update the hot-alloc pass's \
+                    message: "required hot file is missing; update the hot-alloc pass's \
                               required-file list if it moved"
                         .to_string(),
                 });
@@ -139,7 +144,7 @@ impl Pass for HotAllocPass {
             }
             let message = if begins == 0 {
                 Some(
-                    "Stage I hot file has no hot-region markers; the allocation-freedom \
+                    "required hot file has no hot-region markers; the allocation-freedom \
                      ratchet requires at least one fenced match loop"
                         .to_string(),
                 )
@@ -244,11 +249,37 @@ mod tests {
                 "crates/logscan/src/extract.rs",
                 format!("{HOT}fn open_region() {{}}\n"),
             ),
+            SourceFile::new(
+                "crates/core/src/engine.rs",
+                format!("{HOT}fn ingest() {{}}\n{COLD}"),
+            ),
         ]);
         let mut out = Vec::new();
         HotAllocPass.check_workspace(&ws, &mut out);
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out[0].message.contains("no hot-region markers"));
         assert!(out[1].message.contains("unbalanced"));
+    }
+
+    #[test]
+    fn workspace_check_requires_the_fold_ingest_fence() {
+        let fenced = || format!("{HOT}fn hot() {{}}\n{COLD}");
+        let mut files: Vec<SourceFile> = REQUIRED
+            .iter()
+            .filter(|p| !p.ends_with("engine.rs"))
+            .map(|p| SourceFile::new(*p, fenced()))
+            .collect();
+        let ws = Workspace::from_files(files.clone());
+        let mut out = Vec::new();
+        HotAllocPass.check_workspace(&ws, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].path, "crates/core/src/engine.rs");
+        assert!(out[0].message.contains("missing"));
+
+        files.push(SourceFile::new("crates/core/src/engine.rs", "fn ingest() {}\n"));
+        let mut out = Vec::new();
+        HotAllocPass.check_workspace(&Workspace::from_files(files), &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("no hot-region markers"));
     }
 }

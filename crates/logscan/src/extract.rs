@@ -158,6 +158,31 @@ fn body_pattern_table() -> Vec<(Xid, &'static str, FieldSpec, FieldSpec)> {
     ]
 }
 
+/// The PCI address and XID code of a matched NVRM report, or `None` if
+/// either does not parse — a code that overflows `u16` included.
+fn parse_report_ids(pci: Option<&str>, code: Option<&str>) -> Option<(PciAddr, u16)> {
+    Some((pci?.parse().ok()?, code?.parse().ok()?))
+}
+
+/// The detail fields of a matched body, each parsed in its radix and
+/// required to fit its type: a unit wider than `u16` or a qualifier wider
+/// than `u32` makes the body malformed, never a truncated record.
+fn detail_fields<'b>(
+    bp: &BodyPattern,
+    group: impl Fn(usize) -> Option<&'b str>,
+) -> Option<ErrorDetail> {
+    let get = |spec: FieldSpec| -> Option<u64> {
+        match spec {
+            None => Some(0),
+            Some((g, radix)) => u64::from_str_radix(group(g)?, radix).ok(),
+        }
+    };
+    Some(ErrorDetail::new(
+        u16::try_from(get(bp.unit)?).ok()?,
+        u32::try_from(get(bp.qualifier)?).ok()?,
+    ))
+}
+
 /// The Stage I extractor: compiled pattern set plus syslog scanner state.
 pub struct XidExtractor {
     scanner: SyslogScanner,
@@ -244,15 +269,21 @@ impl XidExtractor {
         let m = self.nvrm.find_with(parsed.body, &mut self.scratch)?;
         self.stats.xid_lines += 1;
 
-        let pci: PciAddr = m.group(parsed.body, 1)?.parse().ok()?;
-        let code: u16 = m.group(parsed.body, 2)?.parse().ok()?;
+        // From here on every XID line lands in exactly one of records,
+        // `unknown_xid` or `malformed`.
+        let Some((pci, code)) = parse_report_ids(m.group(parsed.body, 1), m.group(parsed.body, 2))
+        else {
+            self.stats.malformed += 1;
+            return None;
+        };
         let Some(xid) = Xid::from_code(code) else {
             self.stats.unknown_xid += 1;
             return None;
         };
-        let body = m.group(parsed.body, 4)?;
-
-        let Some(detail) = self.extract_detail(xid, body) else {
+        let detail = m
+            .group(parsed.body, 4)
+            .and_then(|body| self.extract_detail(xid, body));
+        let Some(detail) = detail else {
             self.stats.malformed += 1;
             return None;
         };
@@ -268,19 +299,7 @@ impl XidExtractor {
     fn extract_detail(&mut self, xid: Xid, body: &str) -> Option<ErrorDetail> {
         let bp = self.dispatch.get(xid.code() as usize)?.as_ref()?;
         let m = bp.re.find_with(body, &mut self.scratch)?;
-        let get = |spec: FieldSpec| -> Option<u64> {
-            match spec {
-                None => Some(0),
-                Some((group, radix)) => {
-                    let text = m.group(body, group)?;
-                    u64::from_str_radix(text, radix).ok()
-                }
-            }
-        };
-        Some(ErrorDetail::new(
-            get(bp.unit)? as u16,
-            get(bp.qualifier)? as u32,
-        ))
+        detail_fields(bp, |group| m.group(body, group))
     }
     // dr-lint: hot(end)
 
@@ -415,15 +434,19 @@ impl BaselineExtractor {
         let m = self.nvrm.find_bytes_at_baseline(parsed.body.as_bytes(), 0)?;
         self.stats.xid_lines += 1;
 
-        let pci: PciAddr = m.group(parsed.body, 1)?.parse().ok()?;
-        let code: u16 = m.group(parsed.body, 2)?.parse().ok()?;
+        let Some((pci, code)) = parse_report_ids(m.group(parsed.body, 1), m.group(parsed.body, 2))
+        else {
+            self.stats.malformed += 1;
+            return None;
+        };
         let Some(xid) = Xid::from_code(code) else {
             self.stats.unknown_xid += 1;
             return None;
         };
-        let body = m.group(parsed.body, 4)?;
-
-        let Some(detail) = self.extract_detail(xid, body) else {
+        let detail = m
+            .group(parsed.body, 4)
+            .and_then(|body| self.extract_detail(xid, body));
+        let Some(detail) = detail else {
             self.stats.malformed += 1;
             return None;
         };
@@ -475,19 +498,7 @@ impl BaselineExtractor {
     fn extract_detail(&self, xid: Xid, body: &str) -> Option<ErrorDetail> {
         let (_, bp) = self.bodies.iter().find(|(x, _)| *x == xid)?;
         let m = bp.re.find_bytes_at_baseline(body.as_bytes(), 0)?;
-        let get = |spec: FieldSpec| -> Option<u64> {
-            match spec {
-                None => Some(0),
-                Some((group, radix)) => {
-                    let text = m.group(body, group)?;
-                    u64::from_str_radix(text, radix).ok()
-                }
-            }
-        };
-        Some(ErrorDetail::new(
-            get(bp.unit)? as u16,
-            get(bp.qualifier)? as u32,
-        ))
+        detail_fields(bp, |group| m.group(body, group))
     }
 }
 
@@ -769,5 +780,109 @@ mod tests {
         // unified structural definition, the baseline keeps the legacy
         // heuristic (which also counted the loginnode line).
         assert_eq!(bs.syslog_lines, fs.syslog_lines + 1);
+    }
+
+    /// Run `lines` through both engines; both must agree on records and
+    /// on every shared counter, and every XID line must land in exactly
+    /// one of records, `unknown_xid` or `malformed`.
+    fn both_engines(lines: &[String]) -> (Vec<ErrorRecord>, ExtractStats) {
+        let mut fast = XidExtractor::new();
+        let mut base = BaselineExtractor::new();
+        let recs = fast.extract_all(lines.iter().map(|s| s.as_str()));
+        assert_eq!(recs, base.extract_all(lines.iter().map(|s| s.as_str())));
+        let (fs, bs) = (fast.stats(), base.stats());
+        for s in [fs, bs] {
+            assert_eq!(
+                s.xid_lines,
+                recs.len() as u64 + s.unknown_xid + s.malformed,
+                "{s:?} over {lines:?}"
+            );
+        }
+        assert_eq!((fs.xid_lines, fs.unknown_xid, fs.malformed), (bs.xid_lines, bs.unknown_xid, bs.malformed));
+        (recs, fs)
+    }
+
+    #[test]
+    fn xid_code_overflowing_u16_is_malformed() {
+        let line = "Jan  2 03:04:05 gpub042 kernel: NVRM: Xid (PCI:0000:07:00): 70000, \
+                    pid=5, GPU has fallen off the bus."
+            .to_string();
+        let (recs, s) = both_engines(&[line]);
+        assert!(recs.is_empty());
+        assert_eq!((s.xid_lines, s.unknown_xid, s.malformed), (1, 0, 1));
+    }
+
+    #[test]
+    fn detail_wider_than_its_field_is_malformed_not_truncated() {
+        let wide_qualifier = "Jan  2 03:04:05 gpub042 kernel: NVRM: Xid (PCI:0000:07:00): 95, \
+                              pid=5, Uncontained: LTC TAG (0x4,0x11890000000)";
+        let wide_unit = "Jan  2 03:04:06 gpub042 kernel: NVRM: Xid (PCI:0000:07:00): 95, \
+                         pid=5, Uncontained: LTC TAG (0x10000,0x1189)";
+        let fits = "Jan  2 03:04:07 gpub042 kernel: NVRM: Xid (PCI:0000:07:00): 95, \
+                    pid=5, Uncontained: LTC TAG (0xffff,0xffffffff)";
+        let lines: Vec<String> = [wide_qualifier, wide_unit, fits].map(String::from).to_vec();
+        let (recs, s) = both_engines(&lines);
+        assert_eq!((s.xid_lines, s.malformed), (3, 2));
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].detail, ErrorDetail::new(0xffff, 0xffff_ffff));
+    }
+
+    #[test]
+    fn unparsable_report_ids_are_malformed() {
+        let ids = |pci: &str, code: &str| parse_report_ids(Some(pci), Some(code));
+        assert_eq!(ids("0000:07:00", "95"), Some((PciAddr::new(0, 7, 0), 95)));
+        assert_eq!(ids("0000:07:00", "65536"), None);
+        assert_eq!(ids("0000:107:00", "95"), None);
+        assert_eq!(ids("0000:07", "95"), None);
+        assert_eq!(parse_report_ids(None, Some("95")), None);
+    }
+
+    /// Splice `insert` over `line[at..at + cut]` (byte positions clamped
+    /// to the line and moved to char boundaries).
+    fn splice(line: &str, at: usize, cut: usize, insert: &str) -> String {
+        let mut lo = at.min(line.len());
+        while !line.is_char_boundary(lo) {
+            lo -= 1;
+        }
+        let mut hi = (lo + cut).min(line.len());
+        while !line.is_char_boundary(hi) {
+            hi += 1;
+        }
+        format!("{}{}{}", &line[..lo], insert, &line[hi..])
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn mutated_xid_lines_are_counted_exactly_once(
+            picks in proptest::collection::vec(
+                ((0usize..14, 0u64..70_000), (0usize..160, 0usize..4, 0usize..6)),
+                1..40,
+            ),
+        ) {
+            // Valid report lines for every XID, each spliced at a random
+            // spot with a digit run (often overflowing the field it lands
+            // in), a hex run, an oversized code, or nothing.
+            let inserts = ["", "9", "70000", "fffffffff", "0x11890000000", ":"];
+            let lines: Vec<String> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &((x, v), (at, cut, which)))| {
+                    let xid = Xid::ALL[x];
+                    let rec = ErrorRecord::new(
+                        Timestamp::EPOCH + Duration::from_secs(3_600 + i as u64),
+                        GpuId::at_slot(NodeId(7), x % 8),
+                        xid,
+                        ErrorDetail::new((v % 65_536) as u16, v as u32 * 977),
+                    );
+                    let line = format_line(&rec, v as u32);
+                    let insert = match which {
+                        2 => v.to_string(),
+                        w => inserts[w].to_string(),
+                    };
+                    splice(&line, at, cut, &insert)
+                })
+                .collect();
+            both_engines(&lines);
+        }
     }
 }

@@ -84,6 +84,30 @@ impl Xid {
         self as u16
     }
 
+    /// Position of this code in [`Xid::ALL`], which is also its rank in
+    /// `Ord` order: dense per-XID tables are `[T; Xid::ALL.len()]` arrays
+    /// indexed by it, and walking such a table by position visits the
+    /// codes in the order a `BTreeMap<Xid, _>` would.
+    #[inline]
+    pub const fn ordinal(self) -> usize {
+        match self {
+            Xid::GraphicsEngineException => 0,
+            Xid::MmuError => 1,
+            Xid::ResetChannelVerifError => 2,
+            Xid::DoubleBitEcc => 3,
+            Xid::RowRemapEvent => 4,
+            Xid::RowRemapFailure => 5,
+            Xid::NvlinkError => 6,
+            Xid::FallenOffBus => 7,
+            Xid::ContainedEcc => 8,
+            Xid::UncontainedEcc => 9,
+            Xid::GspRpcTimeout => 10,
+            Xid::GspError => 11,
+            Xid::PmuSpiError => 12,
+            Xid::Xid136 => 13,
+        }
+    }
+
     /// Parse a numeric code back into an [`Xid`].
     pub fn from_code(code: u16) -> Option<Xid> {
         Xid::ALL.iter().copied().find(|x| x.code() == code)
@@ -235,6 +259,24 @@ impl RecoveryAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ordinal_is_a_bijection_onto_all_in_ord_order() {
+        let mut seen = [false; Xid::ALL.len()];
+        for (i, &x) in Xid::ALL.iter().enumerate() {
+            assert_eq!(x.ordinal(), i, "{x:?}");
+            assert!(!seen[x.ordinal()], "{x:?} shares an ordinal");
+            seen[x.ordinal()] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+        // Ordinal order is `Ord` order, so a dense table walked by
+        // position visits codes exactly as a `BTreeMap<Xid, _>` would.
+        for a in Xid::ALL {
+            for b in Xid::ALL {
+                assert_eq!(a.ordinal().cmp(&b.ordinal()), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn codes_match_nvidia_numbers() {
