@@ -99,11 +99,19 @@ fn apply_summary(state: (i32, u8), summary: Option<StateSummary>) -> (i32, u8) {
     }
 }
 
+/// Smallest default chunk: per-chunk overhead stays negligible.
+const MIN_DEFAULT_TARGET: u64 = 64 * 1024;
+
+/// Largest default chunk. Without a cap the target grows with the corpus,
+/// and with it the resident waves: on the paper-scale 2.5 GB corpus the
+/// uncapped target was 314 MB, two prefetched waves 1.5 GB.
+const MAX_DEFAULT_TARGET: u64 = 16 * 1024 * 1024;
+
 /// Default chunk size: enough chunks to keep the worker pool load-balanced
-/// (4 per worker), but no smaller than 64 KiB so per-chunk overhead stays
-/// negligible at scale.
+/// (4 per worker), within `[MIN_DEFAULT_TARGET, MAX_DEFAULT_TARGET]` so
+/// per-chunk overhead stays negligible and the resident wave bounded.
 fn default_target_bytes(total: u64, workers: usize) -> u64 {
-    (total / ((workers as u64) * 4).max(1)).clamp(64 * 1024, u64::MAX)
+    (total / ((workers as u64) * 4).max(1)).clamp(MIN_DEFAULT_TARGET, MAX_DEFAULT_TARGET)
 }
 
 /// Chunk-size target when the source cannot report its total size
@@ -457,6 +465,28 @@ mod tests {
             extract_source_observed(&mut source, target_bytes, &sink)
         };
         out.expect("in-memory sources are infallible")
+    }
+
+    #[test]
+    fn default_wave_budget_stops_growing_with_the_corpus() {
+        // Each check reads the worker count of its own `WaveConfig`: other
+        // tests in this binary set the pool's worker override.
+        for total in [0, 1 << 20, 1 << 26, 1 << 30, 1 << 34, 10 << 40, u64::MAX] {
+            let cfg = WaveConfig::new(None, Some(total));
+            let workers = cfg.workers as u64;
+            let cap = MAX_DEFAULT_TARGET * workers;
+            assert_eq!(cfg.wave_budget, cfg.target_bytes * workers, "total {total}");
+            assert!(cfg.target_bytes >= MIN_DEFAULT_TARGET, "total {total}");
+            if total >= MAX_DEFAULT_TARGET * workers * 4 {
+                assert_eq!(cfg.wave_budget, cap, "total {total}");
+            } else {
+                // Below the cap the budget still tracks the corpus.
+                assert!(cfg.wave_budget <= cap, "total {total}");
+                assert_eq!(cfg.target_bytes, (total / (workers * 4)).max(MIN_DEFAULT_TARGET));
+            }
+        }
+        // An explicit target is never capped.
+        assert_eq!(WaveConfig::new(Some(u64::MAX / 2), Some(1)).target_bytes, u64::MAX / 2);
     }
 
     #[test]

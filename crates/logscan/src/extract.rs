@@ -13,7 +13,7 @@
 //! oracle and as the "pre" engine of the throughput benchmark.
 
 use crate::regex::{MatchScratch, Regex};
-use crate::syslog::{parse_header, SyslogLine, SyslogScanner};
+use crate::syslog::{parse_header, SyslogLine, SyslogScanner, HEADER_PATTERN};
 use dr_xid::{ErrorDetail, ErrorRecord, GpuId, PciAddr, Xid};
 
 /// Counters describing one extraction pass (useful for sanity-checking a
@@ -72,9 +72,9 @@ struct BodyPattern {
 /// for this XID.
 type FieldSpec = Option<(usize, u32)>;
 
-const NVRM_PATTERN: &str = r"kernel: NVRM: Xid \(PCI:([0-9a-f]{4}:[0-9a-f]{2}:[0-9a-f]{2})\): (\d+), (?:pid=('?<?\w+>?'?), )?(.*)$";
+pub(crate) const NVRM_PATTERN: &str = r"kernel: NVRM: Xid \(PCI:([0-9a-f]{4}:[0-9a-f]{2}:[0-9a-f]{2})\): (\d+), (?:pid=('?<?\w+>?'?), )?(.*)$";
 
-fn body_pattern_table() -> Vec<(Xid, &'static str, FieldSpec, FieldSpec)> {
+pub(crate) fn body_pattern_table() -> Vec<(Xid, &'static str, FieldSpec, FieldSpec)> {
     vec![
         (
             Xid::MmuError,
@@ -382,11 +382,9 @@ impl Default for BaselineExtractor {
 
 impl BaselineExtractor {
     pub fn new() -> Self {
-        let header = Regex::new(
-            r"^([A-Z][a-z][a-z]) +(\d{1,2}) (\d{2}):(\d{2}):(\d{2}) gpub(\d+) (.*)$",
-        )
-        // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
-        .expect("header pattern compiles");
+        let header = Regex::new(HEADER_PATTERN)
+            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
+            .expect("header pattern compiles");
         let nvrm = Regex::new(NVRM_PATTERN)
             // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
             .expect("NVRM pattern compiles");
@@ -851,38 +849,105 @@ mod tests {
         format!("{}{}{}", &line[..lo], insert, &line[hi..])
     }
 
+    /// Offsets in a well-formed report line: where the NVRM envelope
+    /// starts (`kernel: `), where its pid field starts, and where the
+    /// message body starts.
+    fn envelope(line: &str) -> (usize, usize, usize) {
+        let start = line.find("kernel: ").unwrap();
+        let code_end = start + line[start..].find("): ").unwrap() + 3;
+        let pid_at = code_end + line[code_end..].find(", ").unwrap() + 2;
+        let mut body = pid_at;
+        if line[pid_at..].starts_with("pid=") {
+            body += line[pid_at..].find(", ").unwrap() + 2;
+        }
+        (start, pid_at, body)
+    }
+
+    /// One mutation of a report line's NVRM envelope (`how` in `0..12`):
+    /// the pid forms NVRM prints and some it does not, a missing
+    /// pid, doubled `, ` separators, PCI groups too short, too long or in
+    /// upper case, and non-ASCII in the message tail.
+    fn mutate_envelope(line: &str, how: usize) -> String {
+        let (_, pid_at, body) = envelope(line);
+        let with_pid = |pid: &str| format!("{}{pid}{}", &line[..pid_at], &line[body..]);
+        let pci = line.find("(PCI:").unwrap() + 5;
+        let with_pci = |p: &str| format!("{}{p}{}", &line[..pci], &line[pci + 10..]);
+        match how {
+            1 => with_pid("pid='<unknown>', "),
+            2 => with_pid("pid=<unknown>, "),
+            3 => with_pid("pid=, "),
+            4 => with_pid(""),
+            5 => format!("{}, {}", &line[..pid_at], &line[pid_at..]),
+            6 => line.replace(", ", ", , "),
+            7 => with_pci("000:0f:00"),
+            8 => with_pci("00000:0f:00"),
+            9 => with_pci("0000:0F:0A"),
+            10 => with_pci("0000:0f:0"),
+            11 => format!("{}é\u{2014}\u{1F4A5} ünïcode", &line[..body]),
+            _ => line.to_string(),
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn mutated_xid_lines_are_counted_exactly_once(
             picks in proptest::collection::vec(
-                ((0usize..14, 0u64..70_000), (0usize..160, 0usize..4, 0usize..6)),
+                ((0usize..14, 0u64..70_000), (0usize..160, 0usize..4, 0usize..6, 0usize..16)),
                 1..40,
             ),
         ) {
-            // Valid report lines for every XID, each spliced at a random
-            // spot with a digit run (often overflowing the field it lands
-            // in), a hex run, an oversized code, or nothing.
+            // Valid report lines for every XID, each with its envelope
+            // mutated (or not), then spliced at a random spot with a digit
+            // run (often overflowing the field it lands in), a hex run, an
+            // oversized code, or nothing. The first line is also cut at
+            // every byte of its envelope.
             let inserts = ["", "9", "70000", "fffffffff", "0x11890000000", ":"];
-            let lines: Vec<String> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, &((x, v), (at, cut, which)))| {
-                    let xid = Xid::ALL[x];
-                    let rec = ErrorRecord::new(
-                        Timestamp::EPOCH + Duration::from_secs(3_600 + i as u64),
-                        GpuId::at_slot(NodeId(7), x % 8),
-                        xid,
-                        ErrorDetail::new((v % 65_536) as u16, v as u32 * 977),
-                    );
-                    let line = format_line(&rec, v as u32);
-                    let insert = match which {
-                        2 => v.to_string(),
-                        w => inserts[w].to_string(),
-                    };
-                    splice(&line, at, cut, &insert)
-                })
-                .collect();
+            let mut lines: Vec<String> = Vec::new();
+            for (i, &((x, v), (at, cut, which, how))) in picks.iter().enumerate() {
+                let xid = Xid::ALL[x];
+                let rec = ErrorRecord::new(
+                    Timestamp::EPOCH + Duration::from_secs(3_600 + i as u64),
+                    GpuId::at_slot(NodeId(7), x % 8),
+                    xid,
+                    ErrorDetail::new((v % 65_536) as u16, v as u32 * 977),
+                );
+                let line = format_line(&rec, v as u32 % 3 * 2731);
+                if i == 0 {
+                    let (start, _, body) = envelope(&line);
+                    for end in start..body {
+                        lines.push(line[..end].to_string());
+                    }
+                }
+                let insert = match which {
+                    2 => v.to_string(),
+                    w => inserts[w].to_string(),
+                };
+                lines.push(splice(&mutate_envelope(&line, how), at, cut, &insert));
+            }
             both_engines(&lines);
+        }
+    }
+
+    #[test]
+    fn envelope_mutations_land_where_the_pattern_says() {
+        let rec = sample_record(Xid::UncontainedEcc, 4, 0x1189);
+        let line = format_line(&rec, 5);
+        // Per mutation: (XID line?, record?). The pid group is optional,
+        // so a pid it cannot take (`pid=, `) or a doubled separator just
+        // lands in the `(.*)$` tail, where the unanchored body pattern
+        // still finds the detail. A PCI group of the wrong width or case
+        // fails the envelope: not an XID line. A tail without the body's
+        // text is a malformed XID line.
+        let expect = [
+            (true, true), (true, true), (true, true), (true, true), (true, true),
+            (true, true), (true, true), (false, false), (false, false),
+            (false, false), (false, false), (true, false),
+        ];
+        for (how, (xid_line, record)) in expect.into_iter().enumerate() {
+            let mutated = mutate_envelope(&line, how);
+            let (recs, s) = both_engines(std::slice::from_ref(&mutated));
+            assert_eq!((s.xid_lines == 1, recs.len() == 1), (xid_line, record), "{mutated}");
+            assert!(recs.iter().all(|r| r.detail == ErrorDetail::new(4, 0x1189)));
         }
     }
 }

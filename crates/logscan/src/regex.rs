@@ -1,38 +1,53 @@
 //! A self-contained regular-expression engine.
 //!
 //! Pipeline: pattern text → AST ([`parse`]) → NFA program ([`compile`]) →
-//! Pike VM execution ([`Regex::find`]). The VM simulates all NFA threads in
-//! lock-step with priority ordering, giving leftmost-greedy semantics in
-//! guaranteed `O(pattern × input)` time — no backtracking blow-ups on
-//! hostile log content.
+//! execution by one of two linear-time engines ([`Regex::find`]). Both give
+//! leftmost-first semantics (the first alternative, greedy or lazy as
+//! written, wins) in guaranteed `O(pattern × input)` time — no
+//! backtracking blow-ups on hostile log content.
 //!
 //! Matching operates on bytes; patterns and inputs are expected to be
 //! ASCII (true of syslog).
 //!
 //! ## Execution engines
 //!
-//! Two engines share one compiled [`Program`]:
+//! One compiled [`Program`] is run by three engines:
 //!
-//! - The **optimized engine** ([`Regex::find_bytes_at_with`]) executes
-//!   against a caller-owned [`MatchScratch`], so steady-state matching
-//!   performs no heap allocation: thread lists and capture slots live in
-//!   pooled storage reused across calls. Capture slots are refcounted and
-//!   copied on write, so a `Split` shares its slot set instead of deep-
-//!   cloning it. Character classes are pre-compiled to 256-bit bitmaps.
+//! - **[`Regex::find_bytes_at_with`]** executes against a caller-owned
+//!   [`MatchScratch`], so steady-state matching performs no heap
+//!   allocation beyond the returned [`Match`]. It picks one of two
+//!   engines per call:
+//!   - **BitState**, a bounded backtracker (RE2's, after Cox, "Regular
+//!     Expression Matching: the Virtual Machine Approach"), when
+//!     `instructions × (haystack bytes after start + 1)` is at most
+//!     256 Ki (`BITSTATE_MAX_BITS`, a 32 KiB bitset). It runs the program depth first in priority
+//!     order, with one capture-slot array undone on backtrack, and a
+//!     visited bitset over `(instruction, position)` so each pair runs at
+//!     most once. The first `Match` it reaches is the leftmost-first
+//!     answer. Every Stage I call (XID report bodies are ~60–130 bytes)
+//!     takes this engine.
+//!   - The **Pike VM** otherwise: it simulates all NFA threads in
+//!     lock-step with priority ordering. Thread lists and capture slots
+//!     live in pooled storage reused across calls; slots are refcounted
+//!     and copied on write, so a `Split` shares its slot set instead of
+//!     deep-cloning it.
+//!
+//!   Both classify bytes with classes pre-compiled to 256-bit bitmaps.
 //!   A compile-time [`Analysis`] derives a *required literal* (a byte run
 //!   every match must contain at a bounded offset) and a start-anchor
-//!   flag; both restrict where start threads are seeded, memchr-style,
-//!   instead of seeding one thread per input byte. A captureless
-//!   [`Regex::is_match_with`] path skips `Save` bookkeeping entirely.
-//!   None of this changes observable behavior: skipped seeds are exactly
-//!   those that provably cannot reach `Match`, and thread dedup merges
-//!   only states with identical futures.
+//!   flag; both restrict where matches are tried from, memchr-style,
+//!   instead of at every input byte. A captureless
+//!   [`Regex::is_match_with`] path (Pike VM) skips `Save` bookkeeping
+//!   entirely. None of this changes observable behavior: skipped starts
+//!   are exactly those that provably cannot reach `Match`, and both
+//!   engines merge only states with identical futures.
 //!
 //! - The **baseline engine** ([`Regex::find_bytes_at_baseline`]) is the
 //!   original per-call Pike VM (fresh thread lists, boxed slots deep-
 //!   cloned on every transition, linear class scans, no prefilter). It is
 //!   kept as the differential-testing oracle and as the "pre" side of the
-//!   Stage I throughput benchmark.
+//!   Stage I throughput benchmark. The Pike VM doubles as the oracle of
+//!   BitState in this module's tests.
 
 use std::fmt;
 
@@ -921,10 +936,30 @@ impl ThreadList {
     }
 }
 
-/// Caller-owned execution state for the optimized engine: thread lists
-/// and the capture-slot pool. Create one per scanning loop (or per
-/// worker) and pass it to [`Regex::find_bytes_at_with`] /
-/// [`Regex::is_match_with`]; after warm-up, matching allocates nothing.
+/// One entry of BitState's job stack.
+#[derive(Clone, Copy, Debug)]
+enum Job {
+    /// Run the program from instruction `pc` at input offset `pos`.
+    Explore { pc: u32, pos: usize },
+    /// Backtrack past a `Save`: put capture slot `slot` back to `old`.
+    Restore { slot: u16, old: Option<usize> },
+}
+
+/// BitState's state: a visited bit per `(instruction, position)`, the job
+/// stack, and the capture slots of the path being explored.
+#[derive(Default)]
+struct BitState {
+    visited: Vec<u64>,
+    jobs: Vec<Job>,
+    caps: Vec<Option<usize>>,
+}
+
+/// Caller-owned execution state for both engines of
+/// [`Regex::find_bytes_at_with`]: BitState's visited bitset, job stack and
+/// capture slots, and the Pike VM's thread lists and capture-slot pool.
+/// Create one per scanning loop (or per worker) and pass it to
+/// [`Regex::find_bytes_at_with`] / [`Regex::is_match_with`]; after
+/// warm-up, matching allocates nothing but the returned [`Match`].
 ///
 /// A scratch is not tied to a particular `Regex`; it re-sizes itself on
 /// first use with each program.
@@ -932,6 +967,7 @@ pub struct MatchScratch {
     clist: ThreadList,
     nlist: ThreadList,
     pool: SlotPool,
+    bits: BitState,
 }
 
 impl Default for MatchScratch {
@@ -959,6 +995,7 @@ impl MatchScratch {
                 refs: Vec::new(),
                 free: Vec::new(),
             },
+            bits: BitState::default(),
         }
     }
 
@@ -1057,6 +1094,68 @@ fn find_sub(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     None
 }
 
+/// Where a match can start, from the program's [`Analysis`]: only at
+/// offset 0 when start-anchored, and only where the required literal
+/// occurs inside its offset window. Positions are asked for in increasing
+/// order; the first literal occurrence at or after the last search point
+/// is cached.
+struct Starts<'a> {
+    input: &'a [u8],
+    anchored: bool,
+    lit: Option<&'a RequiredLit>,
+    /// Cached occurrence of the literal; valid once `lit_fresh`.
+    lit_next: usize,
+    lit_fresh: bool,
+    /// The literal does not occur at or after the last search point.
+    lit_done: bool,
+}
+
+impl<'a> Starts<'a> {
+    fn new(prog: &'a Program, input: &'a [u8]) -> Self {
+        Starts {
+            input,
+            anchored: prog.analysis.anchored_start,
+            lit: prog.analysis.required.as_ref(),
+            lit_next: 0,
+            lit_fresh: false,
+            lit_done: false,
+        }
+    }
+
+    /// The first position `>= pos` at which a match could start, or
+    /// `None` when no match can start at `pos` or later.
+    fn next(&mut self, pos: usize) -> Option<usize> {
+        if self.anchored && pos > 0 {
+            return None;
+        }
+        let Some(rl) = self.lit else {
+            return Some(pos);
+        };
+        let need = pos + rl.min_off;
+        if !self.lit_done && (!self.lit_fresh || self.lit_next < need) {
+            match find_sub(self.input, &rl.bytes, need) {
+                Some(l) => {
+                    self.lit_next = l;
+                    self.lit_fresh = true;
+                }
+                None => self.lit_done = true,
+            }
+        }
+        if self.lit_done {
+            return None;
+        }
+        match rl.max_off {
+            // The first position whose window reaches the occurrence.
+            Some(mx) if self.lit_next > pos + mx => Some(self.lit_next - mx),
+            _ => Some(pos),
+        }
+    }
+}
+
+/// BitState's size limit in visited bits, `instructions × positions`
+/// (RE2's: a 32 KiB bitset). Longer haystacks go to the Pike VM.
+const BITSTATE_MAX_BITS: usize = 256 * 1024;
+
 /// A compiled regular expression.
 pub struct Regex {
     prog: Program,
@@ -1137,9 +1236,11 @@ impl Regex {
     }
 
     /// Leftmost match over raw bytes starting at `start`, executed
-    /// against caller-owned scratch. This is the optimized engine:
-    /// prefiltered seeding, pooled copy-on-write capture slots, bitmap
-    /// classes. Behavior is identical to
+    /// against caller-owned scratch. Runs BitState when
+    /// `instructions × (input.len() − start + 1)` is at most 256 Ki bits
+    /// (`BITSTATE_MAX_BITS`), the Pike VM otherwise; both use prefiltered
+    /// start positions and bitmap classes, and allocate nothing after
+    /// warm-up but the returned [`Match`]. Behavior is identical to
     /// [`Regex::find_bytes_at_baseline`].
     pub fn find_bytes_at_with(
         &self,
@@ -1147,24 +1248,159 @@ impl Regex {
         start: usize,
         scratch: &mut MatchScratch,
     ) -> Option<Match> {
-        let prog = &self.prog;
         if start > input.len() {
             return None;
         }
         // Every match begins at offset 0; a later scan start can't hit it.
-        if prog.analysis.anchored_start && start > 0 {
+        if self.prog.analysis.anchored_start && start > 0 {
             return None;
         }
+        if self.fits_bitstate(input.len() - start) {
+            self.find_bitstate(input, start, &mut scratch.bits)
+        } else {
+            self.find_pike(input, start, scratch)
+        }
+    }
+
+    /// Whether BitState's visited bitset covers a haystack of `rest`
+    /// bytes after the start offset.
+    fn fits_bitstate(&self, rest: usize) -> bool {
+        self.prog.insts.len().saturating_mul(rest + 1) <= BITSTATE_MAX_BITS
+    }
+
+    /// BitState: depth-first search in priority order over
+    /// `(instruction, position)` pairs, each run at most once. `Split(a,
+    /// b)` continues at `a` and leaves `b` on the job stack; `Save` leaves
+    /// a job that restores the slot's old value, so backtracking undoes
+    /// it. The first `Match` reached is the Pike VM's leftmost-first
+    /// result. The visited bits are kept across the start positions of
+    /// one call: a pair that failed from an earlier start fails from a
+    /// later one too, since only captures depend on the start.
+    fn find_bitstate(&self, input: &[u8], start: usize, st: &mut BitState) -> Option<Match> {
+        let prog = &self.prog;
+        let len = input.len();
+        // Positions `start..=len`, one row of bits per instruction.
+        let width = len - start + 1;
+        let n_bits = prog.insts.len() * width;
+        st.visited.clear();
+        st.visited.resize(n_bits.div_ceil(64), 0);
+        st.caps.clear();
+        st.caps.resize(2 * (prog.n_groups as usize + 1), None);
+        st.jobs.clear();
+        let BitState {
+            visited,
+            jobs,
+            caps,
+        } = st;
+        let mut starts = Starts::new(prog, input);
+        let mut from = start;
+        let mut found = false;
+        // dr-lint: hot(begin)
+        'starts: while let Some(at) = starts.next(from) {
+            jobs.push(Job::Explore { pc: 0, pos: at });
+            while let Some(job) = jobs.pop() {
+                let (mut pc, mut pos) = match job {
+                    Job::Explore { pc, pos } => (pc, pos),
+                    Job::Restore { slot, old } => {
+                        caps[slot as usize] = old;
+                        continue;
+                    }
+                };
+                loop {
+                    let bit = pc as usize * width + (pos - start);
+                    let word = &mut visited[bit / 64];
+                    let mask = 1u64 << (bit % 64);
+                    if *word & mask != 0 {
+                        break;
+                    }
+                    *word |= mask;
+                    match &prog.insts[pc as usize] {
+                        Inst::Byte(b) => {
+                            if input.get(pos) != Some(b) {
+                                break;
+                            }
+                            pos += 1;
+                        }
+                        Inst::Any => {
+                            if input.get(pos).is_none_or(|&b| b == b'\n') {
+                                break;
+                            }
+                            pos += 1;
+                        }
+                        Inst::Class(id) => {
+                            let class = &prog.class_bits[*id as usize];
+                            if !input.get(pos).is_some_and(|&b| class.test(b)) {
+                                break;
+                            }
+                            pos += 1;
+                        }
+                        Inst::Split(a, b) => {
+                            jobs.push(Job::Explore { pc: *b, pos });
+                            pc = *a;
+                            continue;
+                        }
+                        Inst::Jmp(t) => {
+                            pc = *t;
+                            continue;
+                        }
+                        Inst::Save(slot) => {
+                            let slot = *slot;
+                            let old = caps[slot as usize];
+                            jobs.push(Job::Restore { slot, old });
+                            caps[slot as usize] = Some(pos);
+                        }
+                        Inst::AssertStart => {
+                            if pos != 0 {
+                                break;
+                            }
+                        }
+                        Inst::AssertEnd => {
+                            if pos != len {
+                                break;
+                            }
+                        }
+                        Inst::Match => {
+                            found = true;
+                            break 'starts;
+                        }
+                    }
+                    pc += 1;
+                }
+            }
+            if at >= len {
+                break;
+            }
+            from = at + 1;
+        }
+        // dr-lint: hot(end)
+        if !found {
+            return None;
+        }
+        match (caps[0], caps[1]) {
+            (Some(s), Some(e)) => Some(Match {
+                slots: caps.as_slice().into(),
+                n_groups: prog.n_groups,
+                start: s,
+                end: e,
+            }),
+            // A match path always saved slot 0/1; treat anything else as
+            // no match rather than panicking.
+            _ => None,
+        }
+    }
+
+    /// The Pike VM behind [`Regex::find_bytes_at_with`] for haystacks too
+    /// long for BitState: prefiltered seeding, pooled copy-on-write
+    /// capture slots.
+    fn find_pike(&self, input: &[u8], start: usize, scratch: &mut MatchScratch) -> Option<Match> {
+        let prog = &self.prog;
         let n_slots = 2 * (prog.n_groups as usize + 1);
         scratch.prepare(prog.insts.len(), n_slots);
-        let MatchScratch { clist, nlist, pool } = scratch;
+        let MatchScratch {
+            clist, nlist, pool, ..
+        } = scratch;
         let len = input.len();
-        let lit = prog.analysis.required.as_ref();
-        // Cached first literal occurrence at or after the last search
-        // point; `lit_done` means no further occurrence exists.
-        let mut lit_next: usize = 0;
-        let mut lit_fresh = false;
-        let mut lit_done = false;
+        let mut starts = Starts::new(prog, input);
         let mut matched: Option<u32> = None;
         let mut pos = start;
 
@@ -1174,42 +1410,24 @@ impl Regex {
             // --- Seeding: decide whether a start thread at `pos` could
             // possibly reach Match; skip it otherwise. ---
             let mut seed = matched.is_none();
-            if seed && prog.analysis.anchored_start && pos > 0 {
-                seed = false;
-                if clist.threads.is_empty() {
-                    break; // anchored: no live threads, no future seeds
-                }
-            }
             if seed {
-                if let Some(rl) = lit {
-                    let need = pos + rl.min_off;
-                    if !lit_done && (!lit_fresh || lit_next < need) {
-                        match find_sub(input, &rl.bytes, need) {
-                            Some(l) => {
-                                lit_next = l;
-                                lit_fresh = true;
-                            }
-                            None => lit_done = true,
-                        }
-                    }
-                    if lit_done {
-                        // The literal never occurs again: no match can
-                        // start at `pos` or later.
+                match starts.next(pos) {
+                    None => {
+                        // No match can start at `pos` or later.
                         seed = false;
                         if clist.threads.is_empty() {
                             break;
                         }
-                    } else if let Some(mx) = rl.max_off {
-                        if lit_next > pos + mx {
-                            seed = false;
-                            if clist.threads.is_empty() {
-                                // Fast-forward to the first position whose
-                                // window reaches the occurrence.
-                                pos = lit_next - mx;
-                                seed = true;
-                            }
+                    }
+                    Some(at) if at > pos => {
+                        seed = false;
+                        if clist.threads.is_empty() {
+                            // Fast-forward to the next viable start.
+                            pos = at;
+                            seed = true;
                         }
                     }
+                    Some(_) => {}
                 }
             }
             if seed {
@@ -1304,49 +1522,28 @@ impl Regex {
         scratch.prepare(prog.insts.len(), 0);
         let MatchScratch { clist, nlist, .. } = scratch;
         let len = input.len();
-        let lit = prog.analysis.required.as_ref();
-        let mut lit_next: usize = 0;
-        let mut lit_fresh = false;
-        let mut lit_done = false;
+        let mut starts = Starts::new(prog, input);
         let mut pos = 0usize;
 
         clist.begin_step();
         loop {
             // dr-lint: hot(begin)
             let mut seed = true;
-            if prog.analysis.anchored_start && pos > 0 {
-                seed = false;
-                if clist.threads.is_empty() {
-                    return false;
-                }
-            }
-            if seed {
-                if let Some(rl) = lit {
-                    let need = pos + rl.min_off;
-                    if !lit_done && (!lit_fresh || lit_next < need) {
-                        match find_sub(input, &rl.bytes, need) {
-                            Some(l) => {
-                                lit_next = l;
-                                lit_fresh = true;
-                            }
-                            None => lit_done = true,
-                        }
-                    }
-                    if lit_done {
-                        seed = false;
-                        if clist.threads.is_empty() {
-                            return false;
-                        }
-                    } else if let Some(mx) = rl.max_off {
-                        if lit_next > pos + mx {
-                            seed = false;
-                            if clist.threads.is_empty() {
-                                pos = lit_next - mx;
-                                seed = true;
-                            }
-                        }
+            match starts.next(pos) {
+                None => {
+                    seed = false;
+                    if clist.threads.is_empty() {
+                        return false;
                     }
                 }
+                Some(at) if at > pos => {
+                    seed = false;
+                    if clist.threads.is_empty() {
+                        pos = at;
+                        seed = true;
+                    }
+                }
+                Some(_) => {}
             }
             if seed && add_thread_nocap(prog, clist, 0, pos, len) {
                 return true;
@@ -2001,5 +2198,211 @@ mod tests {
     fn empty_pattern_matches_empty_prefix() {
         assert_eq!(m("", "abc"), Some((0, 0)));
         assert_eq!(m("x*", "abc"), Some((0, 0)));
+    }
+
+    // -----------------------------------------------------------------
+    // Three-engine differential: BitState, the Pike VM and the baseline
+    // -----------------------------------------------------------------
+
+    /// SplitMix64, so one proptest seed drives a whole batch of cases.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+            &xs[self.below(xs.len())]
+        }
+    }
+
+    /// BitState, the Pike VM, the baseline VM and the dispatching front
+    /// door return the same `Option<Match>` (overall span and every
+    /// capture slot) at every start offset of `hay`.
+    fn engines_agree(re: &Regex, hay: &[u8], scratch: &mut MatchScratch) {
+        for start in 0..=hay.len() {
+            let base = re.find_bytes_at_baseline(hay, start);
+            let bits = re.find_bitstate(hay, start, &mut scratch.bits);
+            let pike = re.find_pike(hay, start, scratch);
+            let front = re.find_bytes_at_with(hay, start, scratch);
+            let hay_text = String::from_utf8_lossy(hay);
+            let ctx = || format!("{:?} on {hay_text:?} at {start}", re.pattern());
+            assert_eq!(bits, base, "BitState vs baseline: {}", ctx());
+            assert_eq!(pike, base, "Pike VM vs baseline: {}", ctx());
+            assert_eq!(front, base, "find_bytes_at_with vs baseline: {}", ctx());
+        }
+    }
+
+    /// Patterns whose priorities the engines could plausibly get wrong.
+    const TRICKY: &[&str] = &[
+        "(a*)*", "(a|)+", "(?:)*", "(a*)+b", "(a*?)*", "((a)|b)+", "(?:(a)|b)*",
+        "ab|abc", "abc|ab", "(a|ab)(c|bcd)(d*)", "(a+?)(a*)", "(a??)(a*)", "(a*?)(a+?)$",
+        "(^a|b$)", "(?:^|b)(a*?)$", "(a|^)(b|$)", "(^)*a", "($)+", "(a{2,}?)(a{0,2})",
+        "(a{0,3}){2}", "((?:a|)*)b", "(.*?)(a|b)$", "(?:(a)|(b)|)+c",
+    ];
+
+    /// A random pattern over `{a, b, c}`: lazy and greedy quantifiers,
+    /// counted repeats, loops that can match empty, anchors inside groups
+    /// and alternations, and prioritized alternation.
+    fn gen_pattern(rng: &mut Mix, depth: usize) -> String {
+        let atoms = ["a", "b", "c", "", ".", "[ab]", "[^a]", r"\d", "^", "$", "(?:)"];
+        let quants = [
+            "", "", "", "*", "+", "?", "*?", "+?", "??", "{2}", "{0,2}", "{1,3}?", "{2,}",
+        ];
+        let mut out = String::new();
+        for _ in 0..1 + rng.below(3) {
+            let mut piece = if depth > 0 && rng.below(3) == 0 {
+                let inner = gen_pattern(rng, depth - 1);
+                match rng.below(4) {
+                    0 => format!("({inner})"),
+                    1 => format!("(?:{inner})"),
+                    2 => format!("({inner}|{})", gen_pattern(rng, depth - 1)),
+                    _ => format!("(?:{inner}|)"),
+                }
+            } else {
+                (*rng.pick(&atoms)).to_string()
+            };
+            // Anchors and the empty atom cannot take a quantifier bare.
+            if !matches!(piece.as_str(), "^" | "$" | "") {
+                piece.push_str(*rng.pick(&quants));
+            }
+            out.push_str(&piece);
+        }
+        if rng.below(4) == 0 {
+            out = format!("{out}|{}", gen_pattern(rng, depth.saturating_sub(1)));
+        }
+        out
+    }
+
+    fn gen_haystack(rng: &mut Mix) -> Vec<u8> {
+        (0..rng.below(12)).map(|_| *rng.pick(b"aaabbc1\n")).collect()
+    }
+
+    #[test]
+    fn tricky_patterns_agree_across_engines() {
+        let mut rng = Mix(7);
+        let mut scratch = MatchScratch::new();
+        for pat in TRICKY {
+            let re = Regex::new(pat).unwrap();
+            for hay in ["", "a", "aa", "ab", "abc", "abcd", "aab", "ba", "bab", "aaac"] {
+                engines_agree(&re, hay.as_bytes(), &mut scratch);
+            }
+            for _ in 0..20 {
+                engines_agree(&re, &gen_haystack(&mut rng), &mut scratch);
+            }
+        }
+    }
+
+    /// The production patterns: the syslog header, the NVRM envelope and
+    /// the 14 body patterns, as the extractor's modules declare them.
+    fn production_patterns() -> Vec<&'static str> {
+        let mut pats = vec![crate::syslog::HEADER_PATTERN, crate::extract::NVRM_PATTERN];
+        pats.extend(crate::extract::body_pattern_table().into_iter().map(|(_, p, ..)| p));
+        pats
+    }
+
+    /// A valid XID report line for `xid`, then up to three mutations:
+    /// byte runs spliced in (envelope tokens, digits, hex, non-ASCII),
+    /// deletions, duplicated spans, and truncation.
+    fn mutated_xid_line(rng: &mut Mix) -> String {
+        use dr_xid::time::Duration;
+        use dr_xid::{ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid};
+        let xid = *rng.pick(&Xid::ALL);
+        let rec = ErrorRecord::new(
+            Timestamp::EPOCH + Duration::from_secs(rng.next() % 50_000_000),
+            GpuId::at_slot(NodeId(rng.below(300) as u32), rng.below(8)),
+            xid,
+            ErrorDetail::new(rng.next() as u16, rng.next() as u32),
+        );
+        let mut line = dr_xid::syslog::format_line(&rec, rng.below(3) as u32 * 4242);
+        let tokens = [
+            "pid='<unknown>', ", "pid=<unknown>, ", "pid=, ", ", , ", "PCI:", "0000:", "):",
+            "9", "70000", "ffff", "C1", "é", "\u{1F4A9}", "$", "(", ")", "'", "<", ">",
+        ];
+        for _ in 0..rng.below(4) {
+            let at = rng.below(line.len() + 1);
+            let at = (0..=at).rev().find(|&i| line.is_char_boundary(i)).unwrap_or(0);
+            match rng.below(4) {
+                0 | 1 => line.insert_str(at, *rng.pick(&tokens)),
+                2 => {
+                    let end = (at + 1 + rng.below(6)).min(line.len());
+                    if let Some(cut) = line.get(at..end).map(str::to_string) {
+                        line.replace_range(at..end, if rng.below(2) == 0 { "" } else { &cut });
+                        if rng.below(2) == 0 {
+                            line.insert_str(at, &cut);
+                        }
+                    }
+                }
+                _ => line.truncate(at),
+            }
+        }
+        line
+    }
+
+    proptest::proptest! {
+        /// Generated patterns × short haystacks: all engines agree.
+        #[test]
+        fn generated_patterns_agree_across_engines(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Mix(seed);
+            let mut scratch = MatchScratch::new();
+            for _ in 0..6 {
+                let pat = gen_pattern(&mut rng, 2);
+                // The grammar only builds valid patterns.
+                let re = Regex::new(&pat).unwrap_or_else(|e| panic!("{pat:?}: {e}"));
+                for _ in 0..5 {
+                    engines_agree(&re, &gen_haystack(&mut rng), &mut scratch);
+                }
+            }
+        }
+
+        /// Production patterns × mutated XID lines, on the whole line and
+        /// on the body after the header, as the extractor runs them.
+        #[test]
+        fn production_patterns_agree_on_mutated_xid_lines(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = Mix(seed);
+            let mut scratch = MatchScratch::new();
+            let line = mutated_xid_line(&mut rng);
+            let body = line.find("kernel: ").map_or("", |i| &line[i..]);
+            for pat in production_patterns() {
+                let re = Regex::new(pat).unwrap();
+                engines_agree(&re, line.as_bytes(), &mut scratch);
+                engines_agree(&re, body.as_bytes(), &mut scratch);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_switches_engines_at_the_bit_limit() {
+        let re = Regex::new(crate::extract::NVRM_PATTERN).unwrap();
+        // The longest haystack (after the start offset) BitState takes.
+        let max_rest = BITSTATE_MAX_BITS / re.prog.insts.len() - 1;
+        let body = "kernel: NVRM: Xid (PCI:0000:0f:00): 95, pid='<unknown>', Uncontained: ";
+        for len in [max_rest - 1, max_rest, max_rest + 1, max_rest + 2] {
+            let hay = format!("{body}{}", "x".repeat(len - body.len()));
+            let hay = hay.as_bytes();
+            for start in [0, 1, 2] {
+                let bitstate = hay.len() - start <= max_rest;
+                assert_eq!(re.fits_bitstate(hay.len() - start), bitstate);
+                // A fresh scratch shows which engine ran.
+                let mut scratch = MatchScratch::new();
+                let got = re.find_bytes_at_with(hay, start, &mut scratch);
+                assert_eq!(!scratch.bits.visited.is_empty(), bitstate, "len {len} start {start}");
+                assert_eq!(scratch.clist.seen.is_empty(), bitstate, "len {len} start {start}");
+                assert_eq!(got, re.find_bytes_at_baseline(hay, start));
+                assert_eq!(got, re.find_pike(hay, start, &mut MatchScratch::new()));
+                assert_eq!(got, re.find_bitstate(hay, start, &mut BitState::default()));
+                // Only the start-0 haystack holds the envelope.
+                assert_eq!(got.map(|m| m.span()), (start == 0).then_some((0, hay.len())));
+            }
+        }
     }
 }

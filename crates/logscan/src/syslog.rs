@@ -144,13 +144,18 @@ pub fn parse_header(line: &str) -> Option<RawHeader> {
 }
 // dr-lint: hot(end)
 
+/// The syslog header as a regex: what [`parse_header_oracle`] and the
+/// baseline extractor match.
+pub(crate) const HEADER_PATTERN: &str =
+    r"^([A-Z][a-z][a-z]) +(\d{1,2}) (\d{2}):(\d{2}):(\d{2}) gpub(\d+) (.*)$";
+
 /// The original regex-based header decoder, kept verbatim as the
 /// differential-testing oracle for [`parse_header`]. Not used on the
 /// production scan path.
 pub fn parse_header_oracle(line: &str) -> Option<RawHeader> {
     static HEADER: OnceLock<Regex> = OnceLock::new();
     let header = HEADER.get_or_init(|| {
-        Regex::new(r"^([A-Z][a-z][a-z]) +(\d{1,2}) (\d{2}):(\d{2}):(\d{2}) gpub(\d+) (.*)$")
+        Regex::new(HEADER_PATTERN)
             // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
             .expect("header pattern compiles")
     });

@@ -1,10 +1,14 @@
 //! Differential tests pinning the optimized Stage I fast paths to their
 //! original implementations:
 //!
-//! - the prefiltered, scratch-reusing regex engine vs the plain per-call
-//!   Pike VM (`find_bytes_at_baseline`), over generated patterns ×
-//!   syslog-ish inputs, comparing full matches (overall span plus every
-//!   capture-group span) at every start offset;
+//! - the prefiltered, scratch-reusing front door (`find_bytes_at_with`)
+//!   vs the plain per-call Pike VM (`find_bytes_at_baseline`), over
+//!   generated patterns × syslog-ish inputs, comparing full matches
+//!   (overall span plus every capture-group span) at every start offset.
+//!   These inputs are at most 64 bytes, well inside BitState's bit limit,
+//!   so this pins the bounded backtracker (BitState), not the scratch Pike
+//!   VM; `regex.rs`'s unit tests compare all three engines and cover both
+//!   sides of the limit;
 //! - the byte-level syslog header decoder vs the regex oracle
 //!   (`parse_header_oracle`), over well-formed headers, near-misses, and
 //!   random mutations.
