@@ -11,7 +11,6 @@
 //!    a further 16 % to 223 hours, lifting availability from 99.5 % to
 //!    99.9 % and cutting overprovisioning 4×.
 
-use crate::coalesce::CoalescedError;
 use crate::engine::{EpisodeIndex, XIDS};
 use dr_stats::Mtbe;
 use dr_xid::{GpuId, Xid};
@@ -33,21 +32,11 @@ pub struct CounterfactualReport {
     pub offenders: Vec<(Xid, GpuId, u64)>,
 }
 
-/// Run the counterfactual. `mttr_h` is the measured mean repair time.
-pub fn counterfactual(
-    errors: &[CoalescedError],
-    observation_hours: f64,
-    node_count: u32,
-    mttr_h: f64,
-) -> CounterfactualReport {
-    let index = EpisodeIndex::new(errors.to_vec());
-    finish_counterfactual(&index, observation_hours, node_count, mttr_h)
-}
-
 /// The counterfactual from the index's per-GPU XID counts: the baseline,
 /// offender and hardened counts are all sums over that `(XID, GPU)`
 /// table. Each XID's top offender is its highest count, ties going to
-/// the last GPU in `GpuId` order.
+/// the last GPU in `GpuId` order. `mttr_h` is the measured mean repair
+/// time.
 pub(crate) fn finish_counterfactual(
     index: &EpisodeIndex,
     observation_hours: f64,
@@ -105,7 +94,16 @@ pub(crate) fn finish_counterfactual(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::CoalescedError;
+    use crate::pipeline::StudyConfig;
     use dr_xid::{Duration, ErrorDetail, NodeId, Timestamp};
+
+    /// The counterfactual `StudyEngine` finishes over `hours` and
+    /// `nodes`, at the default 0.3 h MTTR.
+    fn counterfactual(errors: &[CoalescedError], hours: f64, nodes: u32) -> CounterfactualReport {
+        let config = StudyConfig::ampere_study().with_window(hours, nodes);
+        crate::testutil::study(errors, config, None).counterfactual
+    }
 
     fn err(xid: Xid, node: u32, at_s: u64) -> CoalescedError {
         CoalescedError {
@@ -125,7 +123,7 @@ mod tests {
         for i in 0..10 {
             errors.push(err(Xid::UncontainedEcc, 2 + i, 50 + i as u64 * 333));
         }
-        let r = counterfactual(&errors, 1_000.0, 10, 0.3);
+        let r = counterfactual(&errors, 1_000.0, 10);
         // Baseline: 100 errors; no-offender: 10.
         assert!((r.baseline_mtbe_h - 100.0).abs() < 1e-9);
         assert!((r.no_offenders_mtbe_h - 1_000.0).abs() < 1e-9);
@@ -139,7 +137,7 @@ mod tests {
     fn hardening_removes_peripheral_errors() {
         let mut errors: Vec<_> = (0..10).map(|i| err(Xid::GspRpcTimeout, i, i as u64)).collect();
         errors.extend((0..10).map(|i| err(Xid::MmuError, 20 + i, 100 + i as u64)));
-        let r = counterfactual(&errors, 1_000.0, 10, 0.3);
+        let r = counterfactual(&errors, 1_000.0, 10);
         // Offender removal drops 1 GSP + 1 MMU error (top GPU has 1 each);
         // hardening then removes the remaining 9 GSP errors.
         assert!((r.baseline_mtbe_h - 500.0).abs() < 1e-9);
@@ -154,7 +152,7 @@ mod tests {
             err(Xid::GraphicsEngineException, 1, 0),
             err(Xid::MmuError, 2, 10),
         ];
-        let r = counterfactual(&errors, 100.0, 1, 0.3);
+        let r = counterfactual(&errors, 100.0, 1);
         assert!((r.baseline_mtbe_h - 100.0).abs() < 1e-9);
     }
 }

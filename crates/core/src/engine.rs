@@ -92,13 +92,6 @@ pub(crate) struct EpisodeIndex {
 }
 
 impl EpisodeIndex {
-    /// Index a whole corpus, taking ownership of its episodes.
-    pub(crate) fn new(episodes: Vec<CoalescedError>) -> Self {
-        let mut index = EpisodeIndex::default();
-        index.extend(episodes);
-        index
-    }
-
     // dr-lint: hot(begin)
     /// Keep one episode and index it.
     fn push(&mut self, e: CoalescedError) {
@@ -529,7 +522,8 @@ mod tests {
     #[test]
     fn counterfactual_fold_matches_batch_exactly() {
         let errors = corpus();
-        let index = EpisodeIndex::new(errors.clone());
+        let mut index = EpisodeIndex::default();
+        index.extend(errors.clone());
         for mttr in [0.3, 1.7] {
             assert_eq!(
                 finish_counterfactual(&index, 1_000.0, 12, mttr),

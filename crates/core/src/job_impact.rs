@@ -6,8 +6,7 @@
 //! considered responsible, and Table 2 reports, per XID, how many jobs
 //! encountered the error at all versus how many died with it.
 
-use crate::coalesce::CoalescedError;
-use crate::engine::{EpisodeIndex, Sorted, XIDS};
+use crate::engine::{Sorted, XIDS};
 use dr_slurm::{JobRecord, JobState};
 use dr_stats::{quantile_sorted, Histogram};
 use dr_xid::{Duration, Xid};
@@ -92,18 +91,8 @@ impl Default for JobImpactConfig {
     }
 }
 
-/// Correlate errors with jobs.
-pub fn analyze_jobs(
-    jobs: &[JobRecord],
-    errors: &[CoalescedError],
-    cfg: JobImpactConfig,
-) -> JobImpactAnalysis {
-    let mut index = EpisodeIndex::new(errors.to_vec());
-    finish_job_impact(jobs, &index.sorted(), cfg)
-}
-
-/// The job join over the shared episode index: each job's GPUs look up
-/// their start-ordered episode lists there.
+/// Correlate errors with jobs: the join over the shared episode index,
+/// where each job's GPUs look up their start-ordered episode lists.
 pub(crate) fn finish_job_impact(
     jobs: &[JobRecord],
     index: &Sorted<'_>,
@@ -273,7 +262,15 @@ pub fn table3(jobs: &[JobRecord]) -> Vec<Table3Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::CoalescedError;
+    use crate::pipeline::StudyConfig;
     use dr_xid::{ErrorDetail, GpuId, NodeId, Timestamp};
+
+    /// The job impact `StudyEngine` finishes with the default ±20 s join.
+    fn analyze_jobs(jobs: &[JobRecord], errors: &[CoalescedError]) -> JobImpactAnalysis {
+        let study = crate::testutil::study(errors, StudyConfig::ampere_study(), Some(jobs));
+        study.job_impact.expect("jobs were joined")
+    }
 
     fn gpu(node: u32, slot: usize) -> GpuId {
         GpuId::at_slot(NodeId(node), slot)
@@ -314,7 +311,7 @@ mod tests {
             job(2, g, 20_000, 21_000, 1, JobState::UserFailed),
         ];
         let errors = vec![err(g, 1_000, Xid::GspRpcTimeout), err(g, 2_500, Xid::MmuError)];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         assert_eq!(a.gpu_failed_total, 1);
         let gsp = a.table2.iter().find(|r| r.xid == Xid::GspRpcTimeout).unwrap();
         assert_eq!(gsp.jobs_encountering, 1);
@@ -331,7 +328,7 @@ mod tests {
         let g = gpu(1, 0);
         let jobs = vec![job(0, g, 0, 100, 0, JobState::Completed)];
         let errors = vec![err(g, 150, Xid::MmuError)];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         let mmu = a.table2.iter().find(|r| r.xid == Xid::MmuError).unwrap();
         assert_eq!(mmu.jobs_encountering, 0);
     }
@@ -344,7 +341,7 @@ mod tests {
             err(g, 1_000, Xid::NvlinkError),
             err(g, 1_005, Xid::MmuError),
         ];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         assert_eq!(a.gpu_failed_total, 1);
         for xid in [Xid::NvlinkError, Xid::MmuError] {
             let row = a.table2.iter().find(|r| r.xid == xid).unwrap();
@@ -359,7 +356,7 @@ mod tests {
         let g = gpu(1, 0);
         let jobs = vec![job(0, g, 0, 1_010, 1, JobState::UserFailed)];
         let errors = vec![err(g, 1_000, Xid::MmuError)];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         assert_eq!(a.gpu_failed_total, 1);
     }
 
@@ -371,7 +368,7 @@ mod tests {
             job(1, g, 0, 7_210, 137, JobState::GpuFailed),
         ];
         let errors = vec![err(g, 7_200, Xid::GspRpcTimeout)];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         assert_eq!(a.completed, 1);
         assert_eq!(a.failed_any, 1);
         assert!((a.success_rate - 0.5).abs() < 1e-9);
@@ -405,7 +402,7 @@ mod tests {
             job(1, g, 0, 1_010, 139, JobState::GpuFailed),
         ];
         let errors = vec![err(g, 1_000, Xid::NvlinkError)];
-        let a = analyze_jobs(&jobs, &errors, JobImpactConfig::default());
+        let a = analyze_jobs(&jobs, &errors);
         assert_eq!(a.distributions.completed.count(), 1);
         assert_eq!(a.distributions.gpu_failed.count(), 1);
         assert_eq!(a.distributions.errors_vs_duration_failed.len(), 1);

@@ -83,7 +83,7 @@ mod testutil;
 pub mod watch;
 
 pub use coalesce::{coalesce, coalesce_observed, CoalesceConfig, CoalescedError};
-pub use counterfactual::{counterfactual, CounterfactualReport};
+pub use counterfactual::CounterfactualReport;
 pub use downtime::{availability, DowntimeAcc, DowntimeStats};
 pub use engine::{AnalysisEngine, StudyEngine};
 pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
@@ -97,7 +97,7 @@ pub use source::{
     collect_source, pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk,
     LogSource, Prefetcher, Wave, WaveRx,
 };
-pub use stats::{lost_gpu_hours, table1, LostHours, Table1Row};
+pub use stats::{LostHours, Table1Row};
 pub use store::{
     extract_to_store, write_store, InMemoryRecordSource, RecordBatch, RecordSource, RecordStore,
     RecordStoreWriter, StoreRecordSource, StoreSummary,

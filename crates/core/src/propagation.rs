@@ -6,7 +6,7 @@
 //! the two is the propagation time; short times suggest causality.
 
 use crate::coalesce::CoalescedError;
-use crate::engine::{EpisodeIndex, Sorted, XIDS};
+use crate::engine::{Sorted, XIDS};
 use dr_stats::OnlineStats;
 use dr_xid::{Duration, GpuId, Xid};
 use std::collections::BTreeMap;
@@ -72,22 +72,6 @@ impl PropagationAnalysis {
 /// the propagation window, so chain repetitions on one GPU don't inflate
 /// the involvement.
 pub(crate) const NVLINK_SPREAD_WINDOW: Duration = Duration::from_secs(10);
-
-/// Run the propagation analysis with window Δt.
-pub fn analyze(errors: &[CoalescedError], window: Duration) -> PropagationAnalysis {
-    analyze_with_spread_window(errors, window, NVLINK_SPREAD_WINDOW)
-}
-
-/// [`analyze`] with an explicit NVLink-involvement window (the ±Δt used
-/// for the Figure 6 multi-GPU statistic).
-pub fn analyze_with_spread_window(
-    errors: &[CoalescedError],
-    window: Duration,
-    spread_window: Duration,
-) -> PropagationAnalysis {
-    let mut index = EpisodeIndex::new(errors.to_vec());
-    finish_propagation(&index.sorted(), window, spread_window)
-}
 
 /// An intra- or inter-GPU edge table: occurrences and delays per
 /// `(from, to)` XID pair, indexed by [`Xid::ordinal`].
@@ -267,7 +251,16 @@ impl NvlinkCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::StudyConfig;
     use dr_xid::{ErrorDetail, NodeId, Timestamp};
+
+    /// The propagation section `StudyEngine` finishes at window Δt (and
+    /// the production NVLink-involvement window).
+    fn analyze(errors: &[CoalescedError], window: Duration) -> PropagationAnalysis {
+        let mut config = StudyConfig::ampere_study();
+        config.propagation_window = window;
+        crate::testutil::study(errors, config, None).propagation
+    }
 
     fn err_at(xid: Xid, secs: f64, node: u32, slot: usize) -> CoalescedError {
         let start = Timestamp::EPOCH + Duration::from_secs_f64(secs);
@@ -374,8 +367,9 @@ mod tests {
             err_at(Xid::NvlinkError, 6.0, 2, 6),
             err_at(Xid::NvlinkError, 7.0, 2, 7),
         ];
-        let s = analyze_with_spread_window(&errors, W, W).nvlink;
-        // Per-error, forward-looking accounting: 12 NVLink errors total.
+        let s = analyze(&errors, W).nvlink;
+        // Per-error, forward-looking accounting within the 10 s
+        // involvement window (inclusive): 12 NVLink errors total.
         // Node 1: error@0 sees 3 GPUs ahead, error@5 sees 2, error@10 and
         // the late error see only themselves. Node 2's cascade: the k-th
         // of 8 errors sees (8-k) distinct GPUs ahead of it.

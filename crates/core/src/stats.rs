@@ -1,7 +1,6 @@
 //! Error statistics: counts, MTBE, persistence summaries (Table 1) and
 //! lost-GPU-hours with tail analysis (Section 4.3).
 
-use crate::coalesce::CoalescedError;
 use crate::engine::{EpisodeIndex, XIDS};
 use dr_stats::{Mtbe, SummaryStats};
 use dr_xid::Xid;
@@ -19,22 +18,11 @@ pub struct Table1Row {
     pub persistence: SummaryStats,
 }
 
-/// Compute Table 1 from coalesced errors.
-///
+/// Table 1 from the per-XID persistence summaries (indexed by
+/// [`Xid::ordinal`]); a summary's sample count is the row's count.
 /// `observation_hours` is the measurement window; `node_count` the GPU
 /// node population (206 Ampere nodes in the study). Rows follow the
 /// paper's order; XIDs with zero occurrences still get a row.
-pub fn table1(
-    errors: &[CoalescedError],
-    observation_hours: f64,
-    node_count: u32,
-) -> Vec<Table1Row> {
-    let index = EpisodeIndex::new(errors.to_vec());
-    finish_table1(&index.persistence_summaries(), observation_hours, node_count)
-}
-
-/// Table 1 from the per-XID persistence summaries (indexed by
-/// [`Xid::ordinal`]); a summary's sample count is the row's count.
 pub(crate) fn finish_table1(
     persistence: &[SummaryStats; XIDS],
     observation_hours: f64,
@@ -63,14 +51,6 @@ fn count_of(index: &EpisodeIndex, xids: impl IntoIterator<Item = Xid>) -> u64 {
 
 /// Overall MTBE across all characterized errors (the "67 node hours"
 /// headline). Returns (system hours, per-node hours).
-pub fn overall_mtbe(
-    errors: &[CoalescedError],
-    observation_hours: f64,
-    node_count: u32,
-) -> (Option<f64>, Option<f64>) {
-    finish_overall_mtbe(&EpisodeIndex::new(errors.to_vec()), observation_hours, node_count)
-}
-
 pub(crate) fn finish_overall_mtbe(
     index: &EpisodeIndex,
     observation_hours: f64,
@@ -97,14 +77,6 @@ pub struct CategoryMtbe {
 
 /// The paper's hardware-vs-memory comparison uses the peripheral
 /// hardware + interconnect set against the DBE/RRE/RRF memory set.
-pub fn category_mtbe(
-    errors: &[CoalescedError],
-    observation_hours: f64,
-    node_count: u32,
-) -> CategoryMtbe {
-    finish_category_mtbe(&EpisodeIndex::new(errors.to_vec()), observation_hours, node_count)
-}
-
 pub(crate) fn finish_category_mtbe(
     index: &EpisodeIndex,
     observation_hours: f64,
@@ -143,15 +115,9 @@ pub struct LostHours {
     pub tail_share: f64,
 }
 
-/// Sum persistence across errors; split at the per-XID P95 to measure
-/// how much of the loss the tail carries.
-pub fn lost_gpu_hours(errors: &[CoalescedError]) -> LostHours {
-    let index = EpisodeIndex::new(errors.to_vec());
-    finish_lost_hours(&index, &index.persistence_summaries())
-}
-
-/// Lost hours over the episodes in arrival order, split at each XID's
-/// P95 from its persistence summary.
+/// Lost hours: persistence summed over the episodes in arrival order,
+/// split at each XID's P95 from its persistence summary to measure how
+/// much of the loss the tail carries.
 pub(crate) fn finish_lost_hours(index: &EpisodeIndex, persistence: &[SummaryStats; XIDS]) -> LostHours {
     let mut total_s = 0.0;
     let mut tail_s = 0.0;
@@ -178,7 +144,15 @@ pub(crate) fn finish_lost_hours(index: &EpisodeIndex, persistence: &[SummaryStat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coalesce::CoalescedError;
+    use crate::pipeline::{StudyConfig, StudyResults};
     use dr_xid::{Duration, ErrorDetail, GpuId, NodeId, Timestamp};
+
+    /// The study `StudyEngine` finishes over `hours` and `nodes`.
+    fn study(errors: &[CoalescedError], hours: f64, nodes: u32) -> StudyResults {
+        let config = StudyConfig::ampere_study().with_window(hours, nodes);
+        crate::testutil::study(errors, config, None)
+    }
 
     fn err(xid: Xid, start_s: u64, persist_s: u64, node: u32) -> CoalescedError {
         let start = Timestamp::from_secs(start_s);
@@ -195,7 +169,7 @@ mod tests {
     #[test]
     fn table1_counts_and_mtbe() {
         let errors: Vec<_> = (0..10).map(|i| err(Xid::MmuError, i * 100, 2, 1)).collect();
-        let rows = table1(&errors, 1_000.0, 10);
+        let rows = study(&errors, 1_000.0, 10).table1;
         let mmu = rows.iter().find(|r| r.xid == Xid::MmuError).unwrap();
         assert_eq!(mmu.count, 10);
         assert_eq!(mmu.mtbe_system_h, Some(100.0));
@@ -215,7 +189,7 @@ mod tests {
             xid: Xid::GraphicsEngineException,
             ..errors[0]
         });
-        let (sys, _) = overall_mtbe(&errors, 100.0, 5);
+        let (sys, _) = study(&errors, 100.0, 5).overall_mtbe_h;
         assert_eq!(sys, Some(50.0)); // 2 characterized errors, not 3
     }
 
@@ -224,7 +198,7 @@ mod tests {
         // 30 hardware errors vs 1 memory error in 1000 h.
         let mut errors: Vec<_> = (0..30).map(|i| err(Xid::GspRpcTimeout, i * 10, 1, 1)).collect();
         errors.push(err(Xid::DoubleBitEcc, 500, 1, 1));
-        let c = category_mtbe(&errors, 1_000.0, 10);
+        let c = study(&errors, 1_000.0, 10).category_mtbe;
         assert_eq!(c.hardware_per_node_h, Some(1_000.0 / 30.0 * 10.0));
         assert_eq!(c.memory_per_node_h, Some(10_000.0));
         assert!((c.ratio.unwrap() - 30.0).abs() < 1e-9);
@@ -236,7 +210,7 @@ mod tests {
         for i in 0..100 {
             errors.push(err(Xid::UncontainedEcc, i * 5 + 1, 1, 1));
         }
-        let c = category_mtbe(&errors, 1_000.0, 10);
+        let c = study(&errors, 1_000.0, 10).category_mtbe;
         // Memory MTBE sees only the single DBE.
         assert_eq!(c.memory_per_node_h, Some(10_000.0));
     }
@@ -246,7 +220,7 @@ mod tests {
         // 99 short errors (1 s) + 1 very long one (10,000 s).
         let mut errors: Vec<_> = (0..99).map(|i| err(Xid::MmuError, i * 100, 1, 1)).collect();
         errors.push(err(Xid::MmuError, 99 * 100, 10_000, 1));
-        let lost = lost_gpu_hours(&errors);
+        let lost = study(&errors, 1_000.0, 10).lost_hours;
         let expected_total = (99.0 + 10_000.0) / 3_600.0;
         assert!((lost.total_h - expected_total).abs() < 1e-9);
         // The single tail error carries ~99 % of the loss.
@@ -255,7 +229,7 @@ mod tests {
 
     #[test]
     fn lost_hours_empty() {
-        let lost = lost_gpu_hours(&[]);
+        let lost = study(&[], 1_000.0, 10).lost_hours;
         assert_eq!(lost.total_h, 0.0);
         assert_eq!(lost.tail_share, 0.0);
     }

@@ -1,6 +1,24 @@
 //! Test oracles shared by the crate's unit tests.
 
+use crate::coalesce::CoalescedError;
+use crate::engine::StudyEngine;
+use crate::pipeline::{StudyConfig, StudyResults};
+use dr_obs::MetricsSink;
+use dr_slurm::JobRecord;
 use dr_xid::NodeId;
+
+/// The study [`StudyEngine`] finishes from `errors` fed in one `extend`,
+/// with no downtime table (so the counterfactual's MTTR is its 0.3 h
+/// default): the route the per-section unit tests read their section from.
+pub fn study(
+    errors: &[CoalescedError],
+    config: StudyConfig,
+    jobs: Option<&[JobRecord]>,
+) -> StudyResults {
+    let mut engine = StudyEngine::new(config, jobs, None);
+    engine.extend(errors.to_vec());
+    engine.finish_observed(&MetricsSink::disabled())
+}
 
 /// One planned chunk: a contiguous line range of one node's log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -66,15 +66,9 @@ pub const CRATES: &[CrateInfo] = &[
     },
     /* 16 */
     CrateInfo {
-        lib: "dr_bench",
-        prefix: "crates/bench/",
-        deps: &[0, 6, 4, 3, 1, 7, 8, 9, 11, 12, 13, 15, 5, 2, 10],
-    },
-    /* 17 */
-    CrateInfo {
         lib: "gpu_resilience",
         prefix: "src/",
-        deps: &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16],
+        deps: &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
     },
 ];
 

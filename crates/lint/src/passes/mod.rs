@@ -89,8 +89,8 @@ pub fn explain(id: &str) -> Option<&'static str> {
              (dev-dependencies may reach across layers)."
         }
         obsiso::ID => {
-            "Observability must describe the run, never the results: outside crates/obs, \
-             crates/bench, and src/bin, code may not call the obs read-back surface \
+            "Observability must describe the run, never the results: outside crates/obs \
+             and src/bin, code may not call the obs read-back surface \
              (export_json, Stopwatch, clock::now). Keeps span timing from leaking into \
              analysis numbers."
         }

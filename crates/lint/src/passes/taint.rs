@@ -31,9 +31,9 @@ pub const ID: &str = "determinism-taint";
 /// to the caller. Everything else in dr-obs is a write-only sink.
 pub const OBS_READBACK: &[&str] = &["export_json", "elapsed_s", "now", "start"];
 
-/// Composition roots: CLI glue and the bench harness legitimately stamp
-/// wall-clock timings next to results, so they are not writer scopes.
-const WRITER_EXEMPT_PREFIXES: &[&str] = &["src/bin/", "crates/bench/"];
+/// Composition roots: CLI glue legitimately stamps wall-clock timings
+/// next to results, so it is not a writer scope.
+const WRITER_EXEMPT_PREFIXES: &[&str] = &["src/bin/"];
 
 impl Pass for TaintPass {
     fn id(&self) -> &'static str {

@@ -8,12 +8,12 @@
 //! for exactly this file (`crates/obs/src/clock.rs`) and nothing else.
 //! Every timing read in the workspace must route through [`Stopwatch`];
 //! the companion `obs-isolation` pass flags `Stopwatch` / `clock::now`
-//! uses outside the observability and benchmarking layers so measured
+//! uses outside the observability and CLI layers so measured
 //! time can never flow back into analysis results.
 
 pub use std::time::Instant;
 
-/// Read the wall clock. Library code outside `dr-obs`/`dr-bench` must
+/// Read the wall clock. Library code outside `dr-obs` must
 /// not call this; see the module docs.
 pub fn now() -> Instant {
     Instant::now()

@@ -1,14 +1,13 @@
-//! A minimal JSON value: enough to emit and re-read the tracked
-//! `BENCH_*.json` artifacts and `--metrics` exports without an external
-//! dependency. Lives here (the bottom of the observability stack) so both
-//! `dr-bench` and `dr-obs` can use it; `dr-bench` re-exports it, keeping
-//! the historical `dr_bench::json::Json` path valid.
+//! A minimal JSON value: enough to emit and re-read `--metrics` exports,
+//! watch snapshots and the `gpures-sweep/v1` artifact without an external
+//! dependency. Lives here, at the bottom of the observability stack, so
+//! the sink's export, `dr-report` and the CLI share one writer.
 //!
 //! Emission preserves insertion order (objects are association lists), so
 //! the rendered artifact is byte-deterministic for a fixed set of
 //! measurements. The parser is a recursive-descent reader of the same
-//! subset the emitter produces — it exists so the smoke test and the
-//! `bench` subcommand can verify a written artifact round-trips.
+//! subset the emitter produces — it exists so tests can verify that a
+//! written artifact round-trips.
 
 use std::fmt::Write as _;
 

@@ -10,9 +10,8 @@
 //! * a registry keyed by [`Stage`] (shard → extract → coalesce → stats →
 //!   propagation → job impact, plus the simulation-side campaign and
 //!   schedule stages),
-//! * JSON export ([`MetricsSink::export_json`]) through the same
-//!   dependency-free [`json::Json`] writer the tracked `BENCH_*.json`
-//!   artifacts use.
+//! * JSON export ([`MetricsSink::export_json`]) through the
+//!   dependency-free [`json::Json`] writer.
 //!
 //! Two invariants the rest of the workspace leans on:
 //!
@@ -21,15 +20,16 @@
 //!    `StudyResults` is bit-identical whether a sink is disabled,
 //!    recording, or absent. The `obs-isolation` dr-lint pass flags any
 //!    read-back (`export_json`, `Stopwatch`, `clock::now`) outside the
-//!    observability/benchmark/CLI layers.
+//!    observability and CLI layers.
 //! 2. **Scoped wall clock.** The determinism pass forbids
 //!    `Instant::now()` in library code; the single exemption is
 //!    [`clock`], and every timer here routes through it.
 //!
 //! Overhead discipline: hooks fire at chunk/stage granularity — never
 //! per line — and a disabled sink short-circuits on one `Option` check,
-//! keeping steady-state overhead on the tracked bench workload under
-//! 5 % (recorded in `BENCH_obs.json`).
+//! so steady-state overhead stays under a 5 % budget (the repository
+//! benchmark in `gpures-benchmark/` measures the pipeline this sink
+//! instruments).
 
 pub mod clock;
 pub mod json;

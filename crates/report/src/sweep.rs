@@ -12,8 +12,8 @@
 //!   exports — because those are produced mid-run, inside the worker.)
 //! - **No wall-clock in the artifact.** `sweep.json` must be
 //!   byte-identical across `--workers 1` and `--workers 8`; timing lives
-//!   in `BENCH_sweep.json` (`dr-bench`) and on stderr, never here. For
-//!   the same reason the artifact does not record the worker count.
+//!   in the per-run `--metrics` exports, never here. For the same reason
+//!   the artifact does not record the worker count.
 //! - **Paper recipes, not new ones.** The jobs path is exactly the
 //!   Section 5 recipe from `tests/paper_numbers.rs` (drain windows from
 //!   ground-truth events, scheduler, masking), and the `expect`

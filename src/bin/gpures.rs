@@ -1,8 +1,9 @@
 //! `gpures` — the command-line front end.
 //!
-//! Run `gpures` with no arguments for the generated usage; every
-//! subcommand's flag surface is declared as a [`cli::FlagSet`] table and
-//! the usage text is generated from the same tables the parser reads.
+//! Run `gpures --help` for the generated usage and `gpures CMD --help`
+//! for one subcommand's flags; every subcommand's flag surface is
+//! declared as a [`cli::FlagSet`] table and the usage text is generated
+//! from the same tables the parser reads.
 //!
 //! `campaign` materializes a synthetic study on disk: per-node syslog
 //! files, the job accounting table, and the repair intervals. The syslog
@@ -133,30 +134,18 @@ const WATCH: FlagSet = FlagSet {
     positional_required: false,
 };
 
-const BENCH: FlagSet = FlagSet {
-    cmd: "bench",
-    summary: "tracked benchmarks -> BENCH_*.json",
-    flags: &[
-        Flag::optional("out", "DIR", "artifact directory (default .)"),
-        Flag::optional("smoke", "true", "shrink corpora for CI; numbers are meaningless"),
-    ],
-    positional: None,
-    positional_required: false,
-};
-
 /// A subcommand's entry point, called with its parsed flags.
 type Handler = fn(&cli::Opts) -> Result<(), String>;
 
 /// Every subcommand: its flag table and its handler. The usage text and
 /// the dispatch in `main` both read this one list.
-const ALL_SETS: [(&FlagSet, Handler); 7] = [
+const ALL_SETS: [(&FlagSet, Handler); 6] = [
     (&CAMPAIGN, cmd_campaign),
     (&ANALYZE, cmd_analyze),
     (&SWEEP, cmd_sweep),
     (&INCIDENTS, cmd_incidents),
     (&PROJECT, cmd_project),
     (&WATCH, cmd_watch),
-    (&BENCH, cmd_bench),
 ];
 
 fn usage() -> String {
@@ -167,7 +156,7 @@ fn usage() -> String {
         s.push('\n');
     }
     s.push_str(
-        "\nrun a subcommand with a bad flag to see its per-flag help;\n\
+        "\nrun `gpures CMD --help` for a subcommand's per-flag help;\n\
          sweep BATTERY entries are .scn files, directories of them, or bundled names\n\
          (ampere_study, h100_study, tiny, gh200_heavy, mixed_generation, delta_10x)",
     );
@@ -180,10 +169,18 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let Some(&(set, run)) = ALL_SETS.iter().find(|(s, _)| s.cmd == cmd.as_str()) else {
         eprintln!("error: unknown command {cmd:?}\n{}", usage());
         return ExitCode::FAILURE;
     };
+    if set.asks_for_help(rest) {
+        println!("{}", set.usage());
+        return ExitCode::SUCCESS;
+    }
     let opts = match set.parse(rest) {
         Ok(o) => o,
         Err(e) => {
@@ -862,176 +859,5 @@ fn cmd_watch(opts: &cli::Opts) -> Result<(), String> {
         );
     }
     write_metrics(metrics_path.as_deref(), &sink)?;
-    Ok(())
-}
-
-/// The tracked benchmark suite: writes `BENCH_stage1.json`,
-/// `BENCH_pipeline.json`, `BENCH_obs.json`, `BENCH_stream.json`,
-/// `BENCH_records.json`, `BENCH_lint.json`, `BENCH_watch.json` and
-/// `BENCH_sweep.json` to `--out` (default: current directory). `--smoke true` shrinks the
-/// corpora for CI — the numbers are meaningless but the full path and
-/// schema are exercised.
-fn cmd_bench(opts: &cli::Opts) -> Result<(), String> {
-    use gpu_resilience::bench::stage1;
-
-    let out_dir = opts.path("out").unwrap_or_else(|| PathBuf::from("."));
-    let smoke = opts.truthy("smoke");
-    std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
-
-    eprintln!(
-        "benchmarking Stage I ({}) ...",
-        if smoke { "smoke corpus" } else { "full corpus" }
-    );
-    let stage1_doc = stage1::stage1_report(smoke)?;
-    let stage1_path = out_dir.join("BENCH_stage1.json");
-    std::fs::write(&stage1_path, stage1_doc.render()).map_err(|e| e.to_string())?;
-    if let Some(rows) = stage1_doc.get("workloads").and_then(|w| w.as_arr()) {
-        for row in rows {
-            let name = row.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-            let speedup = row.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            let base = row
-                .get("baseline")
-                .and_then(|m| m.get("lines_per_s"))
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            let opt = row
-                .get("optimized")
-                .and_then(|m| m.get("lines_per_s"))
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            println!(
-                "{name:<12} baseline {base:>12.0} lines/s   optimized {opt:>12.0} lines/s   speedup {speedup:.2}x"
-            );
-        }
-    }
-
-    eprintln!("benchmarking sharded pipeline ...");
-    let pipe_doc = stage1::pipeline_report(smoke)?;
-    let pipe_path = out_dir.join("BENCH_pipeline.json");
-    std::fs::write(&pipe_path, pipe_doc.render()).map_err(|e| e.to_string())?;
-    let scaling = pipe_doc.get("scaling").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let pool = pipe_doc.get("worker_pool").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let eff = pipe_doc
-        .get("scaling_efficiency")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    println!(
-        "pipeline     worker matrix scaling {scaling:.2}x over 1 worker \
-         (efficiency {eff:.2}, pool {pool:.0})"
-    );
-
-    eprintln!("benchmarking observability overhead ...");
-    let obs_doc = gpu_resilience::bench::obs::obs_report(smoke)?;
-    let obs_path = out_dir.join("BENCH_obs.json");
-    std::fs::write(&obs_path, obs_doc.render()).map_err(|e| e.to_string())?;
-    let pct = obs_doc
-        .get("overhead_pct")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    println!("observability recording-sink overhead {pct:.2}%");
-
-    eprintln!("benchmarking streaming ingestion ...");
-    let stream_doc = gpu_resilience::bench::stream::stream_report(smoke)?;
-    let stream_path = out_dir.join("BENCH_stream.json");
-    std::fs::write(&stream_path, stream_doc.render()).map_err(|e| e.to_string())?;
-    if let Some(paths) = stream_doc.get("paths").and_then(|p| p.as_arr()) {
-        for p in paths {
-            let name = p.get("path").and_then(|v| v.as_str()).unwrap_or("?");
-            let peak = p
-                .get("peak_resident_bytes")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            let mb = p
-                .get("measurement")
-                .and_then(|m| m.get("mb_per_s"))
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0);
-            println!("{name:<20} {mb:>8.2} MB/s   peak resident {peak:>12.0} bytes");
-        }
-    }
-    let gap_close = stream_doc
-        .get("gap_close_pct")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let pf_speedup = stream_doc
-        .get("prefetch_speedup")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    println!(
-        "stream       prefetch {pf_speedup:.2}x over sync dir-stream \
-         ({gap_close:.0}% of the in-memory gap closed)"
-    );
-
-    eprintln!("benchmarking record-store replay ...");
-    let rec_doc = gpu_resilience::bench::records::records_report(smoke)?;
-    let rec_path = out_dir.join("BENCH_records.json");
-    std::fs::write(&rec_path, rec_doc.render()).map_err(|e| e.to_string())?;
-    let replay = rec_doc
-        .get("replay_speedup")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let overhead = rec_doc
-        .get("write_overhead_pct")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let ratio = rec_doc
-        .get("compression_ratio")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    println!(
-        "records      replay {replay:.1}x over re-parse-from-text \
-         (write overhead {overhead:.1}%, store {ratio:.1}x smaller than text)"
-    );
-
-    eprintln!("benchmarking dr-lint symbol-graph analysis ...");
-    let lint_doc = gpu_resilience::bench::lint::lint_report(smoke, std::path::Path::new("."))?;
-    let lint_path = out_dir.join("BENCH_lint.json");
-    std::fs::write(&lint_path, lint_doc.render()).map_err(|e| e.to_string())?;
-    let symbols = lint_doc.get("symbols").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let edges = lint_doc.get("call_edges").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let wall = lint_doc.get("wall_s").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    println!(
-        "lint         {symbols:.0} symbols / {edges:.0} call edges analyzed in {:.1} ms",
-        wall * 1e3
-    );
-
-    eprintln!("benchmarking live watch path ...");
-    let watch_doc = gpu_resilience::bench::watch::watch_report(smoke)?;
-    let watch_path = out_dir.join("BENCH_watch.json");
-    std::fs::write(&watch_path, watch_doc.render()).map_err(|e| e.to_string())?;
-    let ingest = watch_doc
-        .get("ingest_lines_per_s")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let snap_us = watch_doc
-        .get("snapshot_latency_us")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    println!("watch        ingest {ingest:>12.0} lines/s   snapshot {snap_us:.1} us");
-
-    eprintln!("benchmarking scenario sweep ...");
-    let sweep_doc = gpu_resilience::bench::sweep::sweep_report(smoke)?;
-    let sweep_path = out_dir.join("BENCH_sweep.json");
-    std::fs::write(&sweep_path, sweep_doc.render()).map_err(|e| e.to_string())?;
-    let par_speedup = sweep_doc
-        .get("parallel_speedup")
-        .and_then(|v| v.as_f64())
-        .unwrap_or(0.0);
-    let sweep_runs = sweep_doc.get("runs").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    println!(
-        "sweep        {sweep_runs:.0}-run battery, parallel {par_speedup:.2}x over 1 worker"
-    );
-
-    println!(
-        "wrote {}, {}, {}, {}, {}, {}, {} and {}",
-        stage1_path.display(),
-        pipe_path.display(),
-        obs_path.display(),
-        stream_path.display(),
-        rec_path.display(),
-        lint_path.display(),
-        watch_path.display(),
-        sweep_path.display()
-    );
     Ok(())
 }

@@ -139,6 +139,21 @@ impl FlagSet {
         self.flags.iter().find(|f| f.name == name)
     }
 
+    /// Whether `args` ask for this subcommand's help: `--help` or `-h`
+    /// where a flag may stand, not as the value of a declared flag.
+    pub fn asks_for_help(&self, args: &[String]) -> bool {
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if a == "--help" || a == "-h" {
+                return true;
+            }
+            if a.strip_prefix("--").and_then(|name| self.lookup(name)).is_some() {
+                it.next();
+            }
+        }
+        false
+    }
+
     /// Parse `args` (everything after the subcommand) against this
     /// table. Unknown flags, missing values, missing required flags, and
     /// unexpected positionals are all [`DataError::Usage`].
@@ -276,11 +291,6 @@ impl Opts {
             }),
         }
     }
-
-    /// A boolean flag written as `--key true` (also `1`/`yes`).
-    pub fn truthy(&self, key: &str) -> bool {
-        matches!(self.str(key), Some("true" | "1" | "yes"))
-    }
 }
 
 #[cfg(test)]
@@ -362,6 +372,15 @@ mod tests {
         );
         let block = TEST_SET.usage();
         assert!(block.contains("--workers N  worker pool width"));
+    }
+
+    #[test]
+    fn help_is_asked_for_only_in_flag_position() {
+        assert!(TEST_SET.asks_for_help(&args(&["--help"])));
+        assert!(TEST_SET.asks_for_help(&args(&["--out", "d", "-h"])));
+        // A flag's value is never help, even when it reads like it.
+        assert!(!TEST_SET.asks_for_help(&args(&["--out", "--help"])));
+        assert!(!TEST_SET.asks_for_help(&args(&["--out", "d", "--workers", "2"])));
     }
 
     #[test]

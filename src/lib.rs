@@ -34,7 +34,6 @@
 pub mod cli;
 
 pub use dr_availsim as availsim;
-pub use dr_bench as bench;
 pub use dr_cluster as cluster;
 pub use dr_des as des;
 pub use dr_faults as faults;

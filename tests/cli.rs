@@ -375,10 +375,51 @@ fn bad_usage_fails_cleanly() {
         "{stderr}"
     );
 
+    // So is the retired `bench` command: `gpures-benchmark/` measures.
+    let out = gpures().args(["bench", "--smoke", "true"]).output().expect("run bench");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command \"bench\""), "{stderr}");
+
     let out = gpures()
         .args(["analyze", "--logs", "/nonexistent-dir-xyz"])
         .output()
         .expect("run bad analyze");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_zero() {
+    for arg in ["--help", "-h", "help"] {
+        let out = gpures().arg(arg).output().expect("run help");
+        assert_eq!(out.status.code(), Some(0), "gpures {arg}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage:") && stdout.contains("gpures watch"),
+            "gpures {arg}:\n{stdout}"
+        );
+        assert!(!stdout.contains("gpures bench"), "{stdout}");
+        assert!(out.stderr.is_empty(), "gpures {arg} wrote to stderr");
+    }
+
+    // A subcommand's help is its per-flag block, wherever a flag may stand.
+    let asks: [&[&str]; 3] = [
+        &["analyze", "--help"],
+        &["analyze", "-h"],
+        &["analyze", "--nodes", "6", "--help"],
+    ];
+    for args in asks {
+        let out = gpures().args(args).output().expect("run subcommand help");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("gpures analyze") && stdout.contains("--from-records FILE  replay"),
+            "{args:?}:\n{stdout}"
+        );
+    }
+    // A required flag or positional does not stand in the way of help.
+    let out = gpures().args(["sweep", "-h"]).output().expect("run sweep help");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("gpures sweep BATTERY..."));
 }

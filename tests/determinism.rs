@@ -4,7 +4,9 @@
 use gpu_resilience::availsim::{simulate, ProjectionConfig};
 use gpu_resilience::core::{PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
+use gpu_resilience::logscan::BaselineExtractor;
 use gpu_resilience::slurm::{DrainWindows, JobLoadConfig, Scheduler};
+use gpu_resilience::xid::record::sort_records;
 
 #[test]
 fn campaign_is_bit_reproducible() {
@@ -94,6 +96,35 @@ fn chunked_extraction_is_invariant_to_chunk_size_and_workers() {
             );
             assert_eq!(format!("{:?}", r.table1), format!("{:?}", reference.table1));
         }
+    }
+}
+
+#[test]
+fn every_worker_count_coalesces_like_the_serial_baseline_route() {
+    // The tests above compare the fast path with itself; this one pins it
+    // to the batch route, which shares none of its Stage I code: each
+    // node's text through the serial baseline extractor, one global sort,
+    // one fold over the records. Three days keep the five runs cheap.
+    let out = Campaign::run(CampaignConfig {
+        duration_days: 3.0,
+        ..CampaignConfig::tiny(82)
+    });
+    let cfg = StudyConfig::ampere_study()
+        .with_window(out.observation_hours(), out.fleet.node_count() as u32);
+    let mut records = Vec::new();
+    for (_, lines) in &out.text_logs {
+        let mut ex = BaselineExtractor::new();
+        records.append(&mut ex.extract_all(lines.iter().map(|s| s.as_str())));
+    }
+    sort_records(&mut records);
+    let reference = PipelineBuilder::new(cfg).run_records(&records);
+    assert!(!reference.coalesced.is_empty(), "corpus must hold XID episodes");
+
+    for workers in [1, 2, 4, 8] {
+        gpu_resilience::par::set_worker_override(Some(workers));
+        let (r, _) = PipelineBuilder::new(cfg).run_text(&out.text_logs);
+        gpu_resilience::par::set_worker_override(None);
+        assert_eq!(r.coalesced, reference.coalesced, "episodes drift at {workers} workers");
     }
 }
 

@@ -1,64 +1,32 @@
-//! Tier-1 differential gate for the fold-based analysis core: a
-//! [`StudyResults`] produced by folding the corpus through the
-//! incremental `StudyEngine` must be **Debug-fingerprint-identical** to
-//! the pre-refactor batch output — the batch analysis functions applied
-//! to the same coalesced errors, assembled exactly as the old
-//! `from_coalesced_observed` did — on every existing source type (text,
-//! generator, record store) and at 1 and 8 workers.
+//! Tier-1 differential gate for the fold-based analysis core: the
+//! [`StudyResults`] a pipeline run streams from a source must be
+//! **Debug-fingerprint-identical** to a `StudyEngine` folded once over
+//! the run's final coalesced vector — on every existing source type
+//! (text, generator, record store) and at 1 and 8 workers. The fold
+//! itself is pinned against the map-based oracle by the crate's unit
+//! tests and frozen by `tests/golden_digests.rs`.
 
-use gpu_resilience::core::stats::{category_mtbe, overall_mtbe};
 use gpu_resilience::core::{
-    availability, counterfactual, lost_gpu_hours, table1, GeneratorSource, InMemoryRecordSource,
-    PipelineBuilder, StudyConfig, StudyResults,
+    GeneratorSource, InMemoryRecordSource, PipelineBuilder, StudyConfig, StudyEngine,
+    StudyResults,
 };
-use gpu_resilience::core::downtime::downtime_stats;
-use gpu_resilience::core::job_impact::{analyze_jobs, table3};
-use gpu_resilience::core::propagation::analyze;
 use gpu_resilience::faults::{Campaign, CampaignConfig, DowntimeInterval};
+use gpu_resilience::obs::MetricsSink;
 use gpu_resilience::slurm::{DrainWindows, JobLoadConfig, JobRecord, Scheduler};
 use gpu_resilience::xid::{ErrorRecord, NodeId};
 
-/// The pre-refactor batch pipeline, reconstructed verbatim from the
-/// retired `from_coalesced_observed` body: every section computed by its
-/// batch function, fields assembled in the same order. This is the
-/// oracle the folded engine must reproduce bit for bit.
+/// The study folded once: a fresh `StudyEngine` fed the whole coalesced
+/// vector in one `extend`, then finished. A streamed run must reproduce
+/// it bit for bit.
 fn batch_oracle(
     coalesced: Vec<gpu_resilience::core::CoalescedError>,
     jobs: Option<&[JobRecord]>,
     downtime: Option<&[DowntimeInterval]>,
     config: StudyConfig,
 ) -> StudyResults {
-    let t1 = table1(&coalesced, config.observation_hours, config.node_count);
-    let overall = overall_mtbe(&coalesced, config.observation_hours, config.node_count);
-    let cat = category_mtbe(&coalesced, config.observation_hours, config.node_count);
-    let lost = lost_gpu_hours(&coalesced);
-    let prop = analyze(&coalesced, config.propagation_window);
-
-    let dt = downtime.map(downtime_stats);
-    let mttr = dt.as_ref().map(|d| d.mean_service_h).unwrap_or(0.3);
-    let cf = counterfactual(&coalesced, config.observation_hours, config.node_count, mttr);
-    let avail = match (&dt, overall.1) {
-        (Some(d), Some(mtbe)) => Some(availability(mtbe, d.mean_service_h)),
-        _ => None,
-    };
-
-    let ji = jobs.map(|j| analyze_jobs(j, &coalesced, config.job_impact));
-    let t3 = jobs.map(table3);
-
-    StudyResults {
-        config,
-        table1: t1,
-        overall_mtbe_h: overall,
-        category_mtbe: cat,
-        lost_hours: lost,
-        propagation: prop,
-        counterfactual: cf,
-        job_impact: ji,
-        table3: t3,
-        downtime: dt,
-        availability: avail,
-        coalesced,
-    }
+    let mut engine = StudyEngine::new(config, jobs, downtime);
+    engine.extend(coalesced);
+    engine.finish_observed(&MetricsSink::disabled())
 }
 
 struct Fixture {
@@ -88,7 +56,7 @@ fn assert_fold_matches_batch(results: &StudyResults, jobs: &[JobRecord], downtim
     assert_eq!(
         format!("{results:?}"),
         format!("{oracle:?}"),
-        "folded engine diverges from the batch oracle on the {label} source"
+        "the streamed run diverges from the study folded once on the {label} source"
     );
 }
 
@@ -147,7 +115,7 @@ fn folded_engine_matches_batch_on_record_store_source_at_1_and_8_workers() {
 #[test]
 fn folded_engine_matches_batch_without_jobs_or_downtime() {
     // The optional sections (job impact, downtime, availability) must
-    // stay absent exactly as in the batch assembly.
+    // stay absent exactly as in the one-shot fold.
     let f = fixture(94);
     let (results, _) = PipelineBuilder::new(f.cfg).run_text(&f.out.text_logs);
     let oracle = batch_oracle(results.coalesced.clone(), None, None, results.config);

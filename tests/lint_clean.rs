@@ -29,9 +29,9 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn interprocedural_passes_run_and_prove_entry_points_panic_free() {
-    // The symbol graph must actually cover the workspace (hundreds of
-    // fns, thousands of name-approximated edges) and the three
-    // graph-based passes must report zero active findings: the
+    // The symbol graph must actually cover the workspace (dozens of
+    // files, hundreds of fns, thousands of name-approximated edges) and
+    // the three graph-based passes must report zero active findings: the
     // `run_source` / `run_observed` closures are panic-free, no
     // nondeterminism taints `StudyResults`, and every cross-crate `use`
     // respects the declared layer DAG.
@@ -41,6 +41,7 @@ fn interprocedural_passes_run_and_prove_entry_points_panic_free() {
         baseline: Some(root.join("dr-lint.baseline")),
     };
     let report = run(&cfg).expect("dr-lint runs");
+    assert!(report.files > 50, "graph covers only {} files", report.files);
     assert!(
         report.symbols > 300,
         "call graph covers only {} symbols — parser regression?",

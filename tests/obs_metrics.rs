@@ -5,8 +5,10 @@
 
 use gpu_resilience::core::{PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
+use gpu_resilience::logscan::BaselineExtractor;
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
+use gpu_resilience::xid::record::sort_records;
 
 fn workload() -> (Vec<(gpu_resilience::xid::NodeId, Vec<String>)>, StudyConfig) {
     let out = Campaign::run(CampaignConfig::tiny(321));
@@ -35,6 +37,45 @@ fn results_are_bit_identical_with_metrics_on_and_off() {
     );
     // And the sink did actually record something.
     assert!(sink.export_json().is_some());
+}
+
+#[test]
+fn recording_sink_run_matches_the_serial_baseline_route_and_counts_every_line() {
+    // With a recording sink attached, the episodes must still be those of
+    // the batch route (serial baseline extraction, one global sort, one
+    // fold), and the sink's extract counters must account for the corpus
+    // exactly: every input line once, every XID line once.
+    let (logs, cfg) = workload();
+    let mut records = Vec::new();
+    let mut lines_in = 0u64;
+    let mut xid_lines = 0u64;
+    for (_, lines) in &logs {
+        let mut ex = BaselineExtractor::new();
+        records.append(&mut ex.extract_all(lines.iter().map(|s| s.as_str())));
+        lines_in += ex.stats().lines;
+        xid_lines += ex.stats().xid_lines;
+    }
+    sort_records(&mut records);
+    let reference = PipelineBuilder::new(cfg).run_records(&records);
+    assert!(!reference.coalesced.is_empty(), "corpus must hold XID episodes");
+
+    let sink = MetricsSink::recording();
+    let (r, stats) = PipelineBuilder::new(cfg).metrics(sink.clone()).run_text(&logs);
+    assert_eq!(r.coalesced, reference.coalesced, "episodes drift with metrics on");
+    assert_eq!((stats.lines, stats.xid_lines), (lines_in, xid_lines));
+
+    let doc = sink.export_json().expect("recording sink exports");
+    let counters = doc
+        .get("stages")
+        .and_then(Json::as_arr)
+        .and_then(|stages| {
+            stages
+                .iter()
+                .find(|s| s.get("stage").and_then(Json::as_str) == Some("extract"))
+        })
+        .and_then(|s| s.get("counters"))
+        .expect("extract counters");
+    assert_eq!(counters.get("lines").and_then(Json::as_u64), Some(lines_in));
 }
 
 #[test]

@@ -8,6 +8,7 @@
 
 use gpu_resilience::core::{coalesce, CoalesceConfig, PipelineBuilder, StudyConfig};
 use gpu_resilience::faults::{Campaign, CampaignConfig};
+use gpu_resilience::logscan::{BaselineExtractor, XidExtractor};
 use gpu_resilience::xid::Xid;
 
 fn tiny_output() -> gpu_resilience::faults::CampaignOutput {
@@ -33,6 +34,30 @@ fn recovered_counts_match_ground_truth_events() {
             "{xid}: ground truth {truth}, recovered {recovered}"
         );
     }
+}
+
+#[test]
+fn fast_extractor_matches_the_baseline_on_campaign_text() {
+    // The extractor's unit tests cover hand-built streams; this runs both
+    // engines over a generated campaign's syslog, node by node. Records
+    // and the shared counters must be identical (`syslog_lines` differs
+    // by design: the baseline keeps the legacy header heuristic).
+    let out = tiny_output();
+    let mut records = 0;
+    for (node, lines) in &out.text_logs {
+        let mut fast = XidExtractor::new();
+        let mut base = BaselineExtractor::new();
+        let recs = fast.extract_all(lines.iter().map(|s| s.as_str()));
+        assert_eq!(recs, base.extract_all(lines.iter().map(|s| s.as_str())), "node {node:?}");
+        let (f, b) = (fast.stats(), base.stats());
+        assert_eq!(
+            (f.lines, f.xid_lines, f.unknown_xid, f.malformed),
+            (b.lines, b.xid_lines, b.unknown_xid, b.malformed),
+            "node {node:?}"
+        );
+        records += recs.len();
+    }
+    assert!(records > 0, "campaign text must contain XID records");
 }
 
 #[test]

@@ -1,17 +1,18 @@
 //! Tier-1 record-store contract: the columnar `ErrorRecord` store
 //! written during the extract pass must replay into `StudyResults`
 //! bit-identical to the text path — at every chunk size and worker
-//! count — and a damaged store must surface as a typed `DataError`,
-//! never a panic.
+//! count, and at every coalescing and propagation window — and a damaged
+//! store must surface as a typed `DataError`, never a panic.
 
 use gpu_resilience::core::{
-    extract_to_store, GeneratorSource, InMemorySource, PipelineBuilder, RecordSource, RecordStore,
-    StudyConfig,
+    extract_to_store, CoalesceConfig, GeneratorSource, InMemorySource, PipelineBuilder,
+    RecordSource, RecordStore, StudyConfig,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
+use gpu_resilience::logscan::BaselineExtractor;
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
-use gpu_resilience::xid::ErrorRecord;
+use gpu_resilience::xid::{Duration, ErrorRecord};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -100,6 +101,52 @@ fn record_replay_is_bit_identical_across_chunk_sizes_and_workers() {
         }
     }
     gpu_resilience::par::set_worker_override(None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The sensitivity sweep a store exists for: re-coalescing at
+/// Δt ∈ {1, 5, 60} s, then the propagation window at 30 s and 120 s
+/// (DESIGN.md's A1 and A3 ablations), all replayed from one store written
+/// once. Each point must give the text path's study, table for table.
+#[test]
+fn record_replay_matches_text_across_coalesce_and_propagation_windows() {
+    let out = campaign();
+    let dir = scratch_dir("windows");
+    let store_path = dir.join("records.grcs");
+    build_store(&out, &store_path);
+    let store = RecordStore::open(&store_path).expect("store opens");
+
+    // The store holds exactly the record stream the reference extractor
+    // finds in the same text.
+    let extracted: usize = out
+        .text_logs
+        .iter()
+        .map(|(_, lines)| {
+            let mut ex = BaselineExtractor::new();
+            ex.extract_all(lines.iter().map(String::as_str)).len()
+        })
+        .sum();
+    assert_eq!(store.record_count(), extracted as u64);
+
+    for (dt_s, window_s) in [(1, 60), (5, 60), (60, 60), (5, 30), (5, 120)] {
+        let mut cfg = study_config(&out);
+        cfg.coalesce = CoalesceConfig {
+            window: Duration::from_secs(dt_s),
+            ..CoalesceConfig::default()
+        };
+        cfg.propagation_window = Duration::from_secs(window_s);
+        let (text, _) = PipelineBuilder::new(cfg).run_text(&out.text_logs);
+        assert!(!text.coalesced.is_empty());
+        let mut reader = store.reader(&store_path).expect("reader");
+        let replayed = PipelineBuilder::new(cfg)
+            .run_record_source(&mut reader)
+            .expect("record replay");
+        assert_eq!(
+            format!("{replayed:?}"),
+            format!("{text:?}"),
+            "record replay diverged from the text path at Δt {dt_s} s, window {window_s} s"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

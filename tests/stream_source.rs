@@ -11,9 +11,11 @@ use gpu_resilience::core::{
     StudyResults, TailSource, WatchConfig, WatchSession,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
+use gpu_resilience::logscan::BaselineExtractor;
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
 use gpu_resilience::report::files;
+use gpu_resilience::xid::record::sort_records;
 use gpu_resilience::xid::syslog::{format_line, format_noise_line};
 use gpu_resilience::xid::{
     DataError, Duration, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid,
@@ -144,6 +146,45 @@ fn prefetch_is_bit_identical_across_workers_and_sources() {
         }
     }
     gpu_resilience::par::set_worker_override(None);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_ingestion_path_coalesces_like_the_serial_baseline_route() {
+    // In-memory, streamed from disk, and streamed with prefetch must each
+    // give the episodes of the batch route, which shares none of their
+    // Stage I code: serial baseline extraction per node, one global sort,
+    // one fold over the records.
+    let out = campaign();
+    let cfg = study_config(&out);
+    let mut records = Vec::new();
+    for (_, lines) in &out.text_logs {
+        let mut ex = BaselineExtractor::new();
+        records.append(&mut ex.extract_all(lines.iter().map(|s| s.as_str())));
+    }
+    sort_records(&mut records);
+    let reference = PipelineBuilder::new(cfg).run_records(&records);
+    assert!(!reference.coalesced.is_empty(), "corpus must hold XID episodes");
+
+    let dir = scratch_dir("baseline-route");
+    let mut gen = GeneratorSource::from_campaign(&out);
+    files::write_node_logs_source(&dir, &mut gen).expect("streamed write");
+    let builder = PipelineBuilder::new(cfg);
+    let mut mem = InMemorySource::new(&out.text_logs);
+    let (r_mem, _) = builder.run_source(&mut mem).expect("in-memory");
+    assert_eq!(r_mem.coalesced, reference.coalesced, "in-memory diverged");
+    for prefetch in [false, true] {
+        let mut disk = DirSource::open(&dir).expect("reopen log dir");
+        let (r_disk, _) = builder
+            .clone()
+            .prefetch(prefetch)
+            .run_source(&mut disk)
+            .expect("dir source");
+        assert_eq!(
+            r_disk.coalesced, reference.coalesced,
+            "dir source diverged (prefetch={prefetch})"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -5,8 +5,9 @@
 //! on the same logs.
 
 use gpu_resilience::core::{
-    PipelineBuilder, StudyConfig, TailSource, WatchConfig, WatchSession,
+    GeneratorSource, PipelineBuilder, StudyConfig, TailSource, WatchConfig, WatchSession,
 };
+use gpu_resilience::faults::{Campaign, CampaignConfig};
 use gpu_resilience::obs::MetricsSink;
 use gpu_resilience::xid::{
     syslog, Duration, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid,
@@ -114,6 +115,39 @@ fn tail_session_follows_appends_and_converges_to_batch() {
         "a grown-then-drained tail must match the batch pipeline bit-for-bit"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session draining a generated campaign — each node's text in turn,
+/// through `GeneratorSource` — must drop nothing at the default lateness
+/// and end with exactly the batch pipeline's episodes.
+#[test]
+fn generated_campaign_drains_without_late_drops_and_matches_batch() {
+    let mut cfg = CampaignConfig {
+        duration_days: 120.0,
+        ..CampaignConfig::tiny(11)
+    };
+    cfg.text.noise_per_node_hour = 4.0;
+    let out = Campaign::run(cfg);
+    let study = StudyConfig::ampere_study()
+        .with_window(out.observation_hours(), out.fleet.node_count() as u32);
+
+    let sink = MetricsSink::disabled();
+    let mut session = WatchSession::new(WatchConfig {
+        study,
+        ..WatchConfig::default()
+    });
+    session
+        .run_observed(&mut GeneratorSource::from_campaign(&out), &sink)
+        .expect("drain the generated campaign");
+    assert!(session.stats().records > 0);
+    assert_eq!(session.stats().late_dropped, 0);
+    let live = session.finish_observed(&sink);
+
+    let (batch, _) = PipelineBuilder::new(study)
+        .run_source(&mut GeneratorSource::from_campaign(&out))
+        .expect("batch run");
+    assert!(!batch.coalesced.is_empty());
+    assert_eq!(live.coalesced, batch.coalesced);
 }
 
 #[test]
