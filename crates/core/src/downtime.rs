@@ -1,4 +1,8 @@
 //! Node unavailability and availability estimation (Fig. 9c, Section 5.4).
+//!
+//! [`downtime_stats`] is the one downtime summary: the study fold
+//! ([`crate::engine::StudyEngine`]) calls it on the repair intervals
+//! when it finishes.
 
 use dr_faults::DowntimeInterval;
 use dr_stats::{Mtbe, SummaryStats};
@@ -22,44 +26,12 @@ pub fn downtime_stats(intervals: &[DowntimeInterval]) -> DowntimeStats {
         .iter()
         .map(|d| d.duration().as_hours_f64())
         .collect();
-    finish_downtime(&hours)
-}
-
-fn finish_downtime(hours: &[f64]) -> DowntimeStats {
-    let service = SummaryStats::from_samples(hours);
+    let service = SummaryStats::from_samples(&hours);
     DowntimeStats {
         incidents: hours.len() as u64,
         mean_service_h: service.mean,
         service,
         total_lost_h: hours.iter().sum(),
-    }
-}
-
-/// Incremental [`downtime_stats`]: service hours accrue one repair
-/// interval at a time, in arrival order (the sums are float-order
-/// sensitive), and `snapshot` runs the identical summary. This is the
-/// one [`crate::engine::AnalysisEngine`] keyed on
-/// [`DowntimeInterval`]s rather than coalesced errors.
-#[derive(Clone, Debug, Default)]
-pub struct DowntimeAcc {
-    hours: Vec<f64>,
-}
-
-impl DowntimeAcc {
-    pub fn new() -> Self {
-        DowntimeAcc::default()
-    }
-}
-
-impl crate::engine::AnalysisEngine<DowntimeInterval> for DowntimeAcc {
-    type Snapshot = DowntimeStats;
-
-    fn ingest(&mut self, interval: &DowntimeInterval) {
-        self.hours.push(interval.duration().as_hours_f64());
-    }
-
-    fn snapshot(&self) -> DowntimeStats {
-        finish_downtime(&self.hours)
     }
 }
 
@@ -115,17 +87,5 @@ mod tests {
         let s = downtime_stats(&[]);
         assert_eq!(s.incidents, 0);
         assert_eq!(s.total_lost_h, 0.0);
-    }
-
-    #[test]
-    fn downtime_fold_matches_batch_exactly() {
-        use crate::engine::AnalysisEngine;
-        let intervals = vec![interval(0, 1_800), interval(10_000, 360), interval(20_000, 90)];
-        let mut acc = DowntimeAcc::new();
-        for iv in &intervals {
-            acc.ingest(iv);
-        }
-        assert_eq!(acc.snapshot(), downtime_stats(&intervals));
-        assert_eq!(DowntimeAcc::new().snapshot(), downtime_stats(&[]));
     }
 }

@@ -1,11 +1,12 @@
 //! Incremental, fold-based analysis core.
 //!
-//! [`AnalysisEngine`] is the fold shape every incremental pass shares:
-//! `ingest` one element at a time, `snapshot` the answer whenever you
-//! want it. [`StudyEngine`] is the whole study as one such fold, and is
-//! what [`crate::pipeline::PipelineBuilder::run_coalesced`] runs; the live
-//! path (`crate::watch`) layers rolling-window accumulators on the same
-//! trait.
+//! [`AnalysisEngine`] is the fold shape of the study: `ingest` one
+//! coalesced episode at a time, `snapshot` the answer whenever you want
+//! it. [`StudyEngine`] is the whole study as one such fold, and is what
+//! [`crate::pipeline::PipelineBuilder::run_coalesced`] runs; the downtime
+//! summary is [`crate::downtime::downtime_stats`], called when the engine
+//! finishes. The live path (`crate::watch`) keeps its episodes for this
+//! fold and reads its live views from one rolling window of its own.
 //!
 //! `StudyEngine` keeps one shared episode index and every study section
 //! finishes from it:
@@ -30,7 +31,7 @@
 
 use crate::coalesce::CoalescedError;
 use crate::counterfactual::finish_counterfactual;
-use crate::downtime::{availability, DowntimeAcc, DowntimeStats};
+use crate::downtime::{availability, downtime_stats, DowntimeStats};
 use crate::job_impact::{finish_job_impact, table3};
 use crate::pipeline::{StudyConfig, StudyResults};
 use crate::propagation::{finish_propagation, NVLINK_SPREAD_WINDOW};
@@ -45,19 +46,19 @@ use std::collections::BTreeMap;
 /// Width of every dense per-XID table: one slot per [`Xid::ordinal`].
 pub(crate) const XIDS: usize = Xid::ALL.len();
 
-/// An incremental analysis pass: a fold over a stream of inputs
-/// (coalesced errors by default) with a read-out that can be taken at
-/// any point. Implementations must be deterministic functions of the
-/// ingested sequence — never of wall-clock time or iteration luck — so
-/// that folding a finished corpus reproduces the batch result exactly
-/// and a live session converges to the batch answer when the stream
-/// catches up.
-pub trait AnalysisEngine<In = CoalescedError> {
+/// An incremental analysis pass: a fold over a stream of coalesced
+/// errors with a read-out that can be taken at any point.
+/// Implementations must be deterministic functions of the ingested
+/// sequence — never of wall-clock time or iteration luck — so that
+/// folding a finished corpus reproduces the batch result exactly and a
+/// live session converges to the batch answer when the stream catches
+/// up.
+pub trait AnalysisEngine {
     /// What [`AnalysisEngine::snapshot`] produces.
     type Snapshot;
 
-    /// Fold one element into the accumulator.
-    fn ingest(&mut self, input: &In);
+    /// Fold one episode into the accumulator.
+    fn ingest(&mut self, e: &CoalescedError);
 
     /// Read the current answer without disturbing the accumulator.
     fn snapshot(&self) -> Self::Snapshot;
@@ -333,13 +334,7 @@ impl<'a> StudyEngine<'a> {
 
         let (dt, cf, avail) = {
             let _span = sink.span(Stage::Stats, "downtime");
-            let dt: Option<DowntimeStats> = downtime.map(|intervals| {
-                let mut acc = DowntimeAcc::new();
-                for iv in intervals {
-                    acc.ingest(iv);
-                }
-                acc.snapshot()
-            });
+            let dt: Option<DowntimeStats> = downtime.map(downtime_stats);
             let mttr = dt.as_ref().map(|d| d.mean_service_h).unwrap_or(0.3);
             let cf = finish_counterfactual(&index, hours, nodes, mttr);
             let avail = match (&dt, overall.1) {

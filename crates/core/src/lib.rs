@@ -39,21 +39,22 @@
 //!   [`stream::StreamCoalescer`], incremental Algorithm 1 over the
 //!   reordered stream.
 //! - [`engine`] — the fold-based analysis core: the
-//!   [`engine::AnalysisEngine`] fold trait (`ingest` per element,
-//!   `snapshot` at any point) and [`engine::StudyEngine`], the whole
-//!   study as one fold. It holds each episode once and keeps one shared
-//!   index over them (interned GPUs with per-GPU and per-node episode
-//!   lists, dense per-XID tables); every section of
-//!   [`pipeline::StudyResults`] finishes from that index, bit-identical
-//!   to the batch definitions (tier-1 golden digests and a proptest
-//!   against the map-based oracle kept in test code).
+//!   [`engine::AnalysisEngine`] fold trait (`ingest` per coalesced
+//!   episode, `snapshot` at any point) and [`engine::StudyEngine`], the
+//!   whole study as one fold and its only implementation. It holds
+//!   each episode once and keeps one shared index over them (interned
+//!   GPUs with per-GPU and per-node episode lists, dense per-XID
+//!   tables); every section of [`pipeline::StudyResults`] finishes from
+//!   that index, bit-identical to the batch definitions (tier-1 golden
+//!   digests and a proptest against the map-based oracle kept in test
+//!   code).
 //! - [`tail`] — [`tail::TailSource`]: a [`source::LogSource`] that
 //!   follows growing, rotating per-node log files with inode/offset
 //!   checkpoints for resumable live ingestion.
 //! - [`watch`] — the live path and its one front door (`gpures watch`):
 //!   [`watch::WatchSession`] chains tailed sources through extraction,
-//!   watermarking, and incremental coalescing into rolling-window
-//!   accumulators and deterministic event-time alerts.
+//!   watermarking, and incremental coalescing into one rolling window,
+//!   which serves every live view, and deterministic event-time alerts.
 //!
 //! Everything operates on plain data types (`ErrorRecord`, `JobRecord`),
 //! so the pipeline runs unchanged on synthetic campaigns or real logs.
@@ -84,7 +85,7 @@ pub mod watch;
 
 pub use coalesce::{coalesce, coalesce_observed, CoalesceConfig, CoalescedError};
 pub use counterfactual::CounterfactualReport;
-pub use downtime::{availability, DowntimeAcc, DowntimeStats};
+pub use downtime::{availability, DowntimeStats};
 pub use engine::{AnalysisEngine, StudyEngine};
 pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
 pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
@@ -94,8 +95,8 @@ pub use shard::{
     WaveConfig,
 };
 pub use source::{
-    collect_source, pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk,
-    LogSource, Prefetcher, Wave, WaveRx,
+    pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk, LogSource, Prefetcher,
+    Wave, WaveRx,
 };
 pub use stats::{LostHours, Table1Row};
 pub use store::{
@@ -105,6 +106,6 @@ pub use store::{
 pub use stream::{StreamCoalescer, WatermarkBuffer};
 pub use tail::TailSource;
 pub use watch::{
-    Alert, AlertKind, OffenderRate, OffenderRateAcc, WatchConfig, WatchSession, WatchSnapshot,
-    WatchStats, WindowedMtbe, WindowedMtbeAcc, WindowedPropagation, WindowedPropagationAcc,
+    Alert, AlertKind, OffenderRate, WatchConfig, WatchSession, WatchSnapshot, WatchStats,
+    WindowedMtbe, WindowedPropagation,
 };

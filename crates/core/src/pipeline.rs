@@ -245,8 +245,10 @@ impl<'a> PipelineBuilder<'a> {
     /// into per-node streams, and fed to the same merge + analyses as
     /// [`PipelineBuilder::run_source`]. On the same corpus the results
     /// are bit-identical to the text path, because the store preserves
-    /// extraction's per-node record streams exactly — only Stage I's
-    /// text parsing is skipped, which is what makes replay ≥20× faster.
+    /// extraction's per-node record streams exactly. Only Stage I is
+    /// skipped: no log text is read, split into lines, prefiltered or
+    /// matched, and noise lines were never stored, so a replay's cost
+    /// follows the record count rather than the size of the logs.
     pub fn run_record_source(
         &self,
         source: &mut dyn crate::store::RecordSource,

@@ -588,28 +588,6 @@ impl<'a> LogSource<'static> for GeneratorSource<'a> {
     }
 }
 
-/// Drain a source into the materialized `(node, lines)` form. Nodes that
-/// yielded no chunks still appear, with empty line vectors. This is the
-/// batch adapter for callers that genuinely need the whole corpus (the
-/// baseline differential oracle, tests). It pulls one chunk per file, so
-/// a packed source sizes one buffer to each whole file.
-pub fn collect_source<'s>(
-    source: &mut dyn LogSource<'s>,
-) -> Result<Vec<(NodeId, Vec<String>)>, DataError> {
-    let mut out: Vec<(NodeId, Vec<String>)> =
-        source.nodes().iter().map(|&n| (n, Vec::new())).collect();
-    while let Some(chunk) = source.next_chunk(u64::MAX)? {
-        let Some(slot) = out.get_mut(chunk.node) else {
-            return Err(DataError::Io {
-                path: format!("<stream node #{}>", chunk.node),
-                message: "chunk node index out of range for the source's node list".to_string(),
-            });
-        };
-        slot.1.extend(chunk.lines.iter().map(str::to_owned));
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Wave prefetch: I/O-overlapped double buffering
 // ---------------------------------------------------------------------------
@@ -914,13 +892,6 @@ mod tests {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn collect_round_trips_including_empty_nodes() {
-        let logs = corpus();
-        let mut src = InMemorySource::new(&logs);
-        assert_eq!(collect_source(&mut src).unwrap(), logs);
     }
 
     /// A source that yields `good` chunks of one line each, then fails.

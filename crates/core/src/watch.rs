@@ -1,17 +1,18 @@
-//! The live path: rolling-window accumulators and threshold alerts on
-//! top of the fold-based analysis core.
+//! The live path: one rolling window and threshold alerts on top of the
+//! fold-based analysis core.
 //!
 //! A [`WatchSession`] is the monitoring deployment of the paper's
 //! methodology: it drains a [`LogSource`] poll by poll (typically a
 //! [`crate::tail::TailSource`] following growing files), extracts
 //! records with per-node scanner state, reorders them through a
 //! [`WatermarkBuffer`], coalesces with the incremental
-//! [`StreamCoalescer`], and folds every completed episode into
-//! rolling-window [`AnalysisEngine`] accumulators (windowed MTBE,
-//! per-offender rates, windowed propagation pressure) plus three
-//! alerts: emerging defective offender, XID-95 storm onset, and an
-//! episode persisting longer than [`LONG_PERSISTER`] (the Section 4.3
-//! tail, where a reset is due).
+//! [`StreamCoalescer`], and keeps every completed episode for the final
+//! study fold. Each episode also enters one rolling window, which every
+//! live view reads (windowed MTBE, per-offender rates, windowed
+//! propagation pressure) and which drives two of the three alerts:
+//! emerging defective offender and XID-95 storm onset. The third fires
+//! on an episode persisting longer than [`LONG_PERSISTER`] (the Section
+//! 4.3 tail, where a reset is due).
 //!
 //! **Determinism.** Everything here is keyed on *event time* — the
 //! timestamps inside the log lines — never on a wall clock. Alerts
@@ -25,15 +26,14 @@
 //! `late_dropped == 0`).
 
 use crate::coalesce::CoalescedError;
-use crate::engine::AnalysisEngine;
 use crate::pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 use crate::source::LogSource;
 use crate::stream::{StreamCoalescer, WatermarkBuffer};
 use dr_logscan::XidExtractor;
 use dr_obs::MetricsSink;
 use dr_stats::Mtbe;
-use dr_xid::{DataError, Duration, GpuId, NodeId, Timestamp, Xid};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dr_xid::{DataError, Duration, GpuId, Timestamp, Xid};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Tuning for a live watch session. All windows and thresholds are in
@@ -46,8 +46,8 @@ pub struct WatchConfig {
     /// time seen minus this lateness are released; anything arriving
     /// even later is counted as dropped.
     pub lateness: Duration,
-    /// Rolling window for the windowed MTBE / offender-rate /
-    /// propagation accumulators.
+    /// Rolling window behind the windowed MTBE, offender rates,
+    /// propagation pressure and the offender and storm alerts.
     pub window: Duration,
     /// Windowed episode count at which a GPU becomes an emerging
     /// offender (crossing edge fires the alert).
@@ -72,18 +72,9 @@ impl Default for WatchConfig {
     }
 }
 
-/// Windowed overall MTBE: characterized episodes inside the rolling
-/// window, normalized exactly like the batch overall MTBE but over the
-/// window instead of the observation period.
-#[derive(Clone, Debug)]
-pub struct WindowedMtbeAcc {
-    window: Duration,
-    node_count: u32,
-    starts: VecDeque<Timestamp>,
-    latest: Option<Timestamp>,
-}
-
-/// [`WindowedMtbeAcc::snapshot`] output.
+/// [`WatchSnapshot::windowed_mtbe`]: characterized episodes inside the
+/// rolling window, normalized exactly like the batch overall MTBE but
+/// over the window instead of the observation period.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowedMtbe {
     pub window_h: f64,
@@ -93,42 +84,110 @@ pub struct WindowedMtbe {
     pub mtbe_per_node_h: Option<f64>,
 }
 
-impl WindowedMtbeAcc {
-    pub fn new(window: Duration, node_count: u32) -> Self {
-        WindowedMtbeAcc {
-            window,
-            node_count,
-            starts: VecDeque::new(),
-            latest: None,
-        }
-    }
-
-    fn evict(&mut self) {
-        if let Some(latest) = self.latest {
-            let horizon = latest.saturating_sub(self.window);
-            while self.starts.front().is_some_and(|&t| t < horizon) {
-                self.starts.pop_front();
-            }
-        }
-    }
+/// One row of [`WatchSnapshot::offenders`]: a GPU's windowed activity.
+/// The counterpart of the counterfactual pass's top-offender ranking,
+/// but over a rolling window so an emerging defective GPU surfaces
+/// within one window instead of after 855 days.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OffenderRate {
+    pub gpu: GpuId,
+    /// Episodes inside the window.
+    pub count: u64,
+    pub rate_per_h: f64,
 }
 
-impl AnalysisEngine for WindowedMtbeAcc {
-    type Snapshot = WindowedMtbe;
+/// [`WatchSnapshot::propagation`]: how many nodes currently have
+/// multiple distinct GPUs erroring inside the window — the live
+/// early-warning version of the batch inter-GPU propagation analysis.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WindowedPropagation {
+    /// Episodes inside the window.
+    pub events: u64,
+    /// Nodes with ≥ 2 distinct GPUs erroring inside the window.
+    pub multi_gpu_nodes: u64,
+}
 
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.latest = Some(self.latest.map_or(e.start, |l| l.max(e.start)));
-        if e.xid.is_characterized() {
-            self.starts.push_back(e.start);
+/// The rolling window behind every live view and alert threshold: each
+/// episode's start, GPU and XID, held once and ordered by start, plus
+/// running counts. An episode is inside the window iff its start is at
+/// or after `latest − span`, where `latest` is the greatest start
+/// ingested so far.
+#[derive(Clone, Debug)]
+struct Window {
+    span: Duration,
+    latest: Option<Timestamp>,
+    /// Ordered by start. Episodes close nearly in start order, so an
+    /// insert walks back from the end only a few places.
+    episodes: VecDeque<(Timestamp, GpuId, Xid)>,
+    /// Characterized episodes inside the window.
+    characterized: u64,
+    /// XID-95 (uncontained ECC) episodes inside the window.
+    xid95: u64,
+    /// Episodes inside the window per GPU; GPUs with none are removed.
+    per_gpu: BTreeMap<GpuId, u64>,
+}
+
+impl Window {
+    fn new(span: Duration) -> Self {
+        Window {
+            span,
+            latest: None,
+            episodes: VecDeque::new(),
+            characterized: 0,
+            xid95: 0,
+            per_gpu: BTreeMap::new(),
         }
-        self.evict();
     }
 
-    fn snapshot(&self) -> WindowedMtbe {
-        let window_h = self.window.as_hours_f64();
-        let count = self.starts.len() as u64;
-        let (mtbe_system_h, mtbe_per_node_h) = if window_h > 0.0 && self.node_count > 0 {
-            let mtbe = Mtbe::new(window_h, self.node_count);
+    /// Advance the horizon to the episode's start if it is the latest,
+    /// evict what fell behind it, and keep the episode if it is inside.
+    fn ingest(&mut self, e: &CoalescedError) {
+        let latest = self.latest.map_or(e.start, |l| l.max(e.start));
+        self.latest = Some(latest);
+        let horizon = latest.saturating_sub(self.span);
+        while let Some(&(start, gpu, xid)) = self.episodes.front() {
+            if start >= horizon {
+                break;
+            }
+            self.episodes.pop_front();
+            self.tally(gpu, xid, false);
+        }
+        if e.start >= horizon {
+            let at = self
+                .episodes
+                .iter()
+                .rposition(|&(start, _, _)| start <= e.start)
+                .map_or(0, |i| i + 1);
+            self.episodes.insert(at, (e.start, e.gpu, e.xid));
+            self.tally(e.gpu, e.xid, true);
+        }
+    }
+
+    fn tally(&mut self, gpu: GpuId, xid: Xid, add: bool) {
+        let step = |n: &mut u64| if add { *n += 1 } else { *n -= 1 };
+        if xid.is_characterized() {
+            step(&mut self.characterized);
+        }
+        if xid == Xid::UncontainedEcc {
+            step(&mut self.xid95);
+        }
+        let n = self.per_gpu.entry(gpu).or_default();
+        step(n);
+        if *n == 0 {
+            self.per_gpu.remove(&gpu);
+        }
+    }
+
+    /// Episodes of one GPU inside the window.
+    fn count_for(&self, gpu: GpuId) -> u64 {
+        self.per_gpu.get(&gpu).copied().unwrap_or(0)
+    }
+
+    fn windowed_mtbe(&self, node_count: u32) -> WindowedMtbe {
+        let window_h = self.span.as_hours_f64();
+        let count = self.characterized;
+        let (mtbe_system_h, mtbe_per_node_h) = if window_h > 0.0 && node_count > 0 {
+            let mtbe = Mtbe::new(window_h, node_count);
             (mtbe.system_hours(count), mtbe.per_node_hours(count))
         } else {
             (None, None)
@@ -140,141 +199,40 @@ impl AnalysisEngine for WindowedMtbeAcc {
             mtbe_per_node_h,
         }
     }
-}
-
-/// Windowed per-GPU episode rates: which devices are erroring *now*.
-/// The counterpart of the counterfactual pass's top-offender ranking,
-/// but over a rolling window so an emerging defective GPU surfaces
-/// within one window instead of after 855 days.
-#[derive(Clone, Debug, Default)]
-pub struct OffenderRateAcc {
-    window: Duration,
-    latest: Option<Timestamp>,
-    per_gpu: BTreeMap<GpuId, VecDeque<Timestamp>>,
-}
-
-/// One row of [`OffenderRateAcc::snapshot`]: a GPU's windowed activity.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OffenderRate {
-    pub gpu: GpuId,
-    /// Episodes inside the window.
-    pub count: u64,
-    pub rate_per_h: f64,
-}
-
-impl OffenderRateAcc {
-    pub fn new(window: Duration) -> Self {
-        OffenderRateAcc {
-            window,
-            latest: None,
-            per_gpu: BTreeMap::new(),
-        }
-    }
-
-    /// Current windowed episode count for one GPU.
-    pub fn count_for(&self, gpu: GpuId) -> u64 {
-        self.per_gpu.get(&gpu).map_or(0, |q| q.len() as u64)
-    }
-
-    fn evict(&mut self) {
-        if let Some(latest) = self.latest {
-            let horizon = latest.saturating_sub(self.window);
-            self.per_gpu.retain(|_, q| {
-                while q.front().is_some_and(|&t| t < horizon) {
-                    q.pop_front();
-                }
-                !q.is_empty()
-            });
-        }
-    }
-}
-
-impl AnalysisEngine for OffenderRateAcc {
-    type Snapshot = Vec<OffenderRate>;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.latest = Some(self.latest.map_or(e.start, |l| l.max(e.start)));
-        self.per_gpu.entry(e.gpu).or_default().push_back(e.start);
-        self.evict();
-    }
 
     /// Active GPUs sorted by windowed count (desc), ties by id — a
     /// deterministic leaderboard.
-    fn snapshot(&self) -> Vec<OffenderRate> {
-        let hours = self.window.as_hours_f64();
+    fn offenders(&self) -> Vec<OffenderRate> {
+        let hours = self.span.as_hours_f64();
         let mut rows: Vec<OffenderRate> = self
             .per_gpu
             .iter()
-            .map(|(&gpu, q)| OffenderRate {
+            .map(|(&gpu, &count)| OffenderRate {
                 gpu,
-                count: q.len() as u64,
-                rate_per_h: if hours > 0.0 {
-                    q.len() as f64 / hours
-                } else {
-                    0.0
-                },
+                count,
+                rate_per_h: if hours > 0.0 { count as f64 / hours } else { 0.0 },
             })
             .collect();
         rows.sort_by(|a, b| b.count.cmp(&a.count).then(a.gpu.cmp(&b.gpu)));
         rows
     }
-}
 
-/// Windowed propagation pressure: how many nodes currently have multiple
-/// distinct GPUs erroring inside the window — the live early-warning
-/// version of the batch inter-GPU propagation analysis.
-#[derive(Clone, Debug, Default)]
-pub struct WindowedPropagationAcc {
-    window: Duration,
-    latest: Option<Timestamp>,
-    events: VecDeque<(Timestamp, NodeId, GpuId)>,
-}
-
-/// [`WindowedPropagationAcc::snapshot`] output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WindowedPropagation {
-    /// Episodes inside the window.
-    pub events: u64,
-    /// Nodes with ≥ 2 distinct GPUs erroring inside the window.
-    pub multi_gpu_nodes: u64,
-}
-
-impl WindowedPropagationAcc {
-    pub fn new(window: Duration) -> Self {
-        WindowedPropagationAcc {
-            window,
-            latest: None,
-            events: VecDeque::new(),
-        }
-    }
-
-    fn evict(&mut self) {
-        if let Some(latest) = self.latest {
-            let horizon = latest.saturating_sub(self.window);
-            while self.events.front().is_some_and(|&(t, _, _)| t < horizon) {
-                self.events.pop_front();
+    fn propagation(&self) -> WindowedPropagation {
+        // `per_gpu` is ordered by node first, so a node's GPUs are adjacent.
+        let mut multi_gpu_nodes = 0;
+        let mut gpus = self.per_gpu.keys().map(|g| g.node).peekable();
+        while let Some(node) = gpus.next() {
+            let mut distinct = 1;
+            while gpus.next_if_eq(&node).is_some() {
+                distinct += 1;
+            }
+            if distinct >= 2 {
+                multi_gpu_nodes += 1;
             }
         }
-    }
-}
-
-impl AnalysisEngine for WindowedPropagationAcc {
-    type Snapshot = WindowedPropagation;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.latest = Some(self.latest.map_or(e.start, |l| l.max(e.start)));
-        self.events.push_back((e.start, e.gpu.node, e.gpu));
-        self.evict();
-    }
-
-    fn snapshot(&self) -> WindowedPropagation {
-        let mut per_node: BTreeMap<NodeId, BTreeSet<GpuId>> = BTreeMap::new();
-        for &(_, node, gpu) in &self.events {
-            per_node.entry(node).or_default().insert(gpu);
-        }
         WindowedPropagation {
-            events: self.events.len() as u64,
-            multi_gpu_nodes: per_node.values().filter(|g| g.len() >= 2).count() as u64,
+            events: self.episodes.len() as u64,
+            multi_gpu_nodes,
         }
     }
 }
@@ -345,14 +303,14 @@ pub struct WatchStats {
     pub records: u64,
     /// Records released past the watermark into the coalescer.
     pub released: u64,
-    /// Completed episodes folded into the accumulators.
+    /// Completed episodes observed (kept, and entered into the window).
     pub episodes: u64,
     /// Records dropped for arriving behind the released watermark; the
     /// session converges to the batch answer iff this stays 0.
     pub late_dropped: u64,
 }
 
-/// Point-in-time view of the live accumulators.
+/// Point-in-time view of the live session and its rolling window.
 #[derive(Clone, Debug)]
 pub struct WatchSnapshot {
     /// Latest event time folded so far.
@@ -368,41 +326,6 @@ pub struct WatchSnapshot {
     pub alerts_total: u64,
 }
 
-/// XID-95 storm detector: a windowed count of uncontained-ECC episodes.
-#[derive(Clone, Debug, Default)]
-struct StormAcc {
-    window: Duration,
-    latest: Option<Timestamp>,
-    starts: VecDeque<Timestamp>,
-}
-
-impl StormAcc {
-    fn new(window: Duration) -> Self {
-        StormAcc {
-            window,
-            latest: None,
-            starts: VecDeque::new(),
-        }
-    }
-
-    fn count(&self) -> u64 {
-        self.starts.len() as u64
-    }
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        self.latest = Some(self.latest.map_or(e.start, |l| l.max(e.start)));
-        if e.xid == Xid::UncontainedEcc {
-            self.starts.push_back(e.start);
-        }
-        if let Some(latest) = self.latest {
-            let horizon = latest.saturating_sub(self.window);
-            while self.starts.front().is_some_and(|&t| t < horizon) {
-                self.starts.pop_front();
-            }
-        }
-    }
-}
-
 /// A live analysis session over a polled [`LogSource`].
 pub struct WatchSession {
     cfg: WatchConfig,
@@ -414,10 +337,7 @@ pub struct WatchSession {
     /// Every completed episode, in completion order (the final results
     /// re-sort into batch order).
     episodes: Vec<CoalescedError>,
-    windowed_mtbe: WindowedMtbeAcc,
-    offenders: OffenderRateAcc,
-    propagation: WindowedPropagationAcc,
-    storm: StormAcc,
+    window: Window,
     alerts: Vec<Alert>,
     /// Alerts already handed out by [`WatchSession::take_new_alerts`].
     alerts_emitted: usize,
@@ -432,10 +352,7 @@ impl WatchSession {
             buffer: WatermarkBuffer::new(cfg.lateness),
             coalescer: StreamCoalescer::new(cfg.study.coalesce),
             episodes: Vec::new(),
-            windowed_mtbe: WindowedMtbeAcc::new(cfg.window, cfg.study.node_count),
-            offenders: OffenderRateAcc::new(cfg.window),
-            propagation: WindowedPropagationAcc::new(cfg.window),
-            storm: StormAcc::new(cfg.window),
+            window: Window::new(cfg.window),
             alerts: Vec::new(),
             alerts_emitted: 0,
             latest_event: None,
@@ -446,7 +363,7 @@ impl WatchSession {
 
     /// One poll cycle: pull chunks until the source reports caught-up
     /// (`Ok(None)`), extract, reorder through the watermark, coalesce,
-    /// and fold completed episodes into the rolling accumulators.
+    /// and observe completed episodes in the rolling window.
     /// Returns this cycle's delta; cumulative totals live in
     /// [`WatchSession::stats`]. Purely event-time driven — the cycle
     /// does the same thing no matter when or how often it runs.
@@ -510,22 +427,15 @@ impl WatchSession {
 
     fn observe_episode(&mut self, e: CoalescedError) {
         self.latest_event = Some(self.latest_event.map_or(e.last, |l| l.max(e.last)));
-        self.windowed_mtbe.ingest(&e);
-        self.propagation.ingest(&e);
-
-        let prev = self.offenders.count_for(e.gpu);
-        self.offenders.ingest(&e);
-        let count = self.offenders.count_for(e.gpu);
+        let (prev, prev_storm) = (self.window.count_for(e.gpu), self.window.xid95);
+        self.window.ingest(&e);
+        let (count, storm) = (self.window.count_for(e.gpu), self.window.xid95);
         if prev < self.cfg.offender_threshold && count >= self.cfg.offender_threshold {
             self.alerts.push(Alert {
                 at: e.start,
                 kind: AlertKind::EmergingOffender { gpu: e.gpu, count },
             });
         }
-
-        let prev_storm = self.storm.count();
-        self.storm.ingest(&e);
-        let storm = self.storm.count();
         if prev_storm < self.cfg.storm_threshold && storm >= self.cfg.storm_threshold {
             self.alerts.push(Alert {
                 at: e.start,
@@ -572,16 +482,16 @@ impl WatchSession {
             stats: self.stats,
             pending: self.buffer.pending_len() as u64,
             open_episodes: self.coalescer.open_count() as u64,
-            windowed_mtbe: self.windowed_mtbe.snapshot(),
-            offenders: self.offenders.snapshot(),
-            propagation: self.propagation.snapshot(),
+            windowed_mtbe: self.window.windowed_mtbe(self.cfg.study.node_count),
+            offenders: self.window.offenders(),
+            propagation: self.window.propagation(),
             alerts_total: self.alerts.len() as u64,
         }
     }
 
     /// End of stream: flush the watermark buffer and close every open
-    /// episode, folding the remnants through the rolling accumulators
-    /// and alert detectors. Afterwards [`WatchSession::snapshot`] and
+    /// episode, observing the remnants in the rolling window and alert
+    /// detectors. Afterwards [`WatchSession::snapshot`] and
     /// [`WatchSession::alerts`] reflect the complete corpus — call this
     /// (or check `take_new_alerts` after it) before dropping a session,
     /// or threshold crossings inside the final open episodes are never
@@ -622,6 +532,7 @@ impl WatchSession {
 mod tests {
     use super::*;
     use crate::source::InMemorySource;
+    use dr_xid::NodeId;
 
     fn line(secs: u64, node: u32, slot: usize, xid: Xid) -> String {
         dr_xid::syslog::format_line(
@@ -649,28 +560,28 @@ mod tests {
 
     #[test]
     fn windowed_mtbe_counts_only_inside_the_window() {
-        let mut acc = WindowedMtbeAcc::new(Duration::from_secs(3600), 4);
+        let mut acc = Window::new(Duration::from_secs(3600));
         acc.ingest(&ep(0, 1, 0, Xid::MmuError));
         acc.ingest(&ep(100, 1, 0, Xid::MmuError));
-        assert_eq!(acc.snapshot().count, 2);
+        assert_eq!(acc.windowed_mtbe(4).count, 2);
         // 2 hours later, both originals have aged out.
         acc.ingest(&ep(7_200, 1, 0, Xid::MmuError));
-        let s = acc.snapshot();
+        let s = acc.windowed_mtbe(4);
         assert_eq!(s.count, 1);
         assert!(s.mtbe_system_h.is_some());
         // Job-induced XIDs are not characterized and never counted.
         acc.ingest(&ep(7_300, 1, 0, Xid::GraphicsEngineException));
-        assert_eq!(acc.snapshot().count, 1);
+        assert_eq!(acc.windowed_mtbe(4).count, 1);
     }
 
     #[test]
     fn offender_rates_rank_deterministically_and_age_out() {
-        let mut acc = OffenderRateAcc::new(Duration::from_secs(1_000));
+        let mut acc = Window::new(Duration::from_secs(1_000));
         for k in 0..3 {
             acc.ingest(&ep(10 + k, 1, 0, Xid::MmuError));
         }
         acc.ingest(&ep(20, 2, 0, Xid::MmuError));
-        let rows = acc.snapshot();
+        let rows = acc.offenders();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].gpu, GpuId::at_slot(NodeId(1), 0));
         assert_eq!(rows[0].count, 3);
@@ -678,18 +589,46 @@ mod tests {
         // Far in the future the window is empty again.
         acc.ingest(&ep(10_000, 3, 0, Xid::MmuError));
         assert_eq!(acc.count_for(GpuId::at_slot(NodeId(1), 0)), 0);
-        assert_eq!(acc.snapshot().len(), 1);
+        assert_eq!(acc.offenders().len(), 1);
     }
 
     #[test]
     fn windowed_propagation_spots_multi_gpu_nodes() {
-        let mut acc = WindowedPropagationAcc::new(Duration::from_secs(100));
+        let mut acc = Window::new(Duration::from_secs(100));
         acc.ingest(&ep(0, 1, 0, Xid::NvlinkError));
         acc.ingest(&ep(5, 1, 1, Xid::NvlinkError));
         acc.ingest(&ep(7, 2, 0, Xid::MmuError));
-        let s = acc.snapshot();
+        let s = acc.propagation();
         assert_eq!(s.events, 3);
         assert_eq!(s.multi_gpu_nodes, 1);
+    }
+
+    #[test]
+    fn window_membership_is_exact_when_episodes_close_out_of_start_order() {
+        // One GPU: a short episode starting at 5 000 s closes first, then a
+        // long one that started at 2 000 s closes after it. An episode on
+        // another GPU at 5 800 s moves the horizon to 2 200 s, between the
+        // two starts, so only the later one is still inside the window.
+        let cfg = WatchConfig {
+            window: Duration::from_secs(3_600),
+            ..WatchConfig::default()
+        };
+        let mut session = WatchSession::new(cfg);
+        session.observe_episode(ep(5_000, 1, 0, Xid::MmuError));
+        let mut long = ep(2_000, 1, 0, Xid::MmuError);
+        long.last = Timestamp::from_secs(5_500);
+        session.observe_episode(long);
+        assert_eq!(session.snapshot().offenders[0].count, 2);
+        session.observe_episode(ep(5_800, 2, 0, Xid::MmuError));
+
+        let s = session.snapshot();
+        let counts: Vec<(GpuId, u64)> = s.offenders.iter().map(|r| (r.gpu, r.count)).collect();
+        assert_eq!(
+            counts,
+            vec![(GpuId::at_slot(NodeId(1), 0), 1), (GpuId::at_slot(NodeId(2), 0), 1)]
+        );
+        assert_eq!(s.windowed_mtbe.count, 2);
+        assert_eq!(s.propagation.events, 2);
     }
 
     #[test]

@@ -166,3 +166,72 @@ fn cross_crate_edges_respect_declared_dependencies() {
         .collect();
     assert_eq!(callees, vec!["crates/stats/src/lib.rs"]);
 }
+
+/// `(package name, workspace-crate dependencies)` of one manifest: the
+/// `name` under `[package]` and every key under `[dependencies]`, of
+/// which the caller keeps the workspace crates.
+fn manifest(text: &str) -> (String, Vec<String>) {
+    let (mut name, mut deps, mut section) = (String::new(), Vec::new(), "");
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        match section {
+            "[package]" if key == "name" => name = value.trim().trim_matches('"').to_string(),
+            "[dependencies]" => {
+                deps.push(key.split('.').next().unwrap_or(key).to_string());
+            }
+            _ => {}
+        }
+    }
+    (name, deps)
+}
+
+#[test]
+fn manifest_dag_matches() {
+    use dr_lint::graph::CRATES;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // Source prefix → manifest path, for the root package and every
+    // `crates/*` member.
+    let mut manifests = vec![("src/".to_string(), root.join("Cargo.toml"))];
+    for entry in std::fs::read_dir(root.join("crates")).expect("list crates/") {
+        let dir = entry.expect("crates/ entry").path();
+        let file = dir.file_name().and_then(|n| n.to_str()).expect("crate dir name");
+        manifests.push((format!("crates/{file}/"), dir.join("Cargo.toml")));
+    }
+    let parsed: BTreeMap<String, (String, Vec<String>)> = manifests
+        .iter()
+        .map(|(prefix, path)| {
+            let text = std::fs::read_to_string(path).expect("read manifest");
+            (prefix.clone(), manifest(&text))
+        })
+        .collect();
+    // Workspace crates by `use`-path name (`dr-xid` → `dr_xid`).
+    let workspace: BTreeSet<String> =
+        parsed.values().map(|(name, _)| name.replace('-', "_")).collect();
+
+    let rows: BTreeSet<&str> = CRATES.iter().map(|c| c.prefix).collect();
+    let found: BTreeSet<&str> = parsed.keys().map(String::as_str).collect();
+    assert_eq!(rows, found, "CRATES rows vs workspace manifests");
+
+    for c in CRATES {
+        let (name, deps) = &parsed[c.prefix];
+        assert_eq!(name.replace('-', "_"), c.lib, "{} names another crate", c.prefix);
+        let declared: BTreeSet<&str> = c.deps.iter().map(|&d| CRATES[d].lib).collect();
+        let manifest_deps: BTreeSet<String> = deps
+            .iter()
+            .map(|d| d.replace('-', "_"))
+            .filter(|d| workspace.contains(d))
+            .collect();
+        let manifest_deps: BTreeSet<&str> = manifest_deps.iter().map(String::as_str).collect();
+        assert_eq!(declared, manifest_deps, "{}: CRATES deps vs [dependencies]", c.lib);
+    }
+}

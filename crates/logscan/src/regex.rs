@@ -36,11 +36,11 @@
 //!   A compile-time [`Analysis`] derives a *required literal* (a byte run
 //!   every match must contain at a bounded offset) and a start-anchor
 //!   flag; both restrict where matches are tried from, memchr-style,
-//!   instead of at every input byte. A captureless
-//!   [`Regex::is_match_with`] path (Pike VM) skips `Save` bookkeeping
-//!   entirely. None of this changes observable behavior: skipped starts
-//!   are exactly those that provably cannot reach `Match`, and both
-//!   engines merge only states with identical futures.
+//!   instead of at every input byte. None of this changes observable
+//!   behavior: skipped starts are exactly those that provably cannot
+//!   reach `Match`, and both engines merge only states with identical
+//!   futures. A match test is `find(..).is_some()`; there is no separate
+//!   captureless engine.
 //!
 //! - The **baseline engine** ([`Regex::find_bytes_at_baseline`]) is the
 //!   original per-call Pike VM (fresh thread lists, boxed slots deep-
@@ -958,8 +958,8 @@ struct BitState {
 /// [`Regex::find_bytes_at_with`]: BitState's visited bitset, job stack and
 /// capture slots, and the Pike VM's thread lists and capture-slot pool.
 /// Create one per scanning loop (or per worker) and pass it to
-/// [`Regex::find_bytes_at_with`] / [`Regex::is_match_with`]; after
-/// warm-up, matching allocates nothing but the returned [`Match`].
+/// [`Regex::find_bytes_at_with`]; after warm-up, matching allocates
+/// nothing but the returned [`Match`].
 ///
 /// A scratch is not tied to a particular `Regex`; it re-sizes itself on
 /// first use with each program.
@@ -1037,34 +1037,6 @@ impl Match {
     /// Text of capture group `i` within `haystack`.
     pub fn group<'h>(&self, haystack: &'h str, i: usize) -> Option<&'h str> {
         self.group_span(i).and_then(|(s, e)| haystack.get(s..e))
-    }
-}
-
-/// Iterator returned by [`Regex::find_iter`]. Owns a [`MatchScratch`],
-/// so iterating over many matches allocates per match only for the
-/// returned [`Match`] values themselves.
-pub struct FindIter<'r, 'h> {
-    re: &'r Regex,
-    haystack: &'h str,
-    at: usize,
-    scratch: MatchScratch,
-}
-
-impl Iterator for FindIter<'_, '_> {
-    type Item = Match;
-
-    fn next(&mut self) -> Option<Match> {
-        if self.at > self.haystack.len() {
-            return None;
-        }
-        let m = self
-            .re
-            .find_bytes_at_with(self.haystack.as_bytes(), self.at, &mut self.scratch)?;
-        let (start, end) = m.span();
-        // Advance past the match; empty matches step one byte so the
-        // iterator always terminates.
-        self.at = if end > start { end } else { end + 1 };
-        Some(m)
     }
 }
 
@@ -1199,28 +1171,6 @@ impl Regex {
     /// warm-up).
     pub fn find_with(&self, haystack: &str, scratch: &mut MatchScratch) -> Option<Match> {
         self.find_bytes_at_with(haystack.as_bytes(), 0, scratch)
-    }
-
-    /// Whether `haystack` contains a match.
-    pub fn is_match(&self, haystack: &str) -> bool {
-        let mut scratch = MatchScratch::new();
-        self.is_match_with(haystack, &mut scratch)
-    }
-
-    /// Whether `haystack` contains a match, using caller-owned scratch
-    /// and the captureless VM (no `Save` bookkeeping at all).
-    pub fn is_match_with(&self, haystack: &str, scratch: &mut MatchScratch) -> bool {
-        self.is_match_bytes_with(haystack.as_bytes(), scratch)
-    }
-
-    /// Iterator over all non-overlapping matches, leftmost-first.
-    pub fn find_iter<'r, 'h>(&'r self, haystack: &'h str) -> FindIter<'r, 'h> {
-        FindIter {
-            re: self,
-            haystack,
-            at: 0,
-            scratch: MatchScratch::new(),
-        }
     }
 
     /// Leftmost match over raw bytes.
@@ -1513,69 +1463,6 @@ impl Regex {
         })
     }
 
-    /// Captureless match test over raw bytes: same seeding and stepping
-    /// as the find path but threads carry no capture slots and `Save`
-    /// instructions are skipped, with an early return on the first
-    /// `Match` reached.
-    pub fn is_match_bytes_with(&self, input: &[u8], scratch: &mut MatchScratch) -> bool {
-        let prog = &self.prog;
-        scratch.prepare(prog.insts.len(), 0);
-        let MatchScratch { clist, nlist, .. } = scratch;
-        let len = input.len();
-        let mut starts = Starts::new(prog, input);
-        let mut pos = 0usize;
-
-        clist.begin_step();
-        loop {
-            // dr-lint: hot(begin)
-            let mut seed = true;
-            match starts.next(pos) {
-                None => {
-                    seed = false;
-                    if clist.threads.is_empty() {
-                        return false;
-                    }
-                }
-                Some(at) if at > pos => {
-                    seed = false;
-                    if clist.threads.is_empty() {
-                        pos = at;
-                        seed = true;
-                    }
-                }
-                Some(_) => {}
-            }
-            if seed && add_thread_nocap(prog, clist, 0, pos, len) {
-                return true;
-            }
-
-            nlist.begin_step();
-            let byte = input.get(pos).copied();
-            for i in 0..clist.threads.len() {
-                let (pc, _) = clist.threads[i];
-                let advance = match &prog.insts[pc as usize] {
-                    Inst::Byte(b) => byte == Some(*b),
-                    Inst::Any => byte.is_some_and(|b| b != b'\n'),
-                    Inst::Class(id) => {
-                        byte.is_some_and(|b| prog.class_bits[*id as usize].test(b))
-                    }
-                    Inst::Match => return true,
-                    Inst::Split(..) | Inst::Jmp(..) | Inst::Save(..) | Inst::AssertStart
-                    | Inst::AssertEnd => unreachable!("eps inst in stepped list"),
-                };
-                if advance && add_thread_nocap(prog, nlist, pc + 1, pos + 1, len) {
-                    return true;
-                }
-            }
-            std::mem::swap(clist, nlist);
-            if pos >= len {
-                return false;
-            }
-            pos += 1;
-            // dr-lint: hot(end)
-        }
-    }
-
     // -----------------------------------------------------------------
     // Baseline engine (pre-optimization), kept as differential oracle
     // -----------------------------------------------------------------
@@ -1727,30 +1614,6 @@ fn add_thread(
             }
         }
         _ => list.threads.push((pc, sid)),
-    }
-}
-
-/// Captureless epsilon closure. Returns `true` if `Match` is reachable
-/// from `pc` without consuming input — the caller can stop immediately.
-fn add_thread_nocap(prog: &Program, list: &mut ThreadList, pc: u32, pos: usize, len: usize) -> bool {
-    if list.seen[pc as usize] == list.stamp {
-        return false;
-    }
-    list.seen[pc as usize] = list.stamp;
-    match &prog.insts[pc as usize] {
-        Inst::Jmp(t) => add_thread_nocap(prog, list, *t, pos, len),
-        Inst::Split(a, b) => {
-            add_thread_nocap(prog, list, *a, pos, len)
-                || add_thread_nocap(prog, list, *b, pos, len)
-        }
-        Inst::Save(_) => add_thread_nocap(prog, list, pc + 1, pos, len),
-        Inst::AssertStart => pos == 0 && add_thread_nocap(prog, list, pc + 1, pos, len),
-        Inst::AssertEnd => pos == len && add_thread_nocap(prog, list, pc + 1, pos, len),
-        Inst::Match => true,
-        _ => {
-            list.threads.push((pc, 0));
-            false
-        }
     }
 }
 // dr-lint: hot(end)
@@ -1981,27 +1844,6 @@ mod tests {
     }
 
     #[test]
-    fn find_iter_yields_all_matches() {
-        let re = Regex::new(r"\d+").unwrap();
-        let text = "a1b22c333";
-        let spans: Vec<_> = re.find_iter(text).map(|m| m.span()).collect();
-        assert_eq!(spans, vec![(1, 2), (3, 5), (6, 9)]);
-        let texts: Vec<_> = re
-            .find_iter(text)
-            .map(|m| m.group(text, 0).unwrap().to_string())
-            .collect();
-        assert_eq!(texts, vec!["1", "22", "333"]);
-    }
-
-    #[test]
-    fn find_iter_handles_empty_matches() {
-        let re = Regex::new("x*").unwrap();
-        let n = re.find_iter("ab").count();
-        // Empty match at 0, 1, 2 — terminates, no infinite loop.
-        assert_eq!(n, 3);
-    }
-
-    #[test]
     fn find_at_respects_caret_anchor() {
         let re = Regex::new("^ab").unwrap();
         assert!(re.find_bytes_at(b"abab", 0).is_some());
@@ -2021,8 +1863,8 @@ mod tests {
             assert_eq!(mm.group("order 123-456 shipped", 1), Some("123"));
             let mm = re2.find_with("99 bottles", &mut scratch).unwrap();
             assert_eq!(mm.span(), (3, 10));
-            assert!(re1.is_match_with("7-8", &mut scratch));
-            assert!(!re1.is_match_with("no digits here", &mut scratch));
+            assert!(re1.find_with("7-8", &mut scratch).is_some());
+            assert!(re1.find_with("no digits here", &mut scratch).is_none());
         }
     }
 
@@ -2104,15 +1946,15 @@ mod tests {
                 assert_eq!(fast, slow, "capture mismatch: {pat:?} on {text:?} at {start}");
             }
             assert_eq!(
-                re.is_match(text),
+                re.find(text).is_some(),
                 re.find_bytes_at_baseline(text.as_bytes(), 0).is_some(),
-                "is_match mismatch: {pat:?} on {text:?}"
+                "match mismatch: {pat:?} on {text:?}"
             );
         }
     }
 
     /// Brute-force reference matcher for a restricted AST (no captures),
-    /// used to cross-check the Pike VM on random inputs.
+    /// used to cross-check the production find path on random inputs.
     mod reference {
         /// Does `pat` match some prefix of `text` starting at 0? Returns
         /// all possible end offsets (the backtracking closure).
@@ -2163,8 +2005,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The Pike VM agrees with a brute-force backtracker on random
-        /// patterns built from literals and starred literals over {a, b}.
+        /// The production find path agrees with a brute-force backtracker
+        /// on random patterns built from literals and starred literals
+        /// over {a, b}.
         #[test]
         fn vm_agrees_with_reference(
             toks in proptest::collection::vec((0..2u8, proptest::bool::ANY), 1..8),
@@ -2187,7 +2030,7 @@ mod tests {
             let text_str = String::from_utf8(text.clone()).unwrap();
             let re = Regex::new(&pattern).unwrap();
             proptest::prop_assert_eq!(
-                re.is_match(&text_str),
+                re.find(&text_str).is_some(),
                 reference::is_match(&ref_pat, &text),
                 "pattern {} on {:?}", pattern, text_str
             );

@@ -8,7 +8,7 @@
 
 use dr_faults::DowntimeInterval;
 use dr_xid::{DataError, GpuId, NodeId, PciAddr, Timestamp, Xid};
-use resilience_core::source::{DirSource, LogSource};
+use resilience_core::source::LogSource;
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
@@ -166,19 +166,23 @@ pub fn write_node_logs_source<'s>(
     Ok(summary)
 }
 
-/// Read every `*.log` file in `dir` as one node's log, node id taken from
-/// the filename (`gpubNNN.log`); files sorted for determinism. A batch
-/// adapter over [`DirSource`] — callers that can should stream via the
-/// source instead of materializing the corpus here.
-pub fn read_node_logs(dir: &Path) -> Result<Vec<(NodeId, Vec<String>)>, DataError> {
-    let mut source = DirSource::open(dir)?;
-    resilience_core::source::collect_source(&mut source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dr_xid::Duration;
+
+    /// Read back each node's `gpubNNN.log`; `dir` must hold no other file.
+    fn read_back(dir: &Path, nodes: &[NodeId]) -> Vec<(NodeId, Vec<String>)> {
+        assert_eq!(std::fs::read_dir(dir).expect("list").count(), nodes.len());
+        nodes
+            .iter()
+            .map(|&node| {
+                let path = dir.join(format!("{}.log", node.hostname()));
+                let text = std::fs::read_to_string(&path).expect("read");
+                (node, text.lines().map(str::to_owned).collect())
+            })
+            .collect()
+    }
 
     #[test]
     fn downtime_round_trip() {
@@ -208,7 +212,7 @@ mod tests {
             (NodeId(17), vec!["only".to_string()]),
         ];
         write_node_logs(&dir, &logs).expect("write");
-        let back = read_node_logs(&dir).expect("read");
+        let back = read_back(&dir, &[NodeId(3), NodeId(17)]);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(back, logs);
     }
@@ -226,15 +230,8 @@ mod tests {
         let summary = write_node_logs_source(&dir, &mut src).expect("write");
         assert_eq!(summary.files, 3, "empty nodes still get a file");
         assert_eq!(summary.lines, 3);
-        let back = read_node_logs(&dir).expect("read");
+        let back = read_back(&dir, &[NodeId(3), NodeId(4), NodeId(17)]);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(back, logs, "stream-written corpus reads back identically");
-    }
-
-    #[test]
-    fn read_errors_name_the_offending_path() {
-        let dir = std::env::temp_dir().join(format!("gpures-noent-{}", std::process::id()));
-        let err = read_node_logs(&dir).expect_err("missing dir");
-        assert!(err.to_string().contains("gpures-noent"), "{err}");
     }
 }

@@ -313,7 +313,11 @@ fn deferred_campaign_text_streams_without_materializing() {
 
     let materialized = campaign();
     let mut gen = GeneratorSource::from_campaign(&deferred);
-    let streamed = gpu_resilience::core::collect_source(&mut gen).expect("infallible");
+    let mut streamed: Vec<(NodeId, Vec<String>)> =
+        gen.nodes().iter().map(|&n| (n, Vec::new())).collect();
+    while let Some(chunk) = gen.next_chunk(u64::MAX).expect("infallible") {
+        streamed[chunk.node].1.extend(chunk.lines.iter().map(str::to_owned));
+    }
     assert_eq!(
         streamed, materialized.text_logs,
         "deferred campaign must stream the exact corpus the eager one materializes"
