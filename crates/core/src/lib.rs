@@ -33,7 +33,8 @@
 //! - [`store`] — the write-once columnar `ErrorRecord` store: the
 //!   extract pass tees per-node record streams into a checksummed
 //!   binary file, and [`store::RecordSource`] replays them into the
-//!   pipeline in milliseconds with bit-identical results.
+//!   pipeline in milliseconds, one block at a time, with bit-identical
+//!   results.
 //! - [`stream`] — the online operators: the event-time
 //!   [`stream::WatermarkBuffer`] that reorders late log lines, and
 //!   [`stream::StreamCoalescer`], incremental Algorithm 1 over the

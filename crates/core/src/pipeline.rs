@@ -240,47 +240,25 @@ impl<'a> PipelineBuilder<'a> {
     }
 
     /// Run from a [`crate::store::RecordSource`] — the replay front
-    /// door. Batches are pulled one block at a time (bounded memory,
-    /// `peak_resident_bytes` gauge as on the text path), reassembled
-    /// into per-node streams, and fed to the same merge + analyses as
-    /// [`PipelineBuilder::run_source`]. On the same corpus the results
-    /// are bit-identical to the text path, because the store preserves
-    /// extraction's per-node record streams exactly. Only Stage I is
-    /// skipped: no log text is read, split into lines, prefiltered or
-    /// matched, and noise lines were never stored, so a replay's cost
-    /// follows the record count rather than the size of the logs.
+    /// door. Batches are pulled one block at a time and each is pushed
+    /// straight into its node's coalescer, through the same per-node
+    /// driver as [`PipelineBuilder::run_source`]'s merge, so resident
+    /// memory is one decoded block plus the episodes, whatever the store
+    /// size (`peak_resident_bytes` gauge as on the text path). On the same
+    /// corpus the results are bit-identical to the text path, because the
+    /// store preserves extraction's per-node record streams exactly. Only
+    /// Stage I is skipped: no log text is read, split into lines,
+    /// prefiltered or matched, and noise lines were never stored, so a
+    /// replay's cost follows the record count rather than the size of the
+    /// logs. A store whose streams are not per-node (a malformed log's
+    /// day regression) is rewound and coalesced by the batch route over
+    /// every record, with the same results.
     pub fn run_record_source(
         &self,
         source: &mut dyn crate::store::RecordSource,
     ) -> Result<StudyResults, DataError> {
-        use dr_obs::{Counter, Stage};
-        let sink = &self.metrics;
-        let mut per_node: Vec<Vec<ErrorRecord>> = vec![Vec::new(); source.nodes().len()];
-        loop {
-            let batch = {
-                let _span = sink.span(Stage::Shard, "total");
-                source.next_batch()?
-            };
-            let Some(batch) = batch else {
-                break;
-            };
-            sink.add(Stage::Shard, Counter::Bytes, batch.bytes);
-            sink.add(Stage::Extract, Counter::Records, batch.records.len() as u64);
-            sink.gauge_max(Stage::Extract, "peak_resident_bytes", batch.bytes as f64);
-            let Some(stream) = per_node.get_mut(batch.node) else {
-                return Err(DataError::Store {
-                    path: "<record source>".to_string(),
-                    message: format!(
-                        "batch names node index {} but the source declares {} nodes",
-                        batch.node,
-                        per_node.len()
-                    ),
-                });
-            };
-            stream.extend(batch.records);
-        }
         let coalesced =
-            crate::shard::merge_and_coalesce_observed(per_node, self.config.coalesce, sink);
+            crate::shard::coalesce_record_source(source, self.config.coalesce, &self.metrics)?;
         Ok(self.run_coalesced(coalesced))
     }
 

@@ -31,20 +31,28 @@
 //! streams are already time-ordered, and a GPU (hence every coalescing
 //! identity) lives on one node, so each node's stream runs through its
 //! own incremental [`StreamCoalescer`] with no cross-node merge at all;
-//! only the episodes are sorted. If a pathological log yields a
-//! non-monotonic stream (e.g. a day regression without a month rollover),
-//! or a stream holds another node's GPUs, the code falls back to the batch
-//! path — batch and stream coalescing are equivalent on ordered streams
-//! (property-tested), so both routes return the same output, sorted by
-//! `(start, gpu, xid, detail)`.
+//! only the episodes are sorted. One private per-node driver does this
+//! for both inputs: the text path's per-node `Vec`s
+//! ([`merge_and_coalesce_observed`]) and the record replay, which pushes
+//! each decoded store block into its node's coalescer as it arrives
+//! ([`coalesce_record_source`]), so a replay holds one block plus the
+//! open and closed episodes. The driver checks, record by record, that
+//! each stream is time-ordered and holds one node's GPUs, and at the end
+//! that no two streams share a node. If a pathological log breaks that
+//! (e.g. a day regression without a month rollover), the code falls
+//! back to the batch path over every record; the replay rewinds its
+//! source to get them back. Batch and stream coalescing are equivalent
+//! on ordered streams (property-tested), so both routes return the same
+//! output, sorted by `(start, gpu, xid, detail)`.
 
 use crate::coalesce::{coalesce, sort_episodes, CoalesceConfig, CoalescedError};
 use crate::source::{pull_wave, LogChunk, LogSource, Prefetcher, Wave};
+use crate::store::{RecordBatch, RecordSource};
 use crate::stream::StreamCoalescer;
 use dr_logscan::extract::scanner_update_month;
 use dr_logscan::{ExtractStats, XidExtractor};
 use dr_xid::record::sort_records;
-use dr_xid::{DataError, ErrorRecord, NodeId};
+use dr_xid::{DataError, ErrorRecord, NodeId, Timestamp};
 
 /// How a chunk transforms year-inference state, independent of the state
 /// it starts from: the month of its first state-updating line, the number
@@ -348,50 +356,194 @@ pub fn merge_and_coalesce_observed(
 
 /// An identity's GPU lives on one node, so when every stream is
 /// time-ordered and holds one node no other stream holds, no episode
-/// spans two streams: each stream runs through its own
-/// [`StreamCoalescer`], one after another, into one output, and a total
-/// sort gives batch order. Any other input (a malformed log's day
-/// regression, a caller's mixed streams) takes the batch path.
+/// spans two streams: [`NodeCoalescer`] runs each through its own
+/// coalescer, and a total sort gives batch order. Any other input (a
+/// malformed log's day regression, a caller's mixed streams) takes the
+/// batch path.
 fn merge_and_coalesce_inner(
     per_node: Vec<Vec<ErrorRecord>>,
     cfg: CoalesceConfig,
 ) -> Vec<CoalescedError> {
-    if !per_node_streams(&per_node) {
-        let mut records: Vec<ErrorRecord> = per_node.into_iter().flatten().collect();
-        sort_records(&mut records);
-        return coalesce(&records, cfg);
+    let mut nodes = NodeCoalescer::new(per_node.len(), cfg);
+    for (i, recs) in per_node.iter().enumerate() {
+        nodes.push(i, recs);
     }
-    let mut out = Vec::new();
-    for recs in &per_node {
-        let mut stream = StreamCoalescer::new(cfg);
-        for rec in recs {
-            stream.push_into(rec, &mut out);
-        }
-        out.extend(stream.finish());
+    if let Some(out) = nodes.finish() {
+        return out;
     }
-    sort_episodes(&mut out);
-    out
+    let mut records: Vec<ErrorRecord> = per_node.into_iter().flatten().collect();
+    sort_records(&mut records);
+    coalesce(&records, cfg)
 }
 
-/// Whether every stream is time-ordered and holds the GPUs of exactly
-/// one node that no other stream holds.
-fn per_node_streams(per_node: &[Vec<ErrorRecord>]) -> bool {
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(per_node.len());
-    for recs in per_node {
-        let Some(first) = recs.first() else {
-            continue;
-        };
-        let node = first.gpu.node;
-        let ordered = recs
-            .windows(2)
-            .all(|w| w[0].at <= w[1].at && w[1].gpu.node == node);
-        if !ordered {
-            return false;
-        }
-        nodes.push(node);
+/// The record replay's Stage II: pull `source` one batch at a time and
+/// push each batch into its node's coalescer as it arrives, so only one
+/// decoded batch is resident besides the episodes. Returns exactly what
+/// batch [`coalesce`] would over every record, sorted by
+/// `(start, gpu, xid, detail)`. If the streams are not per-node (see
+/// [`NodeCoalescer`]), the source is rewound and drained again into the
+/// batch route, the one replay path that materializes records.
+///
+/// Block reads are booked under the `shard` stage (with the `Bytes`
+/// counter, and the `Records` counter and `peak_resident_bytes` gauge
+/// under `extract`, as on the text path); each batch's pushes, the
+/// fallback and the final sort under `coalesce/total`, with its `Records`
+/// and `Episodes` counters. A batch naming a node index beyond the
+/// source's node table is a typed error.
+pub(crate) fn coalesce_record_source(
+    source: &mut dyn RecordSource,
+    cfg: CoalesceConfig,
+    sink: &dr_obs::MetricsSink,
+) -> Result<Vec<CoalescedError>, DataError> {
+    use dr_obs::{Counter, Stage};
+    let n_nodes = source.nodes().len();
+    let mut nodes = NodeCoalescer::new(n_nodes, cfg);
+    let mut n_records = 0u64;
+    while let Some(batch) = pull_batch(source, n_nodes, sink)? {
+        sink.add(Stage::Shard, Counter::Bytes, batch.bytes);
+        sink.add(Stage::Extract, Counter::Records, batch.records.len() as u64);
+        sink.gauge_max(Stage::Extract, "peak_resident_bytes", batch.bytes as f64);
+        n_records += batch.records.len() as u64;
+        let _span = sink.span(Stage::Coalesce, "total");
+        nodes.push(batch.node, &batch.records);
     }
-    nodes.sort_unstable();
-    nodes.windows(2).all(|w| w[0] != w[1])
+    let per_node = {
+        let _span = sink.span(Stage::Coalesce, "total");
+        nodes.finish()
+    };
+    let out = match per_node {
+        Some(out) => out,
+        None => {
+            source.rewind()?;
+            let mut records = Vec::new();
+            while let Some(mut batch) = pull_batch(source, n_nodes, sink)? {
+                records.append(&mut batch.records);
+            }
+            let _span = sink.span(Stage::Coalesce, "total");
+            sort_records(&mut records);
+            coalesce(&records, cfg)
+        }
+    };
+    sink.add(Stage::Coalesce, Counter::Records, n_records);
+    sink.add(Stage::Coalesce, Counter::Episodes, out.len() as u64);
+    Ok(out)
+}
+
+/// Pull one batch under the `shard` span, rejecting a node index beyond
+/// the source's `n_nodes`-entry node table.
+fn pull_batch(
+    source: &mut dyn RecordSource,
+    n_nodes: usize,
+    sink: &dr_obs::MetricsSink,
+) -> Result<Option<RecordBatch>, DataError> {
+    let batch = {
+        let _span = sink.span(dr_obs::Stage::Shard, "total");
+        source.next_batch()?
+    };
+    match batch {
+        Some(b) if b.node >= n_nodes => Err(DataError::Store {
+            path: "<record source>".to_string(),
+            message: format!(
+                "batch names node index {} but the source declares {n_nodes} nodes",
+                b.node
+            ),
+        }),
+        other => Ok(other),
+    }
+}
+
+/// The per-node coalescing driver behind both [`merge_and_coalesce_observed`]
+/// and [`coalesce_record_source`]. It is fed `(stream index, records)` in
+/// any interleaving of streams (each stream's records in order) and runs
+/// every stream through its own [`StreamCoalescer`] into one output. It
+/// checks the per-node predicate record by record: each stream is
+/// time-ordered and holds one node's GPUs; [`NodeCoalescer::finish`]
+/// adds that no two non-empty streams share a node. Once the check
+/// fails, the driver stops, `finish` returns `None`, and the caller
+/// takes the batch route.
+struct NodeCoalescer {
+    streams: Vec<NodeStream>,
+    /// Closed episodes of every stream, in no particular order until
+    /// `finish` sorts them.
+    out: Vec<CoalescedError>,
+    clean: bool,
+}
+
+/// One stream's coalescer, plus its node and the time of its latest
+/// record (`None` until the first record).
+struct NodeStream {
+    head: Option<(NodeId, Timestamp)>,
+    coalescer: StreamCoalescer,
+}
+
+impl NodeCoalescer {
+    fn new(n_streams: usize, cfg: CoalesceConfig) -> NodeCoalescer {
+        NodeCoalescer {
+            streams: (0..n_streams)
+                .map(|_| NodeStream {
+                    head: None,
+                    coalescer: StreamCoalescer::new(cfg),
+                })
+                .collect(),
+            out: Vec::new(),
+            clean: true,
+        }
+    }
+
+    /// Push the next `records` of stream `stream`. The first record that
+    /// breaks the per-node predicate (or a `stream` out of range) drops
+    /// all state, and every later push is a no-op.
+    fn push(&mut self, stream: usize, records: &[ErrorRecord]) {
+        if !self.clean {
+            return;
+        }
+        let Some(s) = self.streams.get_mut(stream) else {
+            return self.fail();
+        };
+        for rec in records {
+            let node = match s.head {
+                Some((node, last)) if node != rec.gpu.node || rec.at < last => {
+                    return self.fail();
+                }
+                Some((node, _)) => node,
+                None => rec.gpu.node,
+            };
+            s.head = Some((node, rec.at));
+            s.coalescer.push_into(rec, &mut self.out);
+        }
+    }
+
+    fn fail(&mut self) {
+        self.clean = false;
+        self.streams = Vec::new();
+        self.out = Vec::new();
+    }
+
+    /// Close every stream and return all episodes sorted by
+    /// `(start, gpu, xid, detail)`, or `None` if the input was not
+    /// per-node: a failed push, or two non-empty streams on one node.
+    fn finish(self) -> Option<Vec<CoalescedError>> {
+        if !self.clean {
+            return None;
+        }
+        let mut nodes: Vec<NodeId> = self
+            .streams
+            .iter()
+            .filter_map(|s| s.head.map(|h| h.0))
+            .collect();
+        let streams = nodes.len();
+        nodes.sort_unstable();
+        nodes.dedup();
+        if nodes.len() != streams {
+            return None;
+        }
+        let mut out = self.out;
+        for s in self.streams {
+            out.extend(s.coalescer.finish());
+        }
+        sort_episodes(&mut out);
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -623,12 +775,132 @@ mod tests {
         coalesce(&all, cfg)
     }
 
+    /// Whether [`NodeCoalescer`] takes `streams` on the per-node route.
+    fn per_node_streams(streams: &[Vec<ErrorRecord>]) -> bool {
+        let mut nodes = NodeCoalescer::new(streams.len(), CoalesceConfig::default());
+        for (i, recs) in streams.iter().enumerate() {
+            nodes.push(i, recs);
+        }
+        nodes.finish().is_some()
+    }
+
+    /// A [`RecordSource`] over per-node streams cut into batches of the
+    /// sizes `cuts` (cycled) and interleaved across streams: each `picks`
+    /// entry (cycled) names which stream, among those with batches left,
+    /// yields the next batch. Each stream's batches stay in order, as the
+    /// trait requires. Counts its rewinds.
+    struct InterleavedSource {
+        nodes: Vec<NodeId>,
+        batches: Vec<RecordBatch>,
+        next: usize,
+        rewinds: usize,
+    }
+
+    impl InterleavedSource {
+        fn new(streams: &[Vec<ErrorRecord>], cuts: &[usize], picks: &[usize]) -> Self {
+            let mut cut = cuts.iter().cycle();
+            let mut queues: Vec<std::collections::VecDeque<RecordBatch>> = streams
+                .iter()
+                .enumerate()
+                .map(|(node, recs)| {
+                    let mut queue = std::collections::VecDeque::new();
+                    let mut rest = &recs[..];
+                    while !rest.is_empty() {
+                        let (head, tail) =
+                            rest.split_at((*cut.next().unwrap_or(&1)).min(rest.len()));
+                        queue.push_back(RecordBatch {
+                            node,
+                            records: head.to_vec(),
+                            bytes: 0,
+                        });
+                        rest = tail;
+                    }
+                    queue
+                })
+                .collect();
+            let mut batches = Vec::new();
+            let mut pick = picks.iter().cycle();
+            loop {
+                let live: Vec<usize> = (0..queues.len())
+                    .filter(|&q| !queues[q].is_empty())
+                    .collect();
+                if live.is_empty() {
+                    break;
+                }
+                let q = live[pick.next().unwrap_or(&0) % live.len()];
+                batches.extend(queues[q].pop_front());
+            }
+            InterleavedSource {
+                nodes: (0..streams.len() as u32).map(NodeId).collect(),
+                batches,
+                next: 0,
+                rewinds: 0,
+            }
+        }
+    }
+
+    impl RecordSource for InterleavedSource {
+        fn nodes(&self) -> &[NodeId] {
+            &self.nodes
+        }
+
+        fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError> {
+            let batch = self.batches.get(self.next).cloned();
+            self.next += 1;
+            Ok(batch)
+        }
+
+        fn rewind(&mut self) -> Result<(), DataError> {
+            self.next = 0;
+            self.rewinds += 1;
+            Ok(())
+        }
+    }
+
+    /// The replay route over `streams` cut and interleaved as drawn, and
+    /// how many times it rewound its source.
+    fn replay(
+        streams: &[Vec<ErrorRecord>],
+        cuts: &[usize],
+        picks: &[usize],
+        cfg: CoalesceConfig,
+    ) -> (Vec<CoalescedError>, usize) {
+        let mut source = InterleavedSource::new(streams, cuts, picks);
+        let out = coalesce_record_source(&mut source, cfg, &MetricsSink::disabled())
+            .expect("an in-memory source is infallible");
+        (out, source.rewinds)
+    }
+
+    #[test]
+    fn replay_rejects_a_batch_beyond_the_node_table() {
+        let streams = vec![
+            node_stream(0, &[(1, 0, 0, 0)]),
+            node_stream(1, &[(2, 0, 0, 0)]),
+        ];
+        let mut source = InterleavedSource::new(&streams, &[1], &[0]);
+        source.nodes.truncate(1);
+        let err = coalesce_record_source(
+            &mut source,
+            CoalesceConfig::default(),
+            &MetricsSink::disabled(),
+        )
+        .expect_err("node index 1 of a one-node table");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("node index 1") && msg.contains("declares 1 nodes"),
+            "{msg}"
+        );
+    }
+
     proptest::proptest! {
         /// The per-node route and the batch fallback both return batch
-        /// Algorithm 1 over the sorted concatenation. Each case runs the
-        /// clean per-node streams (per-node route) and one perturbation:
-        /// a record moved onto another node's stream, a node split over
-        /// two streams, a stream made non-monotone (all three fall back),
+        /// Algorithm 1 over the sorted concatenation, on the text path's
+        /// per-node `Vec`s and on the replay, which gets the same streams
+        /// cut into batches of random size and interleaved across nodes.
+        /// Each case runs the clean per-node streams (per-node route, no
+        /// rewind) and one perturbation: a record moved onto another
+        /// node's stream, a node split over two streams, a stream made
+        /// non-monotone (all three fall back; the replay rewinds once),
         /// or empty streams spliced in (still per-node).
         #[test]
         fn merge_and_coalesce_equals_batch_on_both_routes(
@@ -638,6 +910,8 @@ mod tests {
             window in 1u64..30,
             persistence in 1u64..5,
             perturbation in 0u8..4,
+            cuts in proptest::collection::vec(1usize..9, 1..8),
+            picks in proptest::collection::vec(0usize..5, 1..16),
         ) {
             let cfg = CoalesceConfig {
                 window: Duration::from_secs(window),
@@ -651,6 +925,7 @@ mod tests {
                 &merge_and_coalesce_observed(clean.clone(), cfg, &sink),
                 &batch
             );
+            proptest::prop_assert_eq!(replay(&clean, &cuts, &picks, cfg), (batch, 0));
 
             let mut streams = clean;
             match perturbation {
@@ -675,8 +950,11 @@ mod tests {
                     streams.push(Vec::new());
                 }
             }
-            proptest::prop_assert_eq!(per_node_streams(&streams), perturbation == 3);
+            let per_node = perturbation == 3;
+            proptest::prop_assert_eq!(per_node_streams(&streams), per_node);
             let batch = batch_of(&streams, cfg);
+            let rewinds = usize::from(!per_node);
+            proptest::prop_assert_eq!(replay(&streams, &cuts, &picks, cfg), (batch.clone(), rewinds));
             proptest::prop_assert_eq!(merge_and_coalesce_observed(streams, cfg, &sink), batch);
         }
     }

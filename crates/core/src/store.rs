@@ -29,10 +29,14 @@
 //!
 //! Reading follows the same pulled-iteration contract as
 //! [`LogSource`](crate::source::LogSource): [`RecordSource::next_batch`]
-//! yields one decoded block at a time (seek + exact-length read — never
-//! a whole-file slurp, which the stream-hygiene lint now also forbids
-//! for `read_to_end`), so resident memory stays one block regardless of
-//! store size. Truncation and corruption anywhere — header, blocks,
+//! yields one decoded block at a time (seek + exact-length read into one
+//! reused buffer — never a whole-file slurp, which the stream-hygiene
+//! lint now also forbids for `read_to_end`). The replay pushes each
+//! block into its node's coalescer before pulling the next, so resident
+//! memory is one block plus the episodes, regardless of store size. A
+//! store whose streams are not per-node is the one exception: the replay
+//! calls [`RecordSource::rewind`] and reads every record into memory for
+//! the batch route. Truncation and corruption anywhere — header, blocks,
 //! footer, trailer — surface as typed [`DataError::Store`] values,
 //! never panics; the whole read path sits inside dr-lint's
 //! panic-reachability closure.
@@ -520,6 +524,7 @@ impl RecordStore {
             node_filter: None,
             time_filter: None,
             blocks_skipped: 0,
+            buf: Vec::new(),
         })
     }
 }
@@ -540,15 +545,24 @@ pub struct RecordBatch {
 /// The pulled-iteration contract for structured-record ingestion — the
 /// `LogSource` of the replay path. Batches for one node arrive in
 /// stream order; different nodes may interleave.
+///
+/// The replay
+/// ([`PipelineBuilder::run_record_source`](crate::pipeline::PipelineBuilder::run_record_source))
+/// pushes each batch into its node's coalescer as it arrives and keeps
+/// no records. Only when the streams turn out not to be per-node (a
+/// stream out of time order, a stream holding another node's GPUs, or
+/// two streams holding one node's) does it call [`RecordSource::rewind`]
+/// and drain the source again into memory for the batch route; only
+/// malformed logs reach that path.
 pub trait RecordSource {
     /// Node identity table; `RecordBatch::node` indexes into it.
     fn nodes(&self) -> &[NodeId];
     /// Pull the next batch, or `Ok(None)` at end of stream.
     fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError>;
-    /// Total record count if cheaply known (for progress/preallocation).
-    fn total_records_hint(&self) -> Option<u64> {
-        None
-    }
+    /// Restart iteration: the next [`RecordSource::next_batch`] yields
+    /// the first batch again, and the batches that follow are the same
+    /// ones in the same order.
+    fn rewind(&mut self) -> Result<(), DataError>;
 }
 
 /// Block-at-a-time reader over an opened [`RecordStore`]: seek to the
@@ -564,6 +578,8 @@ pub struct StoreRecordSource<'a> {
     /// Half-open `[start, end)` on record timestamps.
     time_filter: Option<(Timestamp, Timestamp)>,
     blocks_skipped: u64,
+    /// Payload buffer, reused by every block read.
+    buf: Vec<u8>,
 }
 
 impl StoreRecordSource<'_> {
@@ -590,7 +606,8 @@ impl StoreRecordSource<'_> {
         self
     }
 
-    /// Blocks skipped by the index filters without being read/decoded.
+    /// Blocks skipped by the index filters without being read/decoded,
+    /// since the reader was made or last rewound.
     pub fn blocks_skipped(&self) -> u64 {
         self.blocks_skipped
     }
@@ -599,15 +616,16 @@ impl StoreRecordSource<'_> {
         let path = &self.store.path;
         let blen = usize::try_from(meta.len)
             .map_err(|_| store_err(path, format!("block {i} length {} overflows", meta.len)))?;
-        let mut buf = vec![0u8; blen];
+        self.buf.resize(blen, 0);
+        let buf = &mut self.buf[..blen];
         self.file
             .seek(SeekFrom::Start(meta.offset))
-            .and_then(|_| self.file.read_exact(&mut buf))
+            .and_then(|_| self.file.read_exact(buf))
             .map_err(|e| read_err(path, &format!("block {i}"), e))?;
-        if fnv1a64(&buf) != meta.checksum {
+        if fnv1a64(buf) != meta.checksum {
             return Err(store_err(path, format!("block {i} checksum mismatch (corrupt data)")));
         }
-        let records = decode_block(&buf, &self.store.gpus, &self.store.xids, path)?;
+        let records = decode_block(buf, &self.store.gpus, &self.store.xids, path)?;
         if records.len() as u64 != meta.count {
             return Err(store_err(
                 path,
@@ -663,12 +681,10 @@ impl RecordSource for StoreRecordSource<'_> {
         }
     }
 
-    fn total_records_hint(&self) -> Option<u64> {
-        if self.node_filter.is_none() && self.time_filter.is_none() {
-            Some(self.store.record_count())
-        } else {
-            None
-        }
+    fn rewind(&mut self) -> Result<(), DataError> {
+        self.next_block = 0;
+        self.blocks_skipped = 0;
+        Ok(())
     }
 }
 
@@ -715,8 +731,9 @@ impl RecordSource for InMemoryRecordSource {
         }
     }
 
-    fn total_records_hint(&self) -> Option<u64> {
-        Some(self.per_node.iter().map(|r| r.len() as u64).sum())
+    fn rewind(&mut self) -> Result<(), DataError> {
+        self.next = 0;
+        Ok(())
     }
 }
 
@@ -974,7 +991,6 @@ mod tests {
             from_mem[b.node].extend(b.records);
         }
         assert_eq!(from_mem, from_disk);
-        assert_eq!(mem.total_records_hint(), Some(15));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! Algorithm 1 as an incremental operator over it: **exactly
 //! equivalent** to the batch [`coalesce`](crate::coalesce::coalesce) on
 //! a time-ordered stream (property-tested), emitting each coalesced
-//! error as soon as its merge window expires. The batch path uses the
-//! same operator once per node
-//! ([`merge_and_coalesce_observed`](crate::shard::merge_and_coalesce_observed)):
+//! error as soon as its merge window expires. The batch path and the
+//! record replay use the same operator once per node
+//! ([`merge_and_coalesce_observed`](crate::shard::merge_and_coalesce_observed),
+//! [`PipelineBuilder::run_record_source`](crate::pipeline::PipelineBuilder::run_record_source)):
 //! a node's stream is time-ordered and holds all of its GPUs' records,
 //! so no merge across nodes is needed.
 

@@ -5,14 +5,16 @@
 //! store must surface as a typed `DataError`, never a panic.
 
 use gpu_resilience::core::{
-    extract_to_store, CoalesceConfig, GeneratorSource, InMemorySource, PipelineBuilder,
-    RecordSource, RecordStore, StudyConfig,
+    extract_to_store, write_store, CoalesceConfig, GeneratorSource, InMemoryRecordSource,
+    InMemorySource, PipelineBuilder, RecordBatch, RecordSource, RecordStore, StudyConfig,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
 use gpu_resilience::logscan::BaselineExtractor;
 use gpu_resilience::obs::json::Json;
 use gpu_resilience::obs::MetricsSink;
-use gpu_resilience::xid::{Duration, ErrorRecord};
+use gpu_resilience::xid::{
+    DataError, Duration, ErrorDetail, ErrorRecord, GpuId, NodeId, Timestamp, Xid,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -179,14 +181,33 @@ fn record_replay_records_peak_gauge_without_changing_results() {
 
     let doc = sink.export_json().expect("recording sink exports");
     let stages = doc.get("stages").and_then(Json::as_arr).expect("stages");
-    let peak = stages
-        .iter()
-        .find(|s| s.get("stage").and_then(Json::as_str) == Some("extract"))
-        .and_then(|s| s.get("gauges"))
+    let stage = |name: &str| {
+        stages
+            .iter()
+            .find(|s| s.get("stage").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} stage"))
+    };
+    let peak = stage("extract")
+        .get("gauges")
         .and_then(|g| g.get("peak_resident_bytes"))
         .and_then(Json::as_f64)
         .expect("peak_resident_bytes gauge");
-    // Resident memory is one decoded block's payload, not the store.
+    // Coalescing runs interleaved with the block reads and is booked
+    // under its own stage, with the totals of the whole replay.
+    let coalesce = stage("coalesce")
+        .get("counters")
+        .expect("coalesce counters");
+    assert_eq!(
+        coalesce.get("records").and_then(Json::as_u64),
+        Some(store.record_count())
+    );
+    assert_eq!(
+        coalesce.get("episodes").and_then(Json::as_u64),
+        Some(metered.coalesced.len() as u64)
+    );
+    // Resident memory is one decoded block's payload, not the store: the
+    // replay pushes each block into its node's coalescer and drops it
+    // before reading the next.
     let largest_block = store.blocks().iter().map(|b| b.len).max().unwrap_or(0);
     assert!(
         peak > 0.0 && peak <= largest_block as f64,
@@ -285,5 +306,104 @@ fn damaged_stores_fail_typed_not_panicking() {
         msg.contains("checksum"),
         "corruption must be reported as a checksum mismatch, got: {msg}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `RecordSource` wrapper that counts its rewinds.
+struct CountingSource<S> {
+    inner: S,
+    rewinds: usize,
+}
+
+impl<S: RecordSource> RecordSource for CountingSource<S> {
+    fn nodes(&self) -> &[NodeId] {
+        self.inner.nodes()
+    }
+
+    fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError> {
+        self.inner.next_batch()
+    }
+
+    fn rewind(&mut self) -> Result<(), DataError> {
+        self.rewinds += 1;
+        self.inner.rewind()
+    }
+}
+
+/// Replay `source` through a rewind counter: the results and the count.
+fn replay_counting(
+    cfg: StudyConfig,
+    source: impl RecordSource,
+) -> (gpu_resilience::core::StudyResults, usize) {
+    let mut counting = CountingSource {
+        inner: source,
+        rewinds: 0,
+    };
+    let results = PipelineBuilder::new(cfg)
+        .run_record_source(&mut counting)
+        .expect("record replay");
+    (results, counting.rewinds)
+}
+
+/// Stores whose streams are not per-node take the batch route: the
+/// replay rewinds its source exactly once and still equals `run_records`
+/// over the sorted concatenation, from a store file and from memory. A
+/// clean store never rewinds.
+#[test]
+fn replay_of_streams_that_are_not_per_node_rewinds_once_and_matches_batch() {
+    let rec = |secs: u64, node: u32, slot: usize, xid: Xid| {
+        ErrorRecord::new(
+            Timestamp::from_secs(secs),
+            GpuId::at_slot(NodeId(node), slot),
+            xid,
+            ErrorDetail::new(1, 2),
+        )
+    };
+    let day = 86_400;
+    // Two nodes, each a time-ordered stream of its own GPUs.
+    let clean = vec![
+        (0..40)
+            .map(|k| rec(day + k * 3, 1, (k % 2) as usize, Xid::MmuError))
+            .collect::<Vec<_>>(),
+        (0..30)
+            .map(|k| rec(day + k * 7, 2, 0, Xid::NvlinkError))
+            .collect::<Vec<_>>(),
+    ];
+    let nodes = vec![NodeId(1), NodeId(2)];
+
+    // A day regression inside node 1's block.
+    let mut regressed = clean.clone();
+    regressed[0][20].at = Timestamp::from_secs(10);
+    // Node 1's block carries a record of node 2's GPU.
+    let mut foreign = clean.clone();
+    foreign[0][10].gpu = GpuId::at_slot(NodeId(2), 3);
+    // Both node-table entries hold node 1's GPUs.
+    let mut shared = clean.clone();
+    for r in &mut shared[1] {
+        r.gpu = GpuId::at_slot(NodeId(1), 5);
+    }
+
+    let cfg = StudyConfig::ampere_study().with_window(24.0 * 3.0, 2);
+    let dir = scratch_dir("fallback");
+    for (tag, streams, rewinds) in [
+        ("clean", &clean, 0),
+        ("day regression", &regressed, 1),
+        ("foreign gpu", &foreign, 1),
+        ("shared node", &shared, 1),
+    ] {
+        let mut all: Vec<ErrorRecord> = streams.iter().flatten().copied().collect();
+        gpu_resilience::xid::record::sort_records(&mut all);
+        let expected = format!("{:?}", PipelineBuilder::new(cfg).run_records(&all));
+
+        let path = dir.join(format!("{}.grcs", tag.replace(' ', "-")));
+        write_store(&path, &nodes, streams).expect("write store");
+        let store = RecordStore::open(&path).expect("store opens");
+        let from_store = replay_counting(cfg, store.reader(&path).expect("reader"));
+        let from_memory = replay_counting(cfg, InMemoryRecordSource::new(&nodes, streams));
+        for (source, (results, count)) in [("store", from_store), ("memory", from_memory)] {
+            assert_eq!(format!("{results:?}"), expected, "{tag} from {source}");
+            assert_eq!(count, rewinds, "rewinds of the {tag} replay from {source}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
