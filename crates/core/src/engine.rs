@@ -13,8 +13,10 @@
 //!
 //! - the episodes themselves, held once, in the vector that becomes
 //!   [`StudyResults::coalesced`];
-//! - each GPU interned to a dense id on first sight, with its node, a list
-//!   of `u32` positions of its episodes, and its episode count per XID;
+//! - each GPU interned to a dense id on first sight, found again through
+//!   an in-crate hash table keyed by `GpuId` (the fold's per-episode
+//!   lookup and the job join's per-GPU lookup), with its node, a list of
+//!   `u32` positions of its episodes, and its episode count per XID;
 //! - one position list per node;
 //! - per-XID persistence samples in a dense table indexed by
 //!   [`Xid::ordinal`].
@@ -67,6 +69,9 @@ pub trait AnalysisEngine {
 /// One interned GPU.
 #[derive(Clone, Debug)]
 struct GpuEntry {
+    /// The GPU itself: its key in [`GpuTable`] and its place in `GpuId`
+    /// order.
+    gpu: GpuId,
     /// Dense id of the GPU's node.
     node: u32,
     /// Positions of the GPU's episodes, in arrival order until
@@ -74,6 +79,73 @@ struct GpuEntry {
     episodes: Vec<u32>,
     /// Episodes per XID ordinal.
     counts: [u64; XIDS],
+}
+
+/// The dense id of each interned GPU, by `GpuId`: an open-addressing
+/// table (linear probing, at most half full) over a multiplicative hash
+/// of the id's 64 bits. It grows with the GPUs interned, never with the
+/// value of an id, so a lookup of a GPU from the jobs table on an
+/// unknown or huge node id costs one probe sequence and allocates
+/// nothing. Nothing iterates it, so its layout never reaches a result.
+#[derive(Clone, Debug, Default)]
+struct GpuTable {
+    /// A power-of-two number of slots (or none before the first insert).
+    slots: Vec<Option<(GpuId, u32)>>,
+    len: usize,
+}
+
+impl GpuTable {
+    /// The slot a probe for `gpu` starts at: the top bits of the packed id
+    /// times 2⁶⁴/φ (Fibonacci hashing), so every bit of the node and the
+    /// PCI address moves the slot. `slots` must be non-empty.
+    fn home(&self, gpu: GpuId) -> usize {
+        let key = (u64::from(gpu.node.0) << 32)
+            | (u64::from(gpu.pci.domain) << 16)
+            | (u64::from(gpu.pci.bus) << 8)
+            | u64::from(gpu.pci.device);
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    // dr-lint: hot(begin)
+    /// The dense id of `gpu`, if interned.
+    fn get(&self, gpu: GpuId) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gpu);
+        // At most half the slots are full, so the probe meets a free one.
+        loop {
+            match self.slots.get(i)? {
+                Some((g, id)) if *g == gpu => return Some(*id),
+                Some(_) => i = (i + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+    // dr-lint: hot(end)
+
+    /// Add `gpu`, which must not be in the table yet, with dense id `id`.
+    fn insert(&mut self, gpu: GpuId, id: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let slots = vec![None; (self.slots.len() * 2).max(16)];
+            let old = std::mem::replace(&mut self.slots, slots);
+            self.len = 0;
+            for (g, id) in old.into_iter().flatten() {
+                self.insert(g, id);
+            }
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(gpu);
+        while let Some(Some(_)) = self.slots.get(i) {
+            i = (i + 1) & mask;
+        }
+        if let Some(slot) = self.slots.get_mut(i) {
+            *slot = Some((gpu, id));
+            self.len += 1;
+        }
+    }
 }
 
 /// The episodes of a study and the one index every section finishes from
@@ -85,7 +157,7 @@ struct GpuEntry {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct EpisodeIndex {
     episodes: Vec<CoalescedError>,
-    gpu_ids: BTreeMap<GpuId, u32>,
+    gpu_ids: GpuTable,
     node_ids: BTreeMap<NodeId, u32>,
     gpus: Vec<GpuEntry>,
     nodes: Vec<Vec<u32>>,
@@ -122,8 +194,8 @@ impl EpisodeIndex {
             let Ok(pos) = u32::try_from(pos) else {
                 break;
             };
-            let gpu = match self.gpu_ids.get(&e.gpu) {
-                Some(&id) => id,
+            let gpu = match self.gpu_ids.get(e.gpu) {
+                Some(id) => id,
                 None => self.intern(e.gpu),
             };
             let x = e.xid.ordinal();
@@ -155,12 +227,20 @@ impl EpisodeIndex {
         };
         let id = self.gpus.len() as u32;
         self.gpus.push(GpuEntry {
+            gpu,
             node,
             episodes: Vec::new(),
             counts: [0; XIDS],
         });
         self.gpu_ids.insert(gpu, id);
         id
+    }
+
+    /// Every interned GPU, in `GpuId` order.
+    fn gpus_in_order(&self) -> Vec<&GpuEntry> {
+        let mut gpus: Vec<&GpuEntry> = self.gpus.iter().collect();
+        gpus.sort_unstable_by_key(|g| g.gpu);
+        gpus
     }
 
     /// Every episode, in arrival order.
@@ -185,9 +265,7 @@ impl EpisodeIndex {
 
     /// Each GPU with its episode count per XID ordinal, in `GpuId` order.
     pub(crate) fn gpu_counts(&self) -> impl Iterator<Item = (GpuId, &[u64; XIDS])> + '_ {
-        self.gpu_ids
-            .iter()
-            .filter_map(|(&gpu, &id)| self.gpus.get(id as usize).map(|g| (gpu, &g.counts)))
+        self.gpus_in_order().into_iter().map(|g| (g.gpu, &g.counts))
     }
 
     /// Stable-sort every GPU and node list by start, unless it already
@@ -223,11 +301,10 @@ pub(crate) struct Sorted<'a>(&'a EpisodeIndex);
 impl<'a> Sorted<'a> {
     /// Each GPU's episode positions, in `GpuId` order.
     pub(crate) fn gpu_lists(&self) -> impl Iterator<Item = &'a [u32]> + 'a {
-        let index = self.0;
-        index
-            .gpu_ids
-            .values()
-            .filter_map(|&id| index.gpus.get(id as usize).map(|g| g.episodes.as_slice()))
+        self.0
+            .gpus_in_order()
+            .into_iter()
+            .map(|g| g.episodes.as_slice())
     }
 
     /// Each node's episode positions, in `NodeId` order.
@@ -239,13 +316,14 @@ impl<'a> Sorted<'a> {
             .filter_map(|&id| index.nodes.get(id as usize).map(Vec::as_slice))
     }
 
-    /// One GPU's episode positions (empty if it has none).
+    /// One GPU's episode positions (empty if it has none): one hashed
+    /// lookup, whatever the GPU's id.
     pub(crate) fn gpu_list(&self, gpu: GpuId) -> &'a [u32] {
         let index = self.0;
         index
             .gpu_ids
-            .get(&gpu)
-            .and_then(|&id| index.gpus.get(id as usize))
+            .get(gpu)
+            .and_then(|id| index.gpus.get(id as usize))
             .map_or(&[], |g| g.episodes.as_slice())
     }
 
@@ -543,6 +621,85 @@ mod tests {
                 ))
             )
         );
+    }
+
+    #[test]
+    fn job_join_matches_batch_on_hostile_gpu_ids() {
+        use dr_xid::PciAddr;
+        let max_node = GpuId::new(NodeId(u32::MAX), PciAddr::new(0xffff, 0xff, 0xff));
+        let odd_pci = GpuId::new(NodeId(2), PciAddr::new(0, 0, 0));
+        let mut errors = corpus();
+        errors.push(CoalescedError {
+            gpu: max_node,
+            ..err(Xid::MmuError, 0, 0, 2_000, 3)
+        });
+        errors.push(CoalescedError {
+            gpu: odd_pci,
+            ..err(Xid::DoubleBitEcc, 0, 0, 2_100, 1)
+        });
+        errors.sort_by_key(|e| (e.start, e.gpu, e.xid));
+        let job = |id: u64, gpus: Vec<GpuId>, exit_code: i32| JobRecord {
+            id,
+            gpus,
+            start: Timestamp::from_secs(0),
+            end: Timestamp::from_secs(3_000),
+            state: if exit_code == 0 {
+                JobState::Completed
+            } else {
+                JobState::GpuFailed
+            },
+            exit_code,
+            ml: false,
+        };
+        let mut jobs = jobs();
+        jobs.extend([
+            // Nodes the episode index never saw, up to the largest id.
+            job(10, vec![GpuId::at_slot(NodeId(9_999), 0)], 1),
+            job(11, vec![GpuId::at_slot(NodeId(u32::MAX), 7)], 1),
+            job(12, vec![GpuId::new(NodeId(u32::MAX - 1), PciAddr::new(0xffff, 0xff, 0xff))], 0),
+            // GPUs that did fail, on a huge node id and an unusual bus.
+            job(13, vec![max_node, odd_pci, GpuId::at_slot(NodeId(1), 0)], 1),
+            job(14, vec![max_node], 0),
+            // An unusual PCI address on a node that is indexed.
+            job(15, vec![GpuId::new(NodeId(1), PciAddr::new(0x1234, 0xab, 0x1f)), odd_pci], 1),
+            job(16, Vec::new(), 1),
+        ]);
+        let folded = fold(&errors, Some(&jobs)).job_impact.expect("jobs given");
+        let expected = oracle::job_impact(&jobs, &errors, JobImpactConfig::default());
+        assert_eq!(format!("{:?}", folded.table2), format!("{:?}", expected.table2));
+        assert_eq!(
+            format!("{:?}", folded.distributions),
+            format!("{:?}", expected.distributions)
+        );
+        assert_eq!(folded.lost_gpu_hours, expected.lost_gpu_hours);
+        assert_eq!(format!("{folded:?}"), format!("{expected:?}"));
+        assert!(folded.gpu_failed_total >= 2, "the hostile GPUs' errors must join");
+    }
+
+    #[test]
+    fn gpu_table_finds_every_id_and_nothing_else() {
+        use dr_xid::PciAddr;
+        let mut table = GpuTable::default();
+        assert_eq!(table.get(GpuId::at_slot(NodeId(0), 0)), None);
+        let gpu = |k: u32| {
+            GpuId::new(
+                NodeId(k.wrapping_mul(0x0100_0193) ^ (k << 20)),
+                PciAddr::new((k % 3) as u16, (k % 256) as u8, (k % 32) as u8),
+            )
+        };
+        let ids: Vec<GpuId> = (0..2_000)
+            .map(gpu)
+            .chain([GpuId::new(NodeId(u32::MAX), PciAddr::new(0xffff, 0xff, 0xff))])
+            .collect();
+        for (id, &g) in ids.iter().enumerate() {
+            table.insert(g, id as u32);
+        }
+        assert!(table.slots.len().is_power_of_two() && table.len * 2 <= table.slots.len());
+        for (id, &g) in ids.iter().enumerate() {
+            assert_eq!(table.get(g), Some(id as u32), "{g:?}");
+        }
+        assert_eq!(table.get(GpuId::at_slot(NodeId(u32::MAX), 0)), None);
+        assert_eq!(table.get(gpu(2_000)), None);
     }
 
     #[test]

@@ -92,7 +92,8 @@ impl Default for JobImpactConfig {
 }
 
 /// Correlate errors with jobs: the join over the shared episode index,
-/// where each job's GPUs look up their start-ordered episode lists.
+/// where each job's GPUs look up their start-ordered episode lists in
+/// its hashed GPU table (a GPU the index never saw finds an empty list).
 pub(crate) fn finish_job_impact(
     jobs: &[JobRecord],
     index: &Sorted<'_>,

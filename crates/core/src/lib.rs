@@ -96,8 +96,8 @@ pub use shard::{
     WaveConfig,
 };
 pub use source::{
-    pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk, LogSource, Prefetcher,
-    Wave, WaveRx,
+    pull_wave, DirSource, GeneratorSource, InMemorySource, Lines, LogChunk, LogSource, PrefetchRx,
+    Prefetched, Prefetcher, Wave,
 };
 pub use stats::{LostHours, Table1Row};
 pub use store::{

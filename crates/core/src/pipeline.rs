@@ -240,11 +240,14 @@ impl<'a> PipelineBuilder<'a> {
     }
 
     /// Run from a [`crate::store::RecordSource`] — the replay front
-    /// door. Batches are pulled one block at a time and each is pushed
+    /// door. A [`crate::source::Prefetcher`] thread pulls and decodes the
+    /// blocks one ahead while this thread pushes each decoded block
     /// straight into its node's coalescer, through the same per-node
     /// driver as [`PipelineBuilder::run_source`]'s merge, so resident
-    /// memory is one decoded block plus the episodes, whatever the store
-    /// size (`peak_resident_bytes` gauge as on the text path). On the same
+    /// memory is at most two decoded blocks plus the episodes, whatever
+    /// the store size (`peak_resident_bytes` gauge as on the text path;
+    /// with one worker the blocks are decoded inline, one at a time). An
+    /// error of the source, on either thread, is returned as is. On the same
     /// corpus the results are bit-identical to the text path, because the
     /// store preserves extraction's per-node record streams exactly. Only
     /// Stage I is skipped: no log text is read, split into lines,

@@ -33,10 +33,11 @@
 //! own incremental [`StreamCoalescer`] with no cross-node merge at all;
 //! only the episodes are sorted. One private per-node driver does this
 //! for both inputs: the text path's per-node `Vec`s
-//! ([`merge_and_coalesce_observed`]) and the record replay, which pushes
-//! each decoded store block into its node's coalescer as it arrives
-//! ([`coalesce_record_source`]), so a replay holds one block plus the
-//! open and closed episodes. The driver checks, record by record, that
+//! ([`merge_and_coalesce_observed`]) and the record replay, which decodes
+//! store blocks one ahead on a [`Prefetcher`] thread and pushes each
+//! into its node's coalescer as it arrives ([`coalesce_record_source`]),
+//! so a replay holds at most two blocks plus the open and closed
+//! episodes. The driver checks, record by record, that
 //! each stream is time-ordered and holds one node's GPUs, and at the end
 //! that no two streams share a node. If a pathological log breaks that
 //! (e.g. a day regression without a month rollover), the code falls
@@ -218,14 +219,15 @@ pub fn extract_source_prefetch_observed<'s>(
     use dr_obs::{Counter, Stage};
     let cfg = WaveConfig::for_source(&*source, target_bytes);
     let n_nodes = source.nodes().len();
-    Prefetcher::new(source, cfg.target_bytes, cfg.wave_budget).run(|waves| {
+    let pull = move || pull_wave(source, cfg.target_bytes, cfg.wave_budget);
+    Prefetcher::new(pull).run(|waves| {
         let mut driver = WaveDriver::new(n_nodes);
         loop {
             // The span now measures only the *unhidden* part of I/O: time
             // spent waiting on the prefetch thread.
             let wave = {
                 let _span = sink.span(Stage::Shard, "total");
-                waves.next_wave()?
+                waves.recv()?
             };
             let Some(wave) = wave else {
                 break;
@@ -376,20 +378,25 @@ fn merge_and_coalesce_inner(
     coalesce(&records, cfg)
 }
 
-/// The record replay's Stage II: pull `source` one batch at a time and
-/// push each batch into its node's coalescer as it arrives, so only one
-/// decoded batch is resident besides the episodes. Returns exactly what
-/// batch [`coalesce`] would over every record, sorted by
+/// The record replay's Stage II: a [`Prefetcher`] thread pulls and
+/// decodes `source` one batch ahead while the caller pushes each batch
+/// into its node's coalescer, so at most two decoded batches (one being
+/// coalesced, one staged) are resident besides the episodes; with one
+/// worker the pulls run inline and one batch is resident. Returns exactly
+/// what batch [`coalesce`] would over every record, sorted by
 /// `(start, gpu, xid, detail)`. If the streams are not per-node (see
-/// [`NodeCoalescer`]), the source is rewound and drained again into the
-/// batch route, the one replay path that materializes records.
+/// [`NodeCoalescer`]), the prefetch thread is joined, the source is
+/// rewound and drained again on the caller's thread into the batch
+/// route, the one replay path that materializes records.
 ///
-/// Block reads are booked under the `shard` stage (with the `Bytes`
-/// counter, and the `Records` counter and `peak_resident_bytes` gauge
-/// under `extract`, as on the text path); each batch's pushes, the
-/// fallback and the final sort under `coalesce/total`, with its `Records`
-/// and `Episodes` counters. A batch naming a node index beyond the
-/// source's node table is a typed error.
+/// The `shard/total` span books the caller's wait for the next decoded
+/// batch (with the `Bytes` counter, and under `extract` the `Records`
+/// counter and the prefetcher's `peak_resident_bytes` high-water mark,
+/// as on the text path); each batch's pushes, the fallback and the final
+/// sort are booked under `coalesce/total`, with its `Records` and
+/// `Episodes` counters. A batch naming a node index beyond the source's
+/// node table, like any error of the source, is returned as the same
+/// typed [`DataError`] from whichever thread pulled it.
 pub(crate) fn coalesce_record_source(
     source: &mut dyn RecordSource,
     cfg: CoalesceConfig,
@@ -397,26 +404,46 @@ pub(crate) fn coalesce_record_source(
 ) -> Result<Vec<CoalescedError>, DataError> {
     use dr_obs::{Counter, Stage};
     let n_nodes = source.nodes().len();
-    let mut nodes = NodeCoalescer::new(n_nodes, cfg);
-    let mut n_records = 0u64;
-    while let Some(batch) = pull_batch(source, n_nodes, sink)? {
-        sink.add(Stage::Shard, Counter::Bytes, batch.bytes);
-        sink.add(Stage::Extract, Counter::Records, batch.records.len() as u64);
-        sink.gauge_max(Stage::Extract, "peak_resident_bytes", batch.bytes as f64);
-        n_records += batch.records.len() as u64;
-        let _span = sink.span(Stage::Coalesce, "total");
-        nodes.push(batch.node, &batch.records);
-    }
-    let per_node = {
-        let _span = sink.span(Stage::Coalesce, "total");
-        nodes.finish()
-    };
+    let ahead = &mut *source;
+    let (per_node, n_records) =
+        Prefetcher::new(move || pull_batch(ahead, n_nodes)).run(|batches| {
+            let mut nodes = NodeCoalescer::new(n_nodes, cfg);
+            let mut n_records = 0u64;
+            loop {
+                let batch = {
+                    let _span = sink.span(Stage::Shard, "total");
+                    batches.recv()?
+                };
+                let Some(batch) = batch else {
+                    break;
+                };
+                sink.add(Stage::Shard, Counter::Bytes, batch.bytes);
+                sink.add(Stage::Extract, Counter::Records, batch.records.len() as u64);
+                sink.gauge_max(
+                    Stage::Extract,
+                    "peak_resident_bytes",
+                    batches.peak_resident_bytes() as f64,
+                );
+                n_records += batch.records.len() as u64;
+                let _span = sink.span(Stage::Coalesce, "total");
+                nodes.push(batch.node, &batch.records);
+            }
+            let _span = sink.span(Stage::Coalesce, "total");
+            Ok::<_, DataError>((nodes.finish(), n_records))
+        })?;
     let out = match per_node {
         Some(out) => out,
         None => {
             source.rewind()?;
             let mut records = Vec::new();
-            while let Some(mut batch) = pull_batch(source, n_nodes, sink)? {
+            loop {
+                let batch = {
+                    let _span = sink.span(Stage::Shard, "total");
+                    pull_batch(source, n_nodes)?
+                };
+                let Some(mut batch) = batch else {
+                    break;
+                };
                 records.append(&mut batch.records);
             }
             let _span = sink.span(Stage::Coalesce, "total");
@@ -429,18 +456,13 @@ pub(crate) fn coalesce_record_source(
     Ok(out)
 }
 
-/// Pull one batch under the `shard` span, rejecting a node index beyond
-/// the source's `n_nodes`-entry node table.
+/// Pull one batch, rejecting a node index beyond the source's
+/// `n_nodes`-entry node table.
 fn pull_batch(
     source: &mut dyn RecordSource,
     n_nodes: usize,
-    sink: &dr_obs::MetricsSink,
 ) -> Result<Option<RecordBatch>, DataError> {
-    let batch = {
-        let _span = sink.span(dr_obs::Stage::Shard, "total");
-        source.next_batch()?
-    };
-    match batch {
+    match source.next_batch()? {
         Some(b) if b.node >= n_nodes => Err(DataError::Store {
             path: "<record source>".to_string(),
             message: format!(

@@ -589,7 +589,7 @@ impl<'a> LogSource<'static> for GeneratorSource<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Wave prefetch: I/O-overlapped double buffering
+// Waves: what the shard driver extracts between source pulls
 // ---------------------------------------------------------------------------
 
 /// One wave of chunks — what the shard driver extracts between source
@@ -648,126 +648,202 @@ pub(crate) fn check_chunk_node(chunk: &LogChunk<'_>, n_nodes: usize) -> Result<(
     })
 }
 
-/// Double-buffered wave prefetch over any [`LogSource`]: a dedicated I/O
-/// thread pulls wave *N+1* while the caller's workers extract wave *N*.
-///
-/// The two sides meet at a rendezvous channel (`sync_channel(0)`), so the
-/// producer can run at most one complete wave ahead of the consumer:
-/// once wave *N+1* is assembled, `send` blocks until the consumer asks
-/// for it. Peak resident log text is therefore bounded by the consumer's
-/// held wave plus the producer's staged wave — ≤ 2 × the wave budget
-/// (plus at most one chunk of overshoot per side, since a wave closes on
-/// the first chunk that reaches the budget). The exact high-water mark is
-/// tracked on a shared counter and exposed as
-/// [`WaveRx::peak_resident_bytes`].
-///
-/// A mid-stream read failure is forwarded through the channel and
-/// surfaces as `Err` from [`WaveRx::next_wave`] — never a panic — after
-/// which the I/O thread exits. If the consumer stops early, dropping the
-/// receiver unblocks the producer's `send` and the thread exits cleanly.
-pub struct Prefetcher<'src, 's> {
-    source: &'src mut (dyn LogSource<'s> + Send),
-    target_bytes: u64,
-    wave_budget: u64,
+// ---------------------------------------------------------------------------
+// Prefetch: a producer one unit ahead of its consumer
+// ---------------------------------------------------------------------------
+
+/// A unit a [`Prefetcher`] hands over — a text [`Wave`] or a decoded
+/// [`crate::store::RecordBatch`] — weighed by the bytes its resident
+/// gauge counts.
+pub trait Prefetched: Send {
+    /// On-disk byte volume the unit was read from.
+    fn bytes(&self) -> u64;
 }
 
-impl<'src, 's> Prefetcher<'src, 's> {
-    /// Wrap `source` for prefetching with the given chunk-size target and
-    /// per-wave byte budget (normally `target × workers`; see
-    /// `shard::WaveConfig`).
-    pub fn new(
-        source: &'src mut (dyn LogSource<'s> + Send),
-        target_bytes: u64,
-        wave_budget: u64,
-    ) -> Self {
-        Prefetcher {
-            source,
-            target_bytes: target_bytes.max(1),
-            wave_budget,
-        }
+impl Prefetched for Wave<'_> {
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+/// Double-buffered prefetch over any pull function: text waves (the
+/// prefetching Stage I driver pulls [`pull_wave`]) and decoded store
+/// blocks (the record replay) alike. A dedicated thread pulls unit
+/// *N+1* while the caller works on unit *N*.
+///
+/// Two bounded channels join the sides. Units travel on a one-slot
+/// `sync_channel(1)`, so handing one over never waits for the consumer
+/// to wake up. The producer pulls a unit only with a credit, and there
+/// are two: the consumer returns one each time it retires the unit it
+/// held (on its next [`PrefetchRx::recv`]). So at most two units are
+/// resident — the one the consumer holds and the one staged or being
+/// pulled (for waves, ≤ 2 × the wave budget plus at most one chunk of
+/// overshoot per side, since a wave closes on the first chunk that
+/// reaches the budget). A producer slower than its consumer never waits
+/// for a credit; a faster one waits only for the consumer. The exact
+/// high-water mark is tracked on a shared counter and exposed as
+/// [`PrefetchRx::peak_resident_bytes`].
+///
+/// With one worker (`dr_par::max_workers() == 1`, through
+/// `dr_par::set_worker_override(Some(1))` or `DR_PAR_THREADS=1`) no
+/// thread starts: [`PrefetchRx::recv`] calls the pull function on the
+/// caller's thread, so a one-worker run is serial, and one unit is
+/// resident.
+///
+/// A pull failure is forwarded through the channel and surfaces as `Err`
+/// from [`PrefetchRx::recv`] — never a panic — after which the producer
+/// thread exits. If the consumer stops early, dropping its handle
+/// unblocks the producer and the thread exits cleanly. Either way
+/// [`Prefetcher::run`] joins the thread before it returns, so the caller
+/// holds its source again afterwards.
+pub struct Prefetcher<P> {
+    pull: P,
+}
+
+/// Units resident at once on the threaded path: the held one and the
+/// staged one.
+const PREFETCH_UNITS: usize = 2;
+
+impl<P> Prefetcher<P> {
+    /// Prefetch the units `pull` yields, until it returns `Ok(None)` or
+    /// an error.
+    pub fn new(pull: P) -> Self {
+        Prefetcher { pull }
     }
 
-    /// Run `consumer` with a [`WaveRx`] yielding prefetched waves, while
-    /// the I/O thread stays one wave ahead. Returns the consumer's value
-    /// after the I/O thread has been joined.
-    pub fn run<R>(self, consumer: impl FnOnce(&mut WaveRx<'s, '_>) -> R) -> R {
-        let resident = AtomicU64::new(0);
-        let high_water = AtomicU64::new(0);
-        let Prefetcher {
-            source,
-            target_bytes,
-            wave_budget,
-        } = self;
+    /// Run `consumer` with a [`PrefetchRx`] yielding prefetched units,
+    /// while the producer thread stays one unit ahead. Returns the
+    /// consumer's value after the producer thread has been joined.
+    pub fn run<T, R>(self, consumer: impl FnOnce(&mut PrefetchRx<'_, T>) -> R) -> R
+    where
+        P: FnMut() -> Result<Option<T>, DataError> + Send,
+        T: Prefetched,
+    {
+        let mut pull = self.pull;
+        let gauge = Resident::default();
+        if dr_par::max_workers() == 1 {
+            return consumer(&mut PrefetchRx {
+                feed: Feed::Inline(&mut pull),
+                gauge: &gauge,
+                held: None,
+            });
+        }
         thread::scope(|scope| {
-            // Capacity 0 = rendezvous: the producer parks inside `send`
-            // holding exactly one finished wave. That parked wave is the
-            // second buffer of the double buffer.
-            let (tx, rx) = mpsc::sync_channel::<Result<Wave<'s>, DataError>>(0);
-            let (resident_ref, high_ref) = (&resident, &high_water);
-            scope.spawn(move || loop {
-                match pull_wave(source, target_bytes, wave_budget) {
-                    Ok(Some(wave)) => {
-                        // Count the wave the moment its text is fully
-                        // resident, before handing it over.
-                        let now = resident_ref.fetch_add(wave.bytes, Ordering::SeqCst) + wave.bytes;
-                        high_ref.fetch_max(now, Ordering::SeqCst);
-                        if tx.send(Ok(wave)).is_err() {
-                            break; // consumer hung up early
+            let (tx, rx) = mpsc::sync_channel::<Result<T, DataError>>(1);
+            let (credit_tx, credit_rx) = mpsc::sync_channel::<()>(PREFETCH_UNITS);
+            for _ in 0..PREFETCH_UNITS {
+                let _ = credit_tx.try_send(());
+            }
+            let producer_gauge = &gauge;
+            scope.spawn(move || {
+                // A closed credit channel means the consumer hung up.
+                while credit_rx.recv().is_ok() {
+                    match pull() {
+                        Ok(Some(unit)) => {
+                            // Count the unit the moment it is fully
+                            // resident, before handing it over.
+                            producer_gauge.add(unit.bytes());
+                            if tx.send(Ok(unit)).is_err() {
+                                break; // consumer hung up early
+                            }
                         }
-                    }
-                    Ok(None) => break, // source exhausted; drop tx to signal end
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
+                        Ok(None) => break, // source exhausted; drop tx to signal end
+                        Err(e) => {
+                            let _ = tx.send(Err(e));
+                            break;
+                        }
                     }
                 }
             });
-            let mut waves = WaveRx {
-                rx,
-                resident: &resident,
-                high_water: &high_water,
-                held: 0,
-            };
-            consumer(&mut waves)
+            consumer(&mut PrefetchRx {
+                feed: Feed::Thread { rx, credit_tx },
+                gauge: &gauge,
+                held: None,
+            })
         })
     }
 }
 
-/// Consumer handle to a running [`Prefetcher`]: yields waves and reports
-/// the resident-text high-water mark across both buffer slots.
-pub struct WaveRx<'s, 'p> {
-    rx: mpsc::Receiver<Result<Wave<'s>, DataError>>,
-    resident: &'p AtomicU64,
-    high_water: &'p AtomicU64,
-    held: u64,
+/// Bytes resident across both buffer slots, and their high-water mark.
+#[derive(Default)]
+struct Resident {
+    now: AtomicU64,
+    high_water: AtomicU64,
 }
 
-impl<'s> WaveRx<'s, '_> {
-    /// Receive the next wave, blocking until the I/O thread delivers one;
-    /// `None` once the source is exhausted. The previously yielded wave
-    /// must be dropped before calling again (the natural shape of a
-    /// `while let` loop) — its bytes are retired from the resident count
-    /// here.
-    pub fn next_wave(&mut self) -> Result<Option<Wave<'s>>, DataError> {
-        self.resident.fetch_sub(self.held, Ordering::SeqCst);
-        self.held = 0;
-        match self.rx.recv() {
-            // The producer dropped its sender: clean end of stream.
-            Err(mpsc::RecvError) => Ok(None),
-            Ok(Ok(wave)) => {
-                self.held = wave.bytes;
-                Ok(Some(wave))
-            }
-            Ok(Err(e)) => Err(e),
-        }
+impl Resident {
+    fn add(&self, bytes: u64) {
+        let now = self.now.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        self.high_water.fetch_max(now, Ordering::SeqCst);
     }
 
-    /// High-water mark, in bytes, of log text resident across the
-    /// consumer-held wave and the producer-staged wave, over the life of
-    /// the prefetch so far. Bounded by 2 × wave budget (+ one chunk of
-    /// overshoot per side).
+    fn retire(&self, bytes: u64) {
+        self.now.fetch_sub(bytes, Ordering::SeqCst);
+    }
+}
+
+/// Where a [`PrefetchRx`] gets its units: the producer thread's channel
+/// (returning a credit per retired unit), or (with one worker) the pull
+/// function itself.
+enum Feed<'p, T> {
+    Thread {
+        rx: mpsc::Receiver<Result<T, DataError>>,
+        credit_tx: mpsc::SyncSender<()>,
+    },
+    Inline(&'p mut (dyn FnMut() -> Result<Option<T>, DataError> + 'p)),
+}
+
+/// Consumer handle to a running [`Prefetcher`]: yields units and reports
+/// the resident high-water mark across both buffer slots.
+pub struct PrefetchRx<'p, T> {
+    feed: Feed<'p, T>,
+    gauge: &'p Resident,
+    /// Bytes of the unit last yielded, until the next `recv` retires it.
+    held: Option<u64>,
+}
+
+impl<T: Prefetched> PrefetchRx<'_, T> {
+    /// Receive the next unit, blocking until the producer delivers one;
+    /// `None` once the source is exhausted. The previously yielded unit
+    /// must be dropped before calling again (the natural shape of a
+    /// `while let` loop) — it is retired here: its bytes leave the
+    /// resident count and its credit goes back to the producer.
+    pub fn recv(&mut self) -> Result<Option<T>, DataError> {
+        let retired = self.held.take();
+        if let Some(bytes) = retired {
+            self.gauge.retire(bytes);
+        }
+        let unit = match &mut self.feed {
+            Feed::Thread { rx, credit_tx } => {
+                if retired.is_some() {
+                    // Never blocks: credits in flight plus units held or
+                    // staged are `PREFETCH_UNITS`. Fails only once the
+                    // producer has exited.
+                    let _ = credit_tx.try_send(());
+                }
+                match rx.recv() {
+                    // The producer dropped its sender: clean end of stream.
+                    Err(mpsc::RecvError) => None,
+                    Ok(unit) => Some(unit?),
+                }
+            }
+            Feed::Inline(pull) => {
+                let unit = pull()?;
+                if let Some(u) = &unit {
+                    self.gauge.add(u.bytes());
+                }
+                unit
+            }
+        };
+        self.held = unit.as_ref().map(Prefetched::bytes);
+        Ok(unit)
+    }
+
+    /// High-water mark, in bytes, of the units resident across the
+    /// consumer-held slot and the producer-staged slot, over the life of
+    /// the prefetch so far: at most two units (one with one worker).
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.high_water.load(Ordering::SeqCst)
+        self.gauge.high_water.load(Ordering::SeqCst)
     }
 }
 
@@ -926,6 +1002,16 @@ mod tests {
         }
     }
 
+    /// A prefetcher of `src`'s waves, as the prefetching Stage I driver
+    /// runs one.
+    fn wave_prefetcher<'a, 's: 'a>(
+        src: &'a mut (dyn LogSource<'s> + Send),
+        target: u64,
+        budget: u64,
+    ) -> Prefetcher<impl FnMut() -> Result<Option<Wave<'s>>, DataError> + Send + 'a> {
+        Prefetcher::new(move || pull_wave(src, target, budget))
+    }
+
     #[test]
     fn prefetcher_yields_the_same_waves_as_synchronous_pulls() {
         let logs = corpus();
@@ -939,9 +1025,9 @@ mod tests {
         assert!(sync_waves.len() > 1, "corpus must span several waves");
 
         let mut src = InMemorySource::new(&logs);
-        let pf_waves = Prefetcher::new(&mut src, target, budget).run(|rx| {
+        let pf_waves = wave_prefetcher(&mut src, target, budget).run(|rx| {
             let mut got = Vec::new();
-            while let Some(w) = rx.next_wave().unwrap() {
+            while let Some(w) = rx.recv().unwrap() {
                 got.push((w.chunks.len(), w.bytes));
             }
             got
@@ -953,9 +1039,9 @@ mod tests {
     fn prefetcher_on_an_empty_source_yields_nothing() {
         let logs: Vec<(NodeId, Vec<String>)> = vec![];
         let mut src = InMemorySource::new(&logs);
-        let n = Prefetcher::new(&mut src, 64, 128).run(|rx| {
+        let n = wave_prefetcher(&mut src, 64, 128).run(|rx| {
             let mut n = 0;
-            while let Some(_w) = rx.next_wave().unwrap() {
+            while let Some(_w) = rx.recv().unwrap() {
                 n += 1;
             }
             n
@@ -967,9 +1053,9 @@ mod tests {
     fn prefetcher_on_a_single_chunk_source_yields_one_wave() {
         let logs = vec![(NodeId(0), vec!["only line".to_string()])];
         let mut src = InMemorySource::new(&logs);
-        let waves = Prefetcher::new(&mut src, 1 << 20, 8 << 20).run(|rx| {
+        let waves = wave_prefetcher(&mut src, 1 << 20, 8 << 20).run(|rx| {
             let mut got = Vec::new();
-            while let Some(w) = rx.next_wave().unwrap() {
+            while let Some(w) = rx.recv().unwrap() {
                 got.push(w.chunks.len());
             }
             got
@@ -984,8 +1070,8 @@ mod tests {
             yielded: 0,
             good: 3,
         };
-        let err = Prefetcher::new(&mut src, 11, 22).run(|rx| loop {
-            match rx.next_wave() {
+        let err = wave_prefetcher(&mut src, 11, 22).run(|rx| loop {
+            match rx.recv() {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("source must fail before exhaustion"),
                 Err(e) => break e,
@@ -1003,8 +1089,8 @@ mod tests {
         let mut src = InMemorySource::new(&logs);
         // Take a single wave and return: the producer is left blocked in
         // `send`; dropping the receiver must release it so `run` joins.
-        let first = Prefetcher::new(&mut src, 6, 6).run(|rx| {
-            rx.next_wave().unwrap().map(|w| w.bytes)
+        let first = wave_prefetcher(&mut src, 6, 6).run(|rx| {
+            rx.recv().unwrap().map(|w| w.bytes)
         });
         assert!(first.is_some());
     }
@@ -1023,8 +1109,8 @@ mod tests {
             .unwrap_or(0);
         let bound = 2 * (budget + target + max_line);
         let mut src = InMemorySource::new(&logs);
-        let peak = Prefetcher::new(&mut src, target, budget).run(|rx| {
-            while let Some(_w) = rx.next_wave().unwrap() {}
+        let peak = wave_prefetcher(&mut src, target, budget).run(|rx| {
+            while let Some(_w) = rx.recv().unwrap() {}
             rx.peak_resident_bytes()
         });
         assert!(peak > 0, "high-water mark must be recorded");
@@ -1032,6 +1118,38 @@ mod tests {
             peak <= bound,
             "peak {peak} exceeds the double-buffer bound {bound}"
         );
+    }
+
+    /// A prefetch unit of one byte.
+    struct Unit;
+
+    impl Prefetched for Unit {
+        fn bytes(&self) -> u64 {
+            1
+        }
+    }
+
+    #[test]
+    fn prefetcher_stays_two_units_ahead_of_a_slow_consumer() {
+        // A producer much faster than its consumer: the credits, not the
+        // one-slot channel, must stop it at two resident units.
+        let mut left = 40u32;
+        let pull = move || {
+            Ok(left.checked_sub(1).map(|l| {
+                left = l;
+                Unit
+            }))
+        };
+        let (n, peak) = Prefetcher::new(pull).run(|rx| {
+            let mut n = 0;
+            while let Some(_unit) = rx.recv().unwrap() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                n += 1;
+            }
+            (n, rx.peak_resident_bytes())
+        });
+        assert_eq!(n, 40);
+        assert!((1..=2).contains(&peak), "peak {peak} units resident");
     }
 
     #[test]

@@ -31,12 +31,15 @@
 //! [`LogSource`](crate::source::LogSource): [`RecordSource::next_batch`]
 //! yields one decoded block at a time (seek + exact-length read into one
 //! reused buffer — never a whole-file slurp, which the stream-hygiene
-//! lint now also forbids for `read_to_end`). The replay pushes each
-//! block into its node's coalescer before pulling the next, so resident
-//! memory is one block plus the episodes, regardless of store size. A
-//! store whose streams are not per-node is the one exception: the replay
-//! calls [`RecordSource::rewind`] and reads every record into memory for
-//! the batch route. Truncation and corruption anywhere — header, blocks,
+//! lint now also forbids for `read_to_end`). The replay reads, checksums
+//! and decodes on a [`Prefetcher`](crate::source::Prefetcher) thread one
+//! block ahead while the caller pushes the current block into its node's
+//! coalescer, so resident memory is at most two decoded blocks plus the
+//! episodes, regardless of store size (one block with one worker, when
+//! the reads run inline). A store whose streams are not per-node is the
+//! one exception: the replay joins that thread, calls
+//! [`RecordSource::rewind`] and reads every record into memory for the
+//! batch route. Truncation and corruption anywhere — header, blocks,
 //! footer, trailer — surface as typed [`DataError::Store`] values,
 //! never panics; the whole read path sits inside dr-lint's
 //! panic-reachability closure.
@@ -542,19 +545,29 @@ pub struct RecordBatch {
     pub bytes: u64,
 }
 
+impl crate::source::Prefetched for RecordBatch {
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
 /// The pulled-iteration contract for structured-record ingestion — the
 /// `LogSource` of the replay path. Batches for one node arrive in
 /// stream order; different nodes may interleave.
 ///
 /// The replay
 /// ([`PipelineBuilder::run_record_source`](crate::pipeline::PipelineBuilder::run_record_source))
-/// pushes each batch into its node's coalescer as it arrives and keeps
-/// no records. Only when the streams turn out not to be per-node (a
-/// stream out of time order, a stream holding another node's GPUs, or
-/// two streams holding one node's) does it call [`RecordSource::rewind`]
-/// and drain the source again into memory for the batch route; only
-/// malformed logs reach that path.
-pub trait RecordSource {
+/// calls [`RecordSource::next_batch`] on a
+/// [`Prefetcher`](crate::source::Prefetcher) thread, one batch ahead of
+/// the caller, which pushes each batch into its node's coalescer as it
+/// arrives and keeps no records; hence the `Send` bound. An error from
+/// `next_batch` ends the replay with that error. Only when the streams
+/// turn out not to be per-node (a stream out of time order, a stream
+/// holding another node's GPUs, or two streams holding one node's) does
+/// it join that thread, call [`RecordSource::rewind`] and drain the
+/// source again on the caller's thread into memory for the batch route;
+/// only malformed logs reach that path.
+pub trait RecordSource: Send {
     /// Node identity table; `RecordBatch::node` indexes into it.
     fn nodes(&self) -> &[NodeId];
     /// Pull the next batch, or `Ok(None)` at end of stream.

@@ -6,8 +6,9 @@
 //! a slower consumer silently repeals that bound: the queue absorbs the
 //! entire corpus at whatever rate the disk delivers it. Every
 //! cross-thread handoff in library code must therefore use a bounded
-//! primitive — `mpsc::sync_channel(n)` (the wave [`Prefetcher`] uses the
-//! rendezvous form, capacity 0) — whose `send` exerts back-pressure.
+//! primitive — `mpsc::sync_channel(n)` (the [`Prefetcher`] pairs a
+//! one-slot unit channel with a two-credit return channel) — whose `send`
+//! exerts back-pressure.
 //!
 //! The pass flags the token sequence `mpsc :: channel`, which catches
 //! both the call site (`mpsc::channel()`) and the import

@@ -52,8 +52,8 @@ pub fn explain(id: &str) -> Option<&'static str> {
              memory contract is O(workers × chunk_bytes) resident text; an unbounded queue \
              between a fast producer and a slower consumer absorbs the corpus and repeals \
              the bound silently. Cross-thread handoffs must use `mpsc::sync_channel(n)`, \
-             whose blocking `send` is the back-pressure (the wave prefetcher uses the \
-             capacity-0 rendezvous form). Waive a provably bounded queue with \
+             whose blocking `send` is the back-pressure (the prefetcher pairs a one-slot \
+             unit channel with a two-credit return channel). Waive a provably bounded queue with \
              `// dr-lint: allow(bounded-channels): <why it is bounded>`."
         }
         determinism::ID => {
