@@ -117,23 +117,6 @@ pub(crate) fn sort_episodes(episodes: &mut [CoalescedError]) {
     episodes.sort_unstable_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
 }
 
-/// [`coalesce`] with observability: a `coalesce/total` span plus input
-/// record and output episode counters, recorded once per call. The
-/// returned episodes are exactly `coalesce(records, cfg)` — the sink is
-/// write-only and cannot influence the output.
-pub fn coalesce_observed(
-    records: &[ErrorRecord],
-    cfg: CoalesceConfig,
-    sink: &dr_obs::MetricsSink,
-) -> Vec<CoalescedError> {
-    use dr_obs::{Counter, Stage};
-    let _span = sink.span(Stage::Coalesce, "total");
-    let out = coalesce(records, cfg);
-    sink.add(Stage::Coalesce, Counter::Records, records.len() as u64);
-    sink.add(Stage::Coalesce, Counter::Episodes, out.len() as u64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

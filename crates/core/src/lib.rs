@@ -84,7 +84,7 @@ pub mod tail;
 mod testutil;
 pub mod watch;
 
-pub use coalesce::{coalesce, coalesce_observed, CoalesceConfig, CoalescedError};
+pub use coalesce::{coalesce, CoalesceConfig, CoalescedError};
 pub use counterfactual::CounterfactualReport;
 pub use downtime::{availability, DowntimeStats};
 pub use engine::{AnalysisEngine, StudyEngine};
@@ -92,7 +92,7 @@ pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
 pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 pub use propagation::{NvlinkSpread, PropagationAnalysis, PropagationEdge};
 pub use shard::{
-    extract_source_observed, extract_source_prefetch_observed, merge_and_coalesce_observed,
+    extract_source_prefetch_observed, merge_and_coalesce_observed,
     WaveConfig,
 };
 pub use source::{

@@ -1,8 +1,8 @@
 //! End-to-end pipeline orchestration (Figure 4).
 //!
 //! The front door is [`PipelineBuilder`]: configure jobs, downtime,
-//! chunking, prefetch, a record-store tee, and an optional metrics sink
-//! with named setters, then run from a streaming [`LogSource`]
+//! chunking, a record-store tee, and an optional metrics sink with named
+//! setters, then run from a streaming [`LogSource`]
 //! ([`PipelineBuilder::run_source`] — bounded-memory ingestion from
 //! disk, a campaign generator, or a wrapped buffer), from materialized
 //! text ([`PipelineBuilder::run_text`], a thin [`InMemorySource`]
@@ -120,21 +120,19 @@ pub struct PipelineBuilder<'a> {
     jobs: Option<&'a [JobRecord]>,
     downtime: Option<&'a [DowntimeInterval]>,
     chunk_bytes: Option<u64>,
-    prefetch: bool,
     records_out: Option<std::path::PathBuf>,
     metrics: MetricsSink,
 }
 
 impl<'a> PipelineBuilder<'a> {
     /// A builder with no job table, no downtime data, worker-pool-sized
-    /// chunks, prefetch off, no record-store tee, and metrics disabled.
+    /// chunks, no record-store tee, and metrics disabled.
     pub fn new(config: StudyConfig) -> Self {
         PipelineBuilder {
             config,
             jobs: None,
             downtime: None,
             chunk_bytes: None,
-            prefetch: false,
             records_out: None,
             metrics: MetricsSink::disabled(),
         }
@@ -177,13 +175,12 @@ impl<'a> PipelineBuilder<'a> {
         }
     }
 
-    /// Overlap Stage I ingestion with extraction (default off): a
-    /// dedicated [`crate::source::Prefetcher`] thread pulls the next
-    /// chunk wave while the worker pool extracts the current one. Results
-    /// are bit-identical with prefetch on or off; peak resident log text
-    /// rises from one wave to at most two.
-    pub fn prefetch(self, prefetch: bool) -> Self {
-        PipelineBuilder { prefetch, ..self }
+    /// Has no effect. Whether Stage I reads overlap extraction follows
+    /// from the worker pool alone (see [`PipelineBuilder::run_source`]).
+    /// Kept only so existing `.prefetch(true)` calls still compile; it
+    /// goes once the benchmark harness drops its call.
+    pub fn prefetch(self, _: bool) -> Self {
+        self
     }
 
     /// Tee the extract pass's per-node record streams into a columnar
@@ -209,9 +206,10 @@ impl<'a> PipelineBuilder<'a> {
     }
 
     /// Run from any [`LogSource`] — the streaming front door. Stage I
-    /// pulls chunk waves from the source (peak resident text is
-    /// O(workers × chunk_bytes)), then the full analysis pipeline runs on
-    /// the extracted records. For a given corpus the results are
+    /// pulls chunk waves from the source, inline with one worker and on a
+    /// reader thread that overlaps extraction with more (peak resident
+    /// text is O(workers × chunk_bytes)), then the full analysis pipeline
+    /// runs on the extracted records. For a given corpus the results are
     /// bit-identical to [`PipelineBuilder::run_text`] on the materialized
     /// lines, at every chunk size and worker count.
     pub fn run_source<'s>(
@@ -224,11 +222,8 @@ impl<'a> PipelineBuilder<'a> {
             .records_out
             .as_ref()
             .map(|_| source.nodes().to_vec());
-        let (per_node, stats) = if self.prefetch {
-            crate::shard::extract_source_prefetch_observed(source, self.chunk_bytes, &self.metrics)?
-        } else {
-            crate::shard::extract_source_observed(source, self.chunk_bytes, &self.metrics)?
-        };
+        let (per_node, stats) =
+            crate::shard::extract_source_prefetch_observed(source, self.chunk_bytes, &self.metrics)?;
         // Tee point: per-node streams are exactly what the store persists,
         // before the merge consumes them.
         if let (Some(path), Some(nodes)) = (&self.records_out, &nodes) {
@@ -279,8 +274,14 @@ impl<'a> PipelineBuilder<'a> {
 
     /// Run from structured records (skips Stage I text extraction).
     pub fn run_records(&self, records: &[ErrorRecord]) -> StudyResults {
-        let coalesced =
-            crate::coalesce::coalesce_observed(records, self.config.coalesce, &self.metrics);
+        use dr_obs::{Counter, Stage};
+        let sink = &self.metrics;
+        let coalesced = {
+            let _span = sink.span(Stage::Coalesce, "total");
+            crate::coalesce::coalesce(records, self.config.coalesce)
+        };
+        sink.add(Stage::Coalesce, Counter::Records, records.len() as u64);
+        sink.add(Stage::Coalesce, Counter::Episodes, coalesced.len() as u64);
         self.run_coalesced(coalesced)
     }
 

@@ -27,6 +27,10 @@
 //! differentially pinned against the pre-optimization pipeline), for any
 //! chunk size and worker count.
 //!
+//! One driver ([`extract_source_prefetch_observed`]) runs these phases
+//! wave by wave, pulling through a [`Prefetcher`]: one worker reads
+//! inline, more read on a thread that overlaps extraction.
+//!
 //! Stage I → Stage II then avoids the global sort barrier: per-node record
 //! streams are already time-ordered, and a GPU (hence every coalescing
 //! identity) lives on one node, so each node's stream runs through its
@@ -47,7 +51,7 @@
 //! output, sorted by `(start, gpu, xid, detail)`.
 
 use crate::coalesce::{coalesce, sort_episodes, CoalesceConfig, CoalescedError};
-use crate::source::{pull_wave, LogChunk, LogSource, Prefetcher, Wave};
+use crate::source::{pull_wave, LogChunk, LogSource, Prefetcher};
 use crate::store::{RecordBatch, RecordSource};
 use crate::stream::StreamCoalescer;
 use dr_logscan::extract::scanner_update_month;
@@ -167,50 +171,18 @@ impl WaveConfig {
     }
 }
 
-/// The streaming heart of Stage I: pull line-aligned chunks from `source`
-/// one *wave* (≈ workers × target bytes) at a time, run the
-/// summarize → prefix-fold → extract phases on each wave, and drop the
-/// wave's text before pulling the next. Year-inference state composes
-/// exactly across chunk boundaries, so the wave structure is invisible in
-/// the output: records and stats are bit-identical to a serial per-node
-/// scan of the same lines, for any `target_bytes`, wave size, or worker
-/// count. Peak resident log text is one wave (recorded on the sink as the
-/// `peak_resident_bytes` gauge), which is what lets the analysis host
-/// stay at O(workers × chunk_bytes) on a 202 GB corpus.
-pub fn extract_source_observed<'s>(
-    source: &mut dyn LogSource<'s>,
-    target_bytes: Option<u64>,
-    sink: &dr_obs::MetricsSink,
-) -> Result<(Vec<Vec<ErrorRecord>>, ExtractStats), DataError> {
-    use dr_obs::{Counter, Stage};
-    let cfg = WaveConfig::for_source(&*source, target_bytes);
-    let mut driver = WaveDriver::new(source.nodes().len());
-    loop {
-        // Pull one wave. This is the only place log text enters memory;
-        // the gauge records the high-water mark across waves (with no
-        // prefetch, exactly one wave is ever resident).
-        let wave = {
-            let _span = sink.span(Stage::Shard, "total");
-            pull_wave(source, cfg.target_bytes, cfg.wave_budget)?
-        };
-        let Some(wave) = wave else {
-            break;
-        };
-        sink.add(Stage::Shard, Counter::Bytes, wave.bytes);
-        sink.add(Stage::Shard, Counter::Chunks, wave.chunks.len() as u64);
-        sink.gauge_max(Stage::Extract, "peak_resident_bytes", wave.bytes as f64);
-        driver.process_wave(&wave, sink);
-    }
-    Ok(driver.finish())
-}
-
-/// [`extract_source_observed`] with I/O-overlapped wave prefetch: a
-/// [`Prefetcher`] thread pulls wave *N+1* from `source` while the worker
-/// pool extracts wave *N*. Results are bit-identical to the synchronous
-/// path — wave boundaries come from the same [`pull_wave`] and the
-/// per-wave processing is the same [`WaveDriver`] — only the overlap (and
-/// therefore the `peak_resident_bytes` bound, ≤ 2 waves instead of 1)
-/// differs.
+/// The one Stage I text driver: pull line-aligned chunks from `source`
+/// one *wave* (≈ workers × target bytes) at a time through a
+/// [`Prefetcher`], run the summarize → prefix-fold → extract phases on
+/// each wave, and drop the wave's text before taking the next.
+/// Year-inference state composes exactly across chunk boundaries, so the
+/// wave structure is invisible in the output: records and stats are
+/// bit-identical to a serial per-node scan of the same lines, for any
+/// `target_bytes`, wave size, or worker count.
+/// With one worker each wave is pulled inline and one is resident; with
+/// more, a reader thread pulls wave *N+1* while the pool extracts wave
+/// *N*, and at most two are resident (the `peak_resident_bytes` gauge):
+/// O(workers × chunk_bytes) on a 202 GB corpus.
 pub fn extract_source_prefetch_observed<'s>(
     source: &mut (dyn LogSource<'s> + Send),
     target_bytes: Option<u64>,
@@ -221,10 +193,13 @@ pub fn extract_source_prefetch_observed<'s>(
     let n_nodes = source.nodes().len();
     let pull = move || pull_wave(source, cfg.target_bytes, cfg.wave_budget);
     Prefetcher::new(pull).run(|waves| {
-        let mut driver = WaveDriver::new(n_nodes);
+        let mut per_node: Vec<Vec<ErrorRecord>> = vec![Vec::new(); n_nodes];
+        // Scanner state carried across waves, per node: (year, last month).
+        let mut per_node_state = vec![(2022, 1u8); n_nodes];
+        let mut stats = ExtractStats::default();
         loop {
-            // The span now measures only the *unhidden* part of I/O: time
-            // spent waiting on the prefetch thread.
+            // The span measures only the part of I/O extraction does not
+            // hide: the wait for the next wave.
             let wave = {
                 let _span = sink.span(Stage::Shard, "total");
                 waves.recv()?
@@ -239,90 +214,56 @@ pub fn extract_source_prefetch_observed<'s>(
                 "peak_resident_bytes",
                 waves.peak_resident_bytes() as f64,
             );
-            driver.process_wave(&wave, sink);
-        }
-        Ok(driver.finish())
-    })
-}
+            let chunks = &wave.chunks;
+            let span = sink.span(Stage::Extract, "total");
+            let stats_before = stats;
 
-/// Per-run extraction state shared by the synchronous and prefetching
-/// drivers: the accumulating per-node record streams, the scanner state
-/// carried across waves, and merged stats. Both drivers feed waves (from
-/// the same [`pull_wave`] boundary rule) through the same
-/// [`WaveDriver::process_wave`], which is what makes prefetch on/off
-/// bit-identical by construction.
-struct WaveDriver {
-    per_node: Vec<Vec<ErrorRecord>>,
-    /// Scanner state carried across waves, per node: (year, last month).
-    per_node_state: Vec<(i32, u8)>,
-    stats: ExtractStats,
-}
+            // Phase 1 (parallel): per-chunk state summaries.
+            let summaries: Vec<Option<StateSummary>> = {
+                let _child = span.child("summarize");
+                dr_par::par_map(chunks, |c| summarize_chunk(&c.lines))
+            };
 
-impl WaveDriver {
-    fn new(n_nodes: usize) -> WaveDriver {
-        let mut per_node: Vec<Vec<ErrorRecord>> = Vec::new();
-        per_node.resize_with(n_nodes, Vec::new);
-        WaveDriver {
-            per_node,
-            per_node_state: vec![(2022, 1); n_nodes],
-            stats: ExtractStats::default(),
-        }
-    }
+            // Phase 2 (serial, cheap): replay the incoming state of every
+            // chunk, continuing from where the previous wave left each node.
+            let work: Vec<(&LogChunk<'_>, (i32, u8))> = {
+                let _child = span.child("prefix-fold");
+                let mut incoming: Vec<(i32, u8)> = Vec::with_capacity(chunks.len());
+                for (c, summary) in chunks.iter().zip(&summaries) {
+                    incoming.push(per_node_state[c.node]);
+                    per_node_state[c.node] = apply_summary(per_node_state[c.node], *summary);
+                }
+                chunks.iter().zip(incoming).collect()
+            };
 
-    /// Run the summarize → prefix-fold → extract phases on one wave and
-    /// fold the output into the per-node streams.
-    fn process_wave(&mut self, wave: &Wave<'_>, sink: &dr_obs::MetricsSink) {
-        use dr_obs::Stage;
-        let chunks = &wave.chunks;
-        let span = sink.span(Stage::Extract, "total");
-        let stats_before = self.stats;
+            // Phase 3 (parallel): extract each chunk from its replayed
+            // state. The per-chunk observed wrapper records chunk spans,
+            // line/byte counters, and a MB/s histogram; with a disabled
+            // sink it is the plain `extract_all` call.
+            let extracted: Vec<(Vec<ErrorRecord>, ExtractStats)> = {
+                let _child = span.child("extract-chunks");
+                dr_par::par_map(&work, |(c, (year, last_month))| {
+                    let mut ex = XidExtractor::with_scanner_state(*year, *last_month);
+                    let recs = ex.extract_all_observed(&c.lines, sink);
+                    (recs, ex.stats())
+                })
+            };
 
-        // Phase 1 (parallel): per-chunk state summaries.
-        let summaries: Vec<Option<StateSummary>> = {
-            let _child = span.child("summarize");
-            dr_par::par_map(chunks, |c| summarize_chunk(&c.lines))
-        };
-
-        // Phase 2 (serial, cheap): replay the incoming state of every
-        // chunk, continuing from where the previous wave left each node.
-        let work: Vec<(&LogChunk<'_>, (i32, u8))> = {
-            let _child = span.child("prefix-fold");
-            let mut incoming: Vec<(i32, u8)> = Vec::with_capacity(chunks.len());
-            for (c, summary) in chunks.iter().zip(&summaries) {
-                incoming.push(self.per_node_state[c.node]);
-                self.per_node_state[c.node] =
-                    apply_summary(self.per_node_state[c.node], *summary);
+            // Stitch the wave back into per-node streams (par_map
+            // preserves input order, and chunks are node-major and
+            // in-order per node).
+            for ((c, _), (mut recs, s)) in work.iter().zip(extracted) {
+                per_node[c.node].append(&mut recs);
+                stats.merge(&s);
             }
-            chunks.iter().zip(incoming).collect()
-        };
 
-        // Phase 3 (parallel): extract each chunk from its replayed state.
-        // The per-chunk observed wrapper records chunk spans, line/byte
-        // counters, and a MB/s histogram; with a disabled sink it is the
-        // plain `extract_all` call the pre-observability code made.
-        let extracted: Vec<(Vec<ErrorRecord>, ExtractStats)> = {
-            let _child = span.child("extract-chunks");
-            dr_par::par_map(&work, |(c, (year, last_month))| {
-                let mut ex = XidExtractor::with_scanner_state(*year, *last_month);
-                let recs = ex.extract_all_observed(&c.lines, sink);
-                (recs, ex.stats())
-            })
-        };
-
-        // Stitch the wave back into per-node streams (par_map preserves
-        // input order, and chunks are node-major and in-order per node).
-        for ((c, _), (mut recs, s)) in work.iter().zip(extracted) {
-            self.per_node[c.node].append(&mut recs);
-            self.stats.merge(&s);
-        }
-
-        // Per-wave prefilter telemetry: what fraction of this wave's
-        // lines survived the literal needle scan. Diagnosing throughput
-        // spread between corpora (noise-heavy vs XID-dense) starts here.
-        if sink.is_enabled() {
-            let lines = self.stats.lines - stats_before.lines;
-            if lines > 0 {
-                let hits = self.stats.prefilter_hits - stats_before.prefilter_hits;
+            // Per-wave prefilter telemetry: what fraction of this wave's
+            // lines survived the literal needle scan. Diagnosing
+            // throughput spread between corpora (noise-heavy vs
+            // XID-dense) starts here.
+            let lines = stats.lines - stats_before.lines;
+            if sink.is_enabled() && lines > 0 {
+                let hits = stats.prefilter_hits - stats_before.prefilter_hits;
                 sink.observe(
                     Stage::Extract,
                     "wave_prefilter_hit_pct",
@@ -330,15 +271,17 @@ impl WaveDriver {
                 );
             }
         }
-    }
-
-    fn finish(self) -> (Vec<Vec<ErrorRecord>>, ExtractStats) {
-        (self.per_node, self.stats)
-    }
+        Ok((per_node, stats))
+    })
 }
 
 /// Stage I/II handoff: coalesce the per-node time-ordered streams
-/// without a global record sort. Returns exactly what batch [`coalesce`]
+/// without a global record sort. An identity's GPU lives on one node, so
+/// when every stream is time-ordered and holds one node no other stream
+/// holds, no episode spans two streams: [`NodeCoalescer`] runs each
+/// through its own coalescer, and a total sort gives batch order. Any
+/// other input (a malformed log's day regression, a caller's mixed
+/// streams) takes the batch path. Returns exactly what batch [`coalesce`]
 /// would, sorted by `(start, gpu, xid, detail)`. Records a
 /// `coalesce/total` span plus input record and output episode counters
 /// on `sink`, which is write-only and never changes the output.
@@ -350,32 +293,18 @@ pub fn merge_and_coalesce_observed(
     use dr_obs::{Counter, Stage};
     let _span = sink.span(Stage::Coalesce, "total");
     let n_records: u64 = per_node.iter().map(|r| r.len() as u64).sum();
-    let out = merge_and_coalesce_inner(per_node, cfg);
-    sink.add(Stage::Coalesce, Counter::Records, n_records);
-    sink.add(Stage::Coalesce, Counter::Episodes, out.len() as u64);
-    out
-}
-
-/// An identity's GPU lives on one node, so when every stream is
-/// time-ordered and holds one node no other stream holds, no episode
-/// spans two streams: [`NodeCoalescer`] runs each through its own
-/// coalescer, and a total sort gives batch order. Any other input (a
-/// malformed log's day regression, a caller's mixed streams) takes the
-/// batch path.
-fn merge_and_coalesce_inner(
-    per_node: Vec<Vec<ErrorRecord>>,
-    cfg: CoalesceConfig,
-) -> Vec<CoalescedError> {
     let mut nodes = NodeCoalescer::new(per_node.len(), cfg);
     for (i, recs) in per_node.iter().enumerate() {
         nodes.push(i, recs);
     }
-    if let Some(out) = nodes.finish() {
-        return out;
-    }
-    let mut records: Vec<ErrorRecord> = per_node.into_iter().flatten().collect();
-    sort_records(&mut records);
-    coalesce(&records, cfg)
+    let out = nodes.finish().unwrap_or_else(|| {
+        let mut records: Vec<ErrorRecord> = per_node.into_iter().flatten().collect();
+        sort_records(&mut records);
+        coalesce(&records, cfg)
+    });
+    sink.add(Stage::Coalesce, Counter::Records, n_records);
+    sink.add(Stage::Coalesce, Counter::Episodes, out.len() as u64);
+    out
 }
 
 /// The record replay's Stage II: a [`Prefetcher`] thread pulls and
@@ -385,18 +314,21 @@ fn merge_and_coalesce_inner(
 /// worker the pulls run inline and one batch is resident. Returns exactly
 /// what batch [`coalesce`] would over every record, sorted by
 /// `(start, gpu, xid, detail)`. If the streams are not per-node (see
-/// [`NodeCoalescer`]), the prefetch thread is joined, the source is
-/// rewound and drained again on the caller's thread into the batch
-/// route, the one replay path that materializes records.
+/// [`NodeCoalescer`]), the replay stops pulling at the first batch that
+/// shows it, the prefetch thread is joined, the source is rewound and
+/// drained again on the caller's thread into the batch route, the one
+/// replay path that materializes records.
 ///
 /// The `shard/total` span books the caller's wait for the next decoded
-/// batch (with the `Bytes` counter, and under `extract` the `Records`
-/// counter and the prefetcher's `peak_resident_bytes` high-water mark,
-/// as on the text path); each batch's pushes, the fallback and the final
-/// sort are booked under `coalesce/total`, with its `Records` and
-/// `Episodes` counters. A batch naming a node index beyond the source's
-/// node table, like any error of the source, is returned as the same
-/// typed [`DataError`] from whichever thread pulled it.
+/// batch, with the prefetcher's `peak_resident_bytes` high-water mark
+/// under `extract`, as on the text path; each batch's pushes, the
+/// fallback and the final sort are booked under `coalesce/total`. The
+/// `shard` `Bytes`, extract `Records` and coalesce `Records` counters
+/// come from the pass that saw every record (the drain pass, on the
+/// fallback), so each record is counted once; coalesce `Episodes` counts
+/// the output. A batch naming a node index beyond the source's node
+/// table, like any error of the source, is returned as the same typed
+/// [`DataError`] from whichever thread pulled it.
 pub(crate) fn coalesce_record_source(
     source: &mut dyn RecordSource,
     cfg: CoalesceConfig,
@@ -405,10 +337,10 @@ pub(crate) fn coalesce_record_source(
     use dr_obs::{Counter, Stage};
     let n_nodes = source.nodes().len();
     let ahead = &mut *source;
-    let (per_node, n_records) =
+    let (per_node, mut bytes, mut n_records) =
         Prefetcher::new(move || pull_batch(ahead, n_nodes)).run(|batches| {
             let mut nodes = NodeCoalescer::new(n_nodes, cfg);
-            let mut n_records = 0u64;
+            let (mut bytes, mut n_records) = (0u64, 0u64);
             loop {
                 let batch = {
                     let _span = sink.span(Stage::Shard, "total");
@@ -417,25 +349,27 @@ pub(crate) fn coalesce_record_source(
                 let Some(batch) = batch else {
                     break;
                 };
-                sink.add(Stage::Shard, Counter::Bytes, batch.bytes);
-                sink.add(Stage::Extract, Counter::Records, batch.records.len() as u64);
                 sink.gauge_max(
                     Stage::Extract,
                     "peak_resident_bytes",
                     batches.peak_resident_bytes() as f64,
                 );
+                bytes += batch.bytes;
                 n_records += batch.records.len() as u64;
                 let _span = sink.span(Stage::Coalesce, "total");
-                nodes.push(batch.node, &batch.records);
+                if !nodes.push(batch.node, &batch.records) {
+                    break;
+                }
             }
             let _span = sink.span(Stage::Coalesce, "total");
-            Ok::<_, DataError>((nodes.finish(), n_records))
+            Ok::<_, DataError>((nodes.finish(), bytes, n_records))
         })?;
     let out = match per_node {
         Some(out) => out,
         None => {
             source.rewind()?;
             let mut records = Vec::new();
+            bytes = 0;
             loop {
                 let batch = {
                     let _span = sink.span(Stage::Shard, "total");
@@ -444,13 +378,17 @@ pub(crate) fn coalesce_record_source(
                 let Some(mut batch) = batch else {
                     break;
                 };
+                bytes += batch.bytes;
                 records.append(&mut batch.records);
             }
+            n_records = records.len() as u64;
             let _span = sink.span(Stage::Coalesce, "total");
             sort_records(&mut records);
             coalesce(&records, cfg)
         }
     };
+    sink.add(Stage::Shard, Counter::Bytes, bytes);
+    sink.add(Stage::Extract, Counter::Records, n_records);
     sink.add(Stage::Coalesce, Counter::Records, n_records);
     sink.add(Stage::Coalesce, Counter::Episodes, out.len() as u64);
     Ok(out)
@@ -512,12 +450,13 @@ impl NodeCoalescer {
         }
     }
 
-    /// Push the next `records` of stream `stream`. The first record that
-    /// breaks the per-node predicate (or a `stream` out of range) drops
-    /// all state, and every later push is a no-op.
-    fn push(&mut self, stream: usize, records: &[ErrorRecord]) {
+    /// Push the next `records` of stream `stream`; `false` once the input
+    /// is known not to be per-node, when the caller may stop pushing. The
+    /// first record that breaks the per-node predicate (or a `stream` out
+    /// of range) drops all state, and every later push is a no-op.
+    fn push(&mut self, stream: usize, records: &[ErrorRecord]) -> bool {
         if !self.clean {
-            return;
+            return false;
         }
         let Some(s) = self.streams.get_mut(stream) else {
             return self.fail();
@@ -533,12 +472,14 @@ impl NodeCoalescer {
             s.head = Some((node, rec.at));
             s.coalescer.push_into(rec, &mut self.out);
         }
+        true
     }
 
-    fn fail(&mut self) {
+    fn fail(&mut self) -> bool {
         self.clean = false;
         self.streams = Vec::new();
         self.out = Vec::new();
+        false
     }
 
     /// Close every stream and return all episodes sorted by
@@ -624,21 +565,14 @@ mod tests {
         (per_node, stats)
     }
 
-    /// Stage I on the synchronous or the prefetching driver over an
-    /// in-memory copy of `logs`.
+    /// Stage I over an in-memory copy of `logs`.
     fn extract(
         logs: &[(NodeId, Vec<String>)],
         target_bytes: Option<u64>,
-        prefetch: bool,
     ) -> (Vec<Vec<ErrorRecord>>, ExtractStats) {
         let mut source = InMemorySource::new(logs);
-        let sink = MetricsSink::disabled();
-        let out = if prefetch {
-            extract_source_prefetch_observed(&mut source, target_bytes, &sink)
-        } else {
-            extract_source_observed(&mut source, target_bytes, &sink)
-        };
-        out.expect("in-memory sources are infallible")
+        extract_source_prefetch_observed(&mut source, target_bytes, &MetricsSink::disabled())
+            .expect("in-memory sources are infallible")
     }
 
     #[test]
@@ -697,15 +631,11 @@ mod tests {
     fn sharded_extraction_is_bit_identical_to_serial() {
         let logs = synthetic_logs(3, 60);
         let (serial, serial_stats) = serial_extract(&logs);
-        // Chunk sizes from "one line per chunk" up to "one chunk per node",
-        // on both Stage I drivers.
-        for prefetch in [false, true] {
-            for target in [1, 64, 512, 4 * 1024, u64::MAX] {
-                let (sharded, stats) = extract(&logs, Some(target), prefetch);
-                let at = format!("target_bytes={target}, prefetch={prefetch}");
-                assert_eq!(sharded, serial, "divergence at {at}");
-                assert_eq!(stats, serial_stats, "stats divergence at {at}");
-            }
+        // Chunk sizes from "one line per chunk" up to "one chunk per node".
+        for target in [1, 64, 512, 4 * 1024, u64::MAX] {
+            let (sharded, stats) = extract(&logs, Some(target));
+            assert_eq!(sharded, serial, "divergence at target_bytes={target}");
+            assert_eq!(stats, serial_stats, "stats divergence at target_bytes={target}");
         }
     }
 
@@ -713,9 +643,9 @@ mod tests {
     fn sharded_extraction_is_worker_count_invariant() {
         let logs = synthetic_logs(2, 50);
         dr_par::set_worker_override(Some(1));
-        let (one, s1) = extract(&logs, Some(256), false);
+        let (one, s1) = extract(&logs, Some(256));
         dr_par::set_worker_override(Some(8));
-        let (eight, s8) = extract(&logs, Some(256), false);
+        let (eight, s8) = extract(&logs, Some(256));
         dr_par::set_worker_override(None);
         assert_eq!(one, eight);
         assert_eq!(s1, s8);
@@ -740,7 +670,7 @@ mod tests {
     #[test]
     fn merge_and_coalesce_matches_batch() {
         let logs = synthetic_logs(4, 50);
-        let (per_node, _) = extract(&logs, Some(512), false);
+        let (per_node, _) = extract(&logs, Some(512));
         let mut all: Vec<ErrorRecord> = per_node.iter().flatten().copied().collect();
         sort_records(&mut all);
         let batch = coalesce(&all, CoalesceConfig::default());

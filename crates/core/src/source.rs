@@ -4,10 +4,11 @@
 //! what any analysis host should materialize. [`LogSource`] is the
 //! pipeline's ingestion seam: a pull-based iterator over per-node,
 //! line-boundary-aligned chunks of roughly `target_bytes` each, arriving
-//! node-major and in order within a node. The shard driver
-//! ([`crate::shard::extract_source_observed`]) pulls one *wave* of
-//! chunks per worker pool, extracts it, and drops the text before
-//! pulling the next — peak resident log text is O(workers ×
+//! node-major and in order within a node. The Stage I driver
+//! ([`crate::shard::extract_source_prefetch_observed`]) pulls one *wave*
+//! of chunks per worker pool through a [`Prefetcher`] (inline with one
+//! worker, on a reader thread with more), extracts it, and drops the text
+//! before taking the next — peak resident log text is O(workers ×
 //! target_bytes) regardless of corpus size.
 //!
 //! A chunk's [`Lines`] take one of two forms. [`InMemorySource`] lends
@@ -604,9 +605,10 @@ pub struct Wave<'a> {
 
 /// Pull one wave (chunks of ≈ `target` bytes until ≥ `budget` bytes are
 /// gathered) from `source`; `None` once the source is exhausted. This is
-/// the *single* definition of wave boundaries: the synchronous shard
-/// driver and the [`Prefetcher`]'s I/O thread both call it, which is what
-/// keeps their waves — and therefore the extracted results — bit-identical.
+/// the *single* definition of wave boundaries: the Stage I driver's
+/// [`Prefetcher`] calls it inline or on its reader thread, so the waves —
+/// and therefore the extracted results — are the same at every worker
+/// count.
 pub fn pull_wave<'s>(
     source: &mut dyn LogSource<'s>,
     target: u64,
@@ -667,7 +669,7 @@ impl Prefetched for Wave<'_> {
 }
 
 /// Double-buffered prefetch over any pull function: text waves (the
-/// prefetching Stage I driver pulls [`pull_wave`]) and decoded store
+/// Stage I driver pulls [`pull_wave`]) and decoded store
 /// blocks (the record replay) alike. A dedicated thread pulls unit
 /// *N+1* while the caller works on unit *N*.
 ///
@@ -1002,7 +1004,7 @@ mod tests {
         }
     }
 
-    /// A prefetcher of `src`'s waves, as the prefetching Stage I driver
+    /// A prefetcher of `src`'s waves, as the Stage I driver
     /// runs one.
     fn wave_prefetcher<'a, 's: 'a>(
         src: &'a mut (dyn LogSource<'s> + Send),

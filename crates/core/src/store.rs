@@ -278,12 +278,12 @@ pub fn write_store(
 /// record output into a store at `path`. One pass over the text; the
 /// store is a byte-faithful transcript of what extraction produced.
 pub fn extract_to_store<'s>(
-    source: &mut dyn crate::source::LogSource<'s>,
+    source: &mut (dyn crate::source::LogSource<'s> + Send),
     target_bytes: Option<u64>,
     path: &Path,
 ) -> Result<(StoreSummary, dr_logscan::ExtractStats), DataError> {
     let nodes = source.nodes().to_vec();
-    let (per_node, stats) = crate::shard::extract_source_observed(
+    let (per_node, stats) = crate::shard::extract_source_prefetch_observed(
         source,
         target_bytes,
         &dr_obs::MetricsSink::disabled(),

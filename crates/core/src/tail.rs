@@ -266,6 +266,7 @@ impl LogSource<'static> for TailSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::fs;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -387,6 +388,73 @@ mod tests {
             other => panic!("expected Checkpoint error, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    proptest! {
+        /// The text `checkpoint` writes reads back through
+        /// `open_with_checkpoint` to the same text, for any inode and
+        /// offset. A mutated line (non-digit or overflowing inode or
+        /// offset, missing fields, non-UTF-8 bytes) opens, or fails as
+        /// `DataError::Checkpoint` naming the line of a bad field; it
+        /// never panics.
+        #[test]
+        fn checkpoint_text_round_trips_and_mutations_fail_typed(
+            cursors in prop::collection::vec((any::<u64>(), any::<u64>()), 3),
+            (line, pick) in (0usize..3, 0usize..256),
+        ) {
+            let dir = tmp_dir("ckpt_fuzz");
+            for n in 1..=3 {
+                fs::write(dir.join(format!("gpub{n:03}.log")), "x\n").expect("write log");
+            }
+            let mut t = TailSource::open(&dir).expect("open log dir");
+            for (c, &(ino, offset)) in t.cursors.iter_mut().zip(&cursors) {
+                (c.ino, c.offset) = ((ino != 0).then_some(ino), offset);
+            }
+            let text = t.checkpoint();
+            let ckpt = dir.join("watch.ckpt");
+            let read_back = |bytes: &[u8]| {
+                fs::write(&ckpt, bytes).expect("write checkpoint");
+                TailSource::open_with_checkpoint(&dir, &ckpt).map(|t| t.checkpoint())
+            };
+            prop_assert_eq!(read_back(text.as_bytes()), Ok(text.clone()));
+
+            let old = text.lines().nth(line).unwrap_or_default();
+            let (ino, rest) = old.split_once(' ').unwrap_or_default();
+            let (offset, path) = rest.split_once(' ').unwrap_or_default();
+            let (big, named) = ("18446744073709551616", format!("line {}:", line + 1));
+            let mut bad_utf8 = old.as_bytes().to_vec();
+            bad_utf8.insert(pick % (old.len() + 1), 0xff);
+            // Each mutated line, and whether it must fail naming its line
+            // (`Some(true)`), must read back unchanged (`Some(false)`), or
+            // must fail (`None`).
+            let mutations: [(Vec<u8>, Option<bool>); 8] = [
+                (format!("{ino}x {offset} {path}").into(), Some(true)),
+                (format!("{big} {offset} {path}").into(), Some(true)),
+                (format!("{ino} -{offset} {path}").into(), Some(true)),
+                (format!("{ino} {big} {path}").into(), Some(true)),
+                (format!("{ino} {offset}").into(), Some(true)),
+                (format!("+{ino} +{offset} {path}").into(), Some(false)),
+                (format!("{old}\r").into(), Some(false)),
+                (bad_utf8, None),
+            ];
+            for (mutated, verdict) in mutations {
+                let mut lines: Vec<&[u8]> = text.lines().map(str::as_bytes).collect();
+                lines[line] = &mutated;
+                let shown = String::from_utf8_lossy(&mutated);
+                match read_back(&[lines.join(&b'\n'), b"\n".to_vec()].concat()) {
+                    Ok(back) => prop_assert!(
+                        verdict == Some(false) && back == text,
+                        "{shown} read back as {back}"
+                    ),
+                    Err(DataError::Checkpoint { message, .. }) => prop_assert!(
+                        verdict != Some(false) && (verdict.is_none() || message.contains(&named)),
+                        "{shown}: {message}"
+                    ),
+                    Err(other) => prop_assert!(false, "untyped error {other:?}"),
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

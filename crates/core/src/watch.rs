@@ -25,7 +25,7 @@
 //! record was dropped as late ([`WatchSession::stats`]'s
 //! `late_dropped == 0`).
 
-use crate::coalesce::CoalescedError;
+use crate::coalesce::{sort_episodes, CoalescedError};
 use crate::pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 use crate::source::LogSource;
 use crate::stream::{StreamCoalescer, WatermarkBuffer};
@@ -521,7 +521,7 @@ impl WatchSession {
     pub fn finish_observed(mut self, sink: &MetricsSink) -> StudyResults {
         self.drain();
         let mut episodes = std::mem::take(&mut self.episodes);
-        episodes.sort_by_key(|e| (e.start, e.gpu, e.xid, e.detail));
+        sort_episodes(&mut episodes);
         PipelineBuilder::new(self.cfg.study)
             .metrics(sink.clone())
             .run_coalesced(episodes)

@@ -170,6 +170,7 @@ pub fn write_node_logs_source<'s>(
 mod tests {
     use super::*;
     use dr_xid::Duration;
+    use proptest::prelude::*;
 
     /// Read back each node's `gpubNNN.log`; `dir` must hold no other file.
     fn read_back(dir: &Path, nodes: &[NodeId]) -> Vec<(NodeId, Vec<String>)> {
@@ -202,6 +203,74 @@ mod tests {
         assert!(downtime_from_csv("").is_err());
         assert!(downtime_from_csv("gpu,start_us,end_us,cause_xid\n1/0000:07:00,5,1,119\n").is_err());
         assert!(downtime_from_csv("gpu,start_us,end_us,cause_xid\n1/0000:07:00,1,5,7\n").is_err());
+    }
+
+    proptest! {
+        /// Any intervals round-trip through the CSV text. A mutated row
+        /// (extra or missing field, no `/`, a sign, `u64` overflow, CRLF,
+        /// non-ASCII, any XID code) parses, or fails as `DataError::Csv`
+        /// naming its line; it never panics.
+        #[test]
+        fn downtime_csv_round_trips_and_mutated_rows_fail_on_their_line(
+            rows in prop::collection::vec(
+                ((any::<u32>(), any::<u16>(), any::<u8>(), any::<u8>()),
+                 (any::<u64>(), any::<u64>(), 0usize..14)),
+                1..8,
+            ),
+            (row, pick, code) in (0usize..8, 0usize..64, 0u16..200),
+        ) {
+            let intervals: Vec<DowntimeInterval> = rows
+                .iter()
+                .map(|&((node, domain, bus, device), (a, b, xid))| DowntimeInterval {
+                    gpu: GpuId::new(NodeId(node), PciAddr::new(domain, bus, device)),
+                    start: Timestamp::from_micros(a.min(b)),
+                    end: Timestamp::from_micros(a.max(b)),
+                    cause: Xid::ALL[xid],
+                })
+                .collect();
+            let csv = downtime_to_csv(&intervals);
+            prop_assert_eq!(downtime_from_csv(&csv), Ok(intervals.clone()));
+
+            // Rows are ASCII, so every byte offset is a char boundary.
+            let row = row % intervals.len();
+            let line = csv.lines().nth(row + 1).unwrap_or_default();
+            let f: Vec<&str> = line.split(',').collect();
+            let (head, tail) = line.split_at(pick % (line.len() + 1));
+            let (before, after) = line.split_at(f[..pick % 4].iter().map(|x| x.len() + 1).sum());
+            let sign = ["+", "-"][pick % 2];
+            let unknown = Xid::from_code(code).is_none();
+            // Each mutated row, and whether it must fail (`Some(true)`),
+            // must parse unchanged (`Some(false)`), or may do either.
+            let mutations = [
+                (format!("{line},{pick}"), Some(true)),
+                (f[..3].join(","), Some(true)),
+                (line.replacen('/', "", 1), Some(true)),
+                (format!("{before}{sign}{after}"), Some(sign == "-")),
+                (format!("4294967296/{}", line.split_once('/').unwrap_or_default().1), Some(true)),
+                (format!("{},18446744073709551616,{}", f[0], f[2..].join(",")), Some(true)),
+                (format!("{line}\r"), Some(false)),
+                (format!("{head}{}{tail}", ['é', '€', '😀'][pick % 3]), Some(true)),
+                (format!("{},{code}", f[..3].join(",")), unknown.then_some(true)),
+            ];
+            for (mutated, verdict) in mutations {
+                let text: String = csv
+                    .lines()
+                    .enumerate()
+                    .map(|(i, l)| format!("{}\n", if i == row + 1 { &mutated } else { l }))
+                    .collect();
+                match downtime_from_csv(&text) {
+                    Ok(parsed) => prop_assert!(
+                        verdict != Some(true) && (verdict.is_none() || parsed == intervals),
+                        "{mutated:?} parsed to {parsed:?}"
+                    ),
+                    Err(DataError::Csv { artifact, line, .. }) => prop_assert!(
+                        verdict != Some(false) && (artifact, line) == ("downtime", row + 2),
+                        "{mutated:?} failed on line {line}"
+                    ),
+                    Err(other) => prop_assert!(false, "untyped error {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

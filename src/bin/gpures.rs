@@ -66,7 +66,6 @@ const ANALYZE: FlagSet = FlagSet {
         DT,
         CHUNK_BYTES,
         WORKERS,
-        Flag::optional("prefetch", "on|off", "I/O-overlapped wave prefetch (default on)"),
         RECORDS,
         Flag::optional("dot", "DIR", "write Figure 5/6/7 propagation graphs as DOT"),
         METRICS,
@@ -385,7 +384,6 @@ fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
     if let Some(w) = workers {
         gpu_resilience::par::set_worker_override(Some(w));
     }
-    let prefetch = opts.on_off("prefetch", true).s()?;
 
     let study = |nodes: u32| {
         StudyConfig {
@@ -439,17 +437,15 @@ fn cmd_analyze(opts: &cli::Opts) -> Result<(), String> {
         let nodes: u32 = opts.num("nodes", source.nodes().len() as u32).s()?;
 
         eprintln!(
-            "analyzing {} node logs ({} bytes, streamed, {} workers, prefetch {}) ...",
+            "analyzing {} node logs ({} bytes, streamed, {} workers) ...",
             source.nodes().len(),
             source.total_bytes_hint().unwrap_or(0),
             gpu_resilience::par::max_workers(),
-            if prefetch { "on" } else { "off" },
         );
         let records_path = opts.path("records");
         let mut builder = PipelineBuilder::new(study(nodes))
             .maybe_jobs(jobs.as_deref())
             .maybe_downtime(downtime.as_deref())
-            .prefetch(prefetch)
             .metrics(sink.clone());
         if let Some(c) = chunk_bytes {
             builder = builder.chunk_bytes(c);

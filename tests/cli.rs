@@ -381,6 +381,12 @@ fn bad_usage_fails_cleanly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command \"bench\""), "{stderr}");
 
+    // So is the retired `--prefetch` switch: the worker pool decides.
+    let out = gpures().args(["analyze", "--prefetch", "on"]).output().expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--prefetch: unknown option"), "{stderr}");
+
     let out = gpures()
         .args(["analyze", "--logs", "/nonexistent-dir-xyz"])
         .output()

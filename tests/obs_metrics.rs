@@ -143,7 +143,6 @@ fn run_source_agrees_with_run_text_across_engines_and_chunkings() {
             PipelineBuilder::new(cfg).jobs(&jobs).downtime(&out.downtime),
         ),
         ("chunked-4k", PipelineBuilder::new(cfg).chunk_bytes(4096)),
-        ("prefetch", PipelineBuilder::new(cfg).prefetch(true)),
     ];
     for (name, builder) in builders {
         let (r_text, s_text) = builder.run_text(&out.text_logs);

@@ -67,7 +67,7 @@ fn one_worker_pulls_inline_and_two_pull_on_the_prefetch_thread() {
     let mut text_results = Vec::new();
     for workers in [1usize, 2] {
         gpu_resilience::par::set_worker_override(Some(workers));
-        let builder = PipelineBuilder::new(cfg).prefetch(true).chunk_bytes(4096);
+        let builder = PipelineBuilder::new(cfg).chunk_bytes(4096);
         let mut text = Recording::new(InMemorySource::new(&out.text_logs));
         let (from_text, _) = builder.run_source(&mut text).expect("text run");
         // Replay what the text run extracted, one batch per node stream.

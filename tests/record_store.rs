@@ -353,11 +353,8 @@ fn damaged_stores_fail_typed_not_panicking() {
     for k in [0, 1, batches - 1] {
         for workers in [1usize, 2] {
             gpu_resilience::par::set_worker_override(Some(workers));
-            let mut failing = FailingSource {
-                inner: InMemoryRecordSource::new(&nodes, &per_node),
-                fail_at: k,
-                pulled: 0,
-            };
+            let source = InMemoryRecordSource::new(&nodes, &per_node);
+            let mut failing = CountingSource::new(source, Some(k));
             let err = PipelineBuilder::new(cfg).run_record_source(&mut failing);
             gpu_resilience::par::set_worker_override(None);
             match err {
@@ -366,29 +363,38 @@ fn damaged_stores_fail_typed_not_panicking() {
                 }
                 other => panic!("batch {k} at {workers} workers: got {other:?}"),
             }
-            assert_eq!(failing.pulled, k + 1, "no batch is pulled after the failure");
+            assert_eq!(failing.pulls, k + 1, "no batch is pulled after the failure");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `RecordSource` that fails with an I/O error on its `fail_at`-th
-/// batch (counting from 0).
-struct FailingSource<S> {
+/// A `RecordSource` wrapper that counts its pulls, records the pull
+/// count at each rewind, and fails with an I/O error on pull `fail_at`
+/// (counting from 0), if set.
+struct CountingSource<S> {
     inner: S,
-    fail_at: usize,
-    pulled: usize,
+    pulls: usize,
+    rewinds: Vec<usize>,
+    fail_at: Option<usize>,
 }
 
-impl<S: RecordSource> RecordSource for FailingSource<S> {
+impl<S> CountingSource<S> {
+    fn new(inner: S, fail_at: Option<usize>) -> Self {
+        let rewinds = Vec::new();
+        CountingSource { inner, pulls: 0, rewinds, fail_at }
+    }
+}
+
+impl<S: RecordSource> RecordSource for CountingSource<S> {
     fn nodes(&self) -> &[NodeId] {
         self.inner.nodes()
     }
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError> {
-        let k = self.pulled;
-        self.pulled += 1;
-        if k == self.fail_at {
+        let k = self.pulls;
+        self.pulls += 1;
+        if Some(k) == self.fail_at {
             return Err(DataError::Io {
                 path: "<failing source>".to_string(),
                 message: format!("batch {k} unreadable"),
@@ -398,42 +404,21 @@ impl<S: RecordSource> RecordSource for FailingSource<S> {
     }
 
     fn rewind(&mut self) -> Result<(), DataError> {
-        self.pulled = 0;
+        self.rewinds.push(self.pulls);
         self.inner.rewind()
     }
 }
 
-/// A `RecordSource` wrapper that counts its rewinds.
-struct CountingSource<S> {
-    inner: S,
-    rewinds: usize,
-}
-
-impl<S: RecordSource> RecordSource for CountingSource<S> {
-    fn nodes(&self) -> &[NodeId] {
-        self.inner.nodes()
-    }
-
-    fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError> {
-        self.inner.next_batch()
-    }
-
-    fn rewind(&mut self) -> Result<(), DataError> {
-        self.rewinds += 1;
-        self.inner.rewind()
-    }
-}
-
-/// Replay `source` through a rewind counter: the results and the count.
+/// Replay `source` through a rewind counter into `sink`: the results and
+/// the pull count at each rewind.
 fn replay_counting(
     cfg: StudyConfig,
     source: impl RecordSource,
-) -> (gpu_resilience::core::StudyResults, usize) {
-    let mut counting = CountingSource {
-        inner: source,
-        rewinds: 0,
-    };
+    sink: &MetricsSink,
+) -> (gpu_resilience::core::StudyResults, Vec<usize>) {
+    let mut counting = CountingSource::new(source, None);
     let results = PipelineBuilder::new(cfg)
+        .metrics(sink.clone())
         .run_record_source(&mut counting)
         .expect("record replay");
     (results, counting.rewinds)
@@ -441,10 +426,14 @@ fn replay_counting(
 
 /// Stores whose streams are not per-node take the batch route: the
 /// replay rewinds its source exactly once and still equals `run_records`
-/// over the sorted concatenation, from a store file and from memory. A
-/// clean store never rewinds.
+/// over the sorted concatenation, from a store file and from memory, and
+/// books every record once. A clean store never rewinds. When the first
+/// block fails the per-node check, the replay stops pulling there: one
+/// worker pulls that block alone before the rewind, two workers at most
+/// one more (staged by the reader thread).
 #[test]
 fn replay_of_streams_that_are_not_per_node_rewinds_once_and_matches_batch() {
+    let _workers = WORKER_LOCK.lock().expect("worker lock");
     let rec = |secs: u64, node: u32, slot: usize, xid: Xid| {
         ErrorRecord::new(
             Timestamp::from_secs(secs),
@@ -454,16 +443,14 @@ fn replay_of_streams_that_are_not_per_node_rewinds_once_and_matches_batch() {
         )
     };
     let day = 86_400;
-    // Two nodes, each a time-ordered stream of its own GPUs.
-    let clean = vec![
-        (0..40)
-            .map(|k| rec(day + k * 3, 1, (k % 2) as usize, Xid::MmuError))
-            .collect::<Vec<_>>(),
-        (0..30)
-            .map(|k| rec(day + k * 7, 2, 0, Xid::NvlinkError))
-            .collect::<Vec<_>>(),
-    ];
-    let nodes = vec![NodeId(1), NodeId(2)];
+    // Ten nodes of one block each, each a time-ordered stream of its own
+    // GPUs.
+    let mut clean = vec![(0..40)
+        .map(|k| rec(day + k * 3, 1, (k % 2) as usize, Xid::MmuError))
+        .collect::<Vec<_>>()];
+    let quiet = |n| (0..30).map(|k| rec(day + k * 7, n, 0, Xid::NvlinkError)).collect();
+    clean.extend((2..=10).map(quiet));
+    let nodes: Vec<NodeId> = (1..=10).map(NodeId).collect();
 
     // A day regression inside node 1's block.
     let mut regressed = clean.clone();
@@ -477,13 +464,15 @@ fn replay_of_streams_that_are_not_per_node_rewinds_once_and_matches_batch() {
         r.gpu = GpuId::at_slot(NodeId(1), 5);
     }
 
-    let cfg = StudyConfig::ampere_study().with_window(24.0 * 3.0, 2);
+    let cfg = StudyConfig::ampere_study().with_window(24.0 * 3.0, 10);
     let dir = scratch_dir("fallback");
-    for (tag, streams, rewinds) in [
-        ("clean", &clean, 0),
-        ("day regression", &regressed, 1),
-        ("foreign gpu", &foreign, 1),
-        ("shared node", &shared, 1),
+    // Per case, the pulls before the rewind at one worker: the first
+    // block, or (shared) every block and the end of the stream.
+    for (tag, streams, pulls) in [
+        ("clean", &clean, None),
+        ("day regression", &regressed, Some(1)),
+        ("foreign gpu", &foreign, Some(1)),
+        ("shared node", &shared, Some(11)),
     ] {
         let mut all: Vec<ErrorRecord> = streams.iter().flatten().copied().collect();
         gpu_resilience::xid::record::sort_records(&mut all);
@@ -492,11 +481,35 @@ fn replay_of_streams_that_are_not_per_node_rewinds_once_and_matches_batch() {
         let path = dir.join(format!("{}.grcs", tag.replace(' ', "-")));
         write_store(&path, &nodes, streams).expect("write store");
         let store = RecordStore::open(&path).expect("store opens");
-        let from_store = replay_counting(cfg, store.reader(&path).expect("reader"));
-        let from_memory = replay_counting(cfg, InMemoryRecordSource::new(&nodes, streams));
-        for (source, (results, count)) in [("store", from_store), ("memory", from_memory)] {
-            assert_eq!(format!("{results:?}"), expected, "{tag} from {source}");
-            assert_eq!(count, rewinds, "rewinds of the {tag} replay from {source}");
+        for workers in [1, 2] {
+            gpu_resilience::par::set_worker_override(Some(workers));
+            let sink = MetricsSink::recording();
+            let from_store = replay_counting(cfg, store.reader(&path).expect("reader"), &sink);
+            let memory = InMemoryRecordSource::new(&nodes, streams);
+            let from_memory = replay_counting(cfg, memory, &MetricsSink::disabled());
+            gpu_resilience::par::set_worker_override(None);
+            for (source, (results, rewinds)) in [("store", from_store), ("memory", from_memory)] {
+                let at = format!("{tag} from {source} at {workers} workers");
+                assert_eq!(format!("{results:?}"), expected, "{at}");
+                let stopped = match (pulls, &rewinds[..]) {
+                    (None, []) => true,
+                    (Some(first), &[pulled]) => (first..first + workers).contains(&pulled),
+                    _ => false,
+                };
+                assert!(stopped, "{at}: pulls at each rewind {rewinds:?}");
+            }
+
+            let doc = sink.export_json().expect("recording sink exports");
+            let stages = doc.get("stages").and_then(Json::as_arr).expect("stages");
+            let booked: Vec<(&str, Option<u64>)> = stages
+                .iter()
+                .filter_map(|s| {
+                    let records = s.get("counters")?.get("records")?.as_u64();
+                    Some((s.get("stage")?.as_str()?, records))
+                })
+                .collect();
+            let n = Some(store.record_count());
+            assert_eq!(booked, [("extract", n), ("coalesce", n)], "{tag} at {workers} workers");
         }
     }
     std::fs::remove_dir_all(&dir).ok();

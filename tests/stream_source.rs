@@ -83,6 +83,8 @@ fn every_source_is_bit_identical_across_chunk_sizes_and_workers() {
         "generator must emit exactly the materialized corpus"
     );
 
+    // One worker pulls every wave inline on this thread; eight pull them
+    // on the prefetcher's reader thread.
     for workers in [1usize, 8] {
         gpu_resilience::par::set_worker_override(Some(workers));
         for chunk in [None, Some(512u64), Some(4096), Some(1 << 20)] {
@@ -111,50 +113,11 @@ fn every_source_is_bit_identical_across_chunk_sizes_and_workers() {
 }
 
 #[test]
-fn prefetch_is_bit_identical_across_workers_and_sources() {
-    let _workers = WORKER_LOCK.lock().expect("worker lock");
-    let out = campaign();
-    let cfg = study_config(&out);
-
-    // Reference: synchronous path, default chunking, default workers.
-    let reference = fingerprint(&PipelineBuilder::new(cfg).run_text(&out.text_logs));
-
-    let dir = scratch_dir("prefetch-identity");
-    let mut gen = GeneratorSource::from_campaign(&out);
-    files::write_node_logs_source(&dir, &mut gen).expect("streamed write");
-
-    // workers=1 with prefetch on is the degenerate-pool edge case: the
-    // I/O thread still runs, the extract pool is a single worker.
-    for workers in [1usize, 8] {
-        gpu_resilience::par::set_worker_override(Some(workers));
-        for prefetch in [false, true] {
-            for chunk in [None, Some(2048u64)] {
-                let mut builder = PipelineBuilder::new(cfg).prefetch(prefetch);
-                if let Some(c) = chunk {
-                    builder = builder.chunk_bytes(c);
-                }
-                let tag = format!("workers={workers} prefetch={prefetch} chunk={chunk:?}");
-
-                let mut mem = InMemorySource::new(&out.text_logs);
-                let r_mem = builder.run_source(&mut mem).expect("in-memory");
-                assert_eq!(fingerprint(&r_mem), reference, "in-memory diverged ({tag})");
-
-                let mut disk = DirSource::open(&dir).expect("reopen log dir");
-                let r_disk = builder.run_source(&mut disk).expect("dir source");
-                assert_eq!(fingerprint(&r_disk), reference, "dir source diverged ({tag})");
-            }
-        }
-    }
-    gpu_resilience::par::set_worker_override(None);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn every_ingestion_path_coalesces_like_the_serial_baseline_route() {
-    // In-memory, streamed from disk, and streamed with prefetch must each
-    // give the episodes of the batch route, which shares none of their
-    // Stage I code: serial baseline extraction per node, one global sort,
-    // one fold over the records.
+    // In-memory and streamed from disk must each give the episodes of
+    // the batch route, which shares none of their Stage I code: serial
+    // baseline extraction per node, one global sort, one fold over the
+    // records.
     let out = campaign();
     let cfg = study_config(&out);
     let mut records = Vec::new();
@@ -173,85 +136,27 @@ fn every_ingestion_path_coalesces_like_the_serial_baseline_route() {
     let mut mem = InMemorySource::new(&out.text_logs);
     let (r_mem, _) = builder.run_source(&mut mem).expect("in-memory");
     assert_eq!(r_mem.coalesced, reference.coalesced, "in-memory diverged");
-    for prefetch in [false, true] {
-        let mut disk = DirSource::open(&dir).expect("reopen log dir");
-        let (r_disk, _) = builder
-            .clone()
-            .prefetch(prefetch)
-            .run_source(&mut disk)
-            .expect("dir source");
-        assert_eq!(
-            r_disk.coalesced, reference.coalesced,
-            "dir source diverged (prefetch={prefetch})"
-        );
-    }
+    let mut disk = DirSource::open(&dir).expect("reopen log dir");
+    let (r_disk, _) = builder.run_source(&mut disk).expect("dir source");
+    assert_eq!(r_disk.coalesced, reference.coalesced, "dir source diverged");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn prefetch_peak_resident_stays_within_two_wave_budgets() {
-    let _workers = WORKER_LOCK.lock().expect("worker lock");
+/// Chunk target of the streamed peak-memory tests.
+const CHUNK: u64 = 2048;
+
+/// Analyze the campaign corpus streamed from disk at `workers` workers
+/// and `CHUNK`-byte chunks: the extract `peak_resident_bytes` gauge and
+/// the corpus size in bytes.
+fn streamed_peak(tag: &str, workers: usize) -> (f64, u64) {
     let out = campaign();
-    let cfg = study_config(&out);
-    let dir = scratch_dir("prefetch-bounded");
+    let dir = scratch_dir(tag);
     let mut gen = GeneratorSource::from_campaign(&out);
     let written = files::write_node_logs_source(&dir, &mut gen).expect("streamed write");
-
-    const CHUNK: u64 = 2048;
-    const WORKERS: usize = 8;
-    gpu_resilience::par::set_worker_override(Some(WORKERS));
+    gpu_resilience::par::set_worker_override(Some(workers));
     let sink = MetricsSink::recording();
     let mut disk = DirSource::open(&dir).expect("open log dir");
-    let _ = PipelineBuilder::new(cfg)
-        .chunk_bytes(CHUNK)
-        .prefetch(true)
-        .metrics(sink.clone())
-        .run_source(&mut disk)
-        .expect("prefetched streamed analysis");
-    gpu_resilience::par::set_worker_override(None);
-    std::fs::remove_dir_all(&dir).ok();
-
-    let doc = sink.export_json().expect("recording sink exports");
-    let stages = doc.get("stages").and_then(Json::as_arr).expect("stages");
-    let peak = stages
-        .iter()
-        .find(|s| s.get("stage").and_then(Json::as_str) == Some("extract"))
-        .and_then(|s| s.get("gauges"))
-        .and_then(|g| g.get("peak_resident_bytes"))
-        .and_then(Json::as_f64)
-        .expect("peak_resident_bytes gauge");
-
-    // The double-buffer bound: consumer-held wave + producer-staged wave,
-    // each at most `workers × chunk` of target plus one chunk-and-a-line
-    // of overshoot. The corpus must dwarf the bound, or it proves nothing.
-    let wave_budget = (WORKERS as u64 * CHUNK) as f64;
-    let bound = 2.0 * (wave_budget + CHUNK as f64 + 4096.0);
-    assert!(
-        written.bytes as f64 > 2.0 * bound,
-        "corpus ({} bytes) too small to demonstrate the 2-wave bound",
-        written.bytes
-    );
-    assert!(
-        peak > 0.0 && peak <= bound,
-        "prefetch peak resident bytes {peak} exceeds the 2-wave bound {bound}"
-    );
-}
-
-#[test]
-fn dir_source_streams_in_bounded_memory() {
-    let _workers = WORKER_LOCK.lock().expect("worker lock");
-    let out = campaign();
-    let cfg = study_config(&out);
-    let dir = scratch_dir("bounded");
-    let mut gen = GeneratorSource::from_campaign(&out);
-    let written = files::write_node_logs_source(&dir, &mut gen).expect("streamed write");
-
-    const CHUNK: u64 = 2048;
-    const WORKERS: usize = 8;
-    gpu_resilience::par::set_worker_override(Some(WORKERS));
-    let sink = MetricsSink::recording();
-    let mut disk = DirSource::open(&dir).expect("open log dir");
-    let _ = PipelineBuilder::new(cfg)
+    let _ = PipelineBuilder::new(study_config(&out))
         .chunk_bytes(CHUNK)
         .metrics(sink.clone())
         .run_source(&mut disk)
@@ -268,6 +173,38 @@ fn dir_source_streams_in_bounded_memory() {
         .and_then(|g| g.get("peak_resident_bytes"))
         .and_then(Json::as_f64)
         .expect("peak_resident_bytes gauge");
+    (peak, written.bytes)
+}
+
+#[test]
+fn prefetch_peak_resident_stays_within_two_wave_budgets() {
+    let _workers = WORKER_LOCK.lock().expect("worker lock");
+    const WORKERS: usize = 8;
+    let (peak, written) = streamed_peak("prefetch-bounded", WORKERS);
+
+    // The double-buffer bound: consumer-held wave + producer-staged wave,
+    // each at most `workers × chunk` of target plus one chunk-and-a-line
+    // of overshoot. The corpus must dwarf the bound, or it proves nothing.
+    let wave_budget = (WORKERS as u64 * CHUNK) as f64;
+    let bound = 2.0 * (wave_budget + CHUNK as f64 + 4096.0);
+    assert!(
+        written as f64 > 2.0 * bound,
+        "corpus ({written} bytes) too small to demonstrate the 2-wave bound"
+    );
+    assert!(
+        peak > 0.0 && peak <= bound,
+        "prefetch peak resident bytes {peak} exceeds the 2-wave bound {bound}"
+    );
+}
+
+#[test]
+fn dir_source_streams_in_bounded_memory() {
+    let _workers = WORKER_LOCK.lock().expect("worker lock");
+    // One worker pulls each wave inline, so exactly one wave is ever
+    // resident; more workers add the reader thread's staged wave (the
+    // two-wave test above).
+    const WORKERS: usize = 1;
+    let (peak, written) = streamed_peak("bounded", WORKERS);
 
     // One wave is at most `workers × chunk` bytes of *target*; chunks
     // overshoot by at most one line, so grant one extra chunk per worker
@@ -275,9 +212,8 @@ fn dir_source_streams_in_bounded_memory() {
     // the bound proves nothing.
     let wave_bound = (2 * WORKERS) as f64 * CHUNK as f64 + 4096.0;
     assert!(
-        written.bytes as f64 > 2.0 * wave_bound,
-        "corpus ({} bytes) too small to demonstrate bounding",
-        written.bytes
+        written as f64 > 2.0 * wave_bound,
+        "corpus ({written} bytes) too small to demonstrate bounding"
     );
     assert!(
         peak > 0.0 && peak <= wave_bound,
@@ -374,13 +310,10 @@ fn out_of_range_chunk_node_is_a_typed_error_on_batch_and_live_paths() {
             "error must name the index and the node count, got: {msg}"
         );
     };
-    for prefetch in [false, true] {
-        let err = PipelineBuilder::new(cfg)
-            .prefetch(prefetch)
-            .run_source(&mut OutOfRangeSource::new())
-            .expect_err("an out-of-range chunk must fail the batch pipeline");
-        names_the_index(&err);
-    }
+    let err = PipelineBuilder::new(cfg)
+        .run_source(&mut OutOfRangeSource::new())
+        .expect_err("an out-of-range chunk must fail the batch pipeline");
+    names_the_index(&err);
     let mut session = WatchSession::new(WatchConfig {
         study: cfg,
         ..WatchConfig::default()
@@ -417,22 +350,18 @@ fn invalid_utf8_is_a_typed_error_naming_the_file_and_offset() {
             "error must give the offset of the first invalid byte, got: {err}"
         );
     };
-    for prefetch in [false, true] {
-        for chunk in [1u64, 1 << 20] {
-            let builder = PipelineBuilder::new(cfg)
-                .prefetch(prefetch)
-                .chunk_bytes(chunk);
-            let mut disk = DirSource::open(&dir).expect("open log dir");
-            let err = builder
-                .run_source(&mut disk)
-                .expect_err("dir source must fail");
-            names_the_byte(&err, false);
-            let mut tail = TailSource::open(&dir).expect("open log dir");
-            let err = builder
-                .run_source(&mut tail)
-                .expect_err("tail source must fail");
-            names_the_byte(&err, true);
-        }
+    for chunk in [1u64, 1 << 20] {
+        let builder = PipelineBuilder::new(cfg).chunk_bytes(chunk);
+        let mut disk = DirSource::open(&dir).expect("open log dir");
+        let err = builder
+            .run_source(&mut disk)
+            .expect_err("dir source must fail");
+        names_the_byte(&err, false);
+        let mut tail = TailSource::open(&dir).expect("open log dir");
+        let err = builder
+            .run_source(&mut tail)
+            .expect_err("tail source must fail");
+        names_the_byte(&err, true);
     }
 
     // The tail consumes `alpha`, then stops in front of the bad line on
@@ -683,7 +612,7 @@ impl Strategy for CorpusStrategy {
 /// Check `DirSource` and `TailSource` over the corpus in `dir` against
 /// the reference readers: the same lines per node, the same
 /// `(node, lines, bytes)` chunk sequence at every target, and the same
-/// `StudyResults` through `run_source` with prefetch off and on.
+/// `StudyResults` through `run_source`.
 fn packed_readers_match_reference(dir: &Path) -> Result<(), String> {
     let paths: Vec<PathBuf> = {
         let mut p: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -741,29 +670,25 @@ fn packed_readers_match_reference(dir: &Path) -> Result<(), String> {
                 "{name}: chunk sequence differs at target {target}"
             );
         }
-        for prefetch in [false, true] {
-            let builder = PipelineBuilder::new(cfg)
-                .prefetch(prefetch)
-                .chunk_bytes(target);
-            let mut disk = DirSource::open(dir).expect("open");
-            let r_disk = fingerprint(&builder.run_source(&mut disk).expect("dir source"));
-            let mut tail = TailSource::open(dir).expect("open");
-            let r_tail = fingerprint(&builder.run_source(&mut tail).expect("tail source"));
-            prop_assert!(
-                r_disk == reference,
-                "dir source results diverged at target {target}, prefetch {prefetch}"
-            );
-            // The tail leaves an unterminated last line unread, so it
-            // agrees with the reference only when every file ends in `\n`.
-            let terminated = paths.iter().all(|p| {
-                let text = std::fs::read(p).expect("read back");
-                text.is_empty() || text.ends_with(b"\n")
-            });
-            prop_assert!(
-                !terminated || r_tail == reference,
-                "tail source results diverged at target {target}, prefetch {prefetch}"
-            );
-        }
+        let builder = PipelineBuilder::new(cfg).chunk_bytes(target);
+        let mut disk = DirSource::open(dir).expect("open");
+        let r_disk = fingerprint(&builder.run_source(&mut disk).expect("dir source"));
+        let mut tail = TailSource::open(dir).expect("open");
+        let r_tail = fingerprint(&builder.run_source(&mut tail).expect("tail source"));
+        prop_assert!(
+            r_disk == reference,
+            "dir source results diverged at target {target}"
+        );
+        // The tail leaves an unterminated last line unread, so it agrees
+        // with the reference only when every file ends in `\n`.
+        let terminated = paths.iter().all(|p| {
+            let text = std::fs::read(p).expect("read back");
+            text.is_empty() || text.ends_with(b"\n")
+        });
+        prop_assert!(
+            !terminated || r_tail == reference,
+            "tail source results diverged at target {target}"
+        );
     }
     Ok(())
 }
