@@ -98,7 +98,7 @@ mod tests {
     use crate::pipeline::StudyConfig;
     use dr_xid::{Duration, ErrorDetail, NodeId, Timestamp};
 
-    /// The counterfactual `StudyEngine` finishes over `hours` and
+    /// The counterfactual the study finishes over `hours` and
     /// `nodes`, at the default 0.3 h MTTR.
     fn counterfactual(errors: &[CoalescedError], hours: f64, nodes: u32) -> CounterfactualReport {
         let config = StudyConfig::ampere_study().with_window(hours, nodes);

@@ -1,8 +1,8 @@
 //! Node unavailability and availability estimation (Fig. 9c, Section 5.4).
 //!
-//! [`downtime_stats`] is the one downtime summary: the study fold
-//! ([`crate::engine::StudyEngine`]) calls it on the repair intervals
-//! when it finishes.
+//! [`downtime_stats`] is the one downtime summary: the study's finish
+//! behind [`crate::pipeline::PipelineBuilder::run_coalesced`] calls it
+//! on the repair intervals.
 
 use dr_faults::DowntimeInterval;
 use dr_stats::{Mtbe, SummaryStats};

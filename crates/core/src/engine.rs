@@ -1,35 +1,36 @@
-//! Incremental, fold-based analysis core.
+//! The analysis core: the study as one function of its coalesced
+//! episodes.
 //!
-//! [`AnalysisEngine`] is the fold shape of the study: `ingest` one
-//! coalesced episode at a time, `snapshot` the answer whenever you want
-//! it. [`StudyEngine`] is the whole study as one such fold, and is what
-//! [`crate::pipeline::PipelineBuilder::run_coalesced`] runs; the downtime
-//! summary is [`crate::downtime::downtime_stats`], called when the engine
-//! finishes. The live path (`crate::watch`) keeps its episodes for this
-//! fold and reads its live views from one rolling window of its own.
+//! [`finish`] is what [`crate::pipeline::PipelineBuilder::run_coalesced`]
+//! runs, once per study: it takes the episode vector as its own, indexes
+//! it in one pass, and finishes every section of [`StudyResults`] from
+//! that index; the downtime summary is
+//! [`crate::downtime::downtime_stats`]. The live path (`crate::watch`)
+//! keeps its episodes for the same finish and reads its live views from
+//! one rolling window of its own.
 //!
-//! `StudyEngine` keeps one shared episode index and every study section
-//! finishes from it:
+//! The index every section finishes from holds:
 //!
 //! - the episodes themselves, held once, in the vector that becomes
 //!   [`StudyResults::coalesced`];
 //! - each GPU interned to a dense id on first sight, found again through
-//!   an in-crate hash table keyed by `GpuId` (the fold's per-episode
-//!   lookup and the job join's per-GPU lookup), with its node, a list of
-//!   `u32` positions of its episodes, and its episode count per XID;
+//!   an in-crate hash table keyed by `GpuId` (the index build's
+//!   per-episode lookup and the job join's per-GPU lookup), with its
+//!   node, a list of `u32` positions of its episodes, and its episode
+//!   count per XID;
 //! - one position list per node;
 //! - per-XID persistence samples in a dense table indexed by
 //!   [`Xid::ordinal`].
 //!
-//! Per episode the fold does one GPU lookup and a few `Vec` pushes. At
-//! finish, the sections walk the GPU and node lists in `GpuId` / `NodeId`
-//! order, each list in arrival order stable-sorted by start (a no-op for a
-//! start-ordered corpus), and the dense tables in `Xid` order. That is the
-//! iteration order of the batch definitions the engine replaced, so every
-//! float accumulation runs in the same sequence and the results are
-//! bit-identical to them: tier-1 golden digests pin whole result bundles,
-//! and a proptest compares the fold with the old map-based route, kept as
-//! the test oracle.
+//! Per episode the index build does one GPU lookup and a few `Vec`
+//! pushes. The sections walk the GPU and node lists in `GpuId` /
+//! `NodeId` order, each list in vector order stable-sorted by start (a
+//! no-op for a start-ordered corpus), and the dense tables in `Xid`
+//! order. That is the iteration order of the batch definitions the index
+//! replaced, so every float accumulation runs in the same sequence and
+//! the results are bit-identical to them: tier-1 golden digests pin whole
+//! result bundles, and a proptest compares the finish with the old
+//! map-based route, kept as the test oracle.
 
 use crate::coalesce::CoalescedError;
 use crate::counterfactual::finish_counterfactual;
@@ -48,33 +49,15 @@ use std::collections::BTreeMap;
 /// Width of every dense per-XID table: one slot per [`Xid::ordinal`].
 pub(crate) const XIDS: usize = Xid::ALL.len();
 
-/// An incremental analysis pass: a fold over a stream of coalesced
-/// errors with a read-out that can be taken at any point.
-/// Implementations must be deterministic functions of the ingested
-/// sequence — never of wall-clock time or iteration luck — so that
-/// folding a finished corpus reproduces the batch result exactly and a
-/// live session converges to the batch answer when the stream catches
-/// up.
-pub trait AnalysisEngine {
-    /// What [`AnalysisEngine::snapshot`] produces.
-    type Snapshot;
-
-    /// Fold one episode into the accumulator.
-    fn ingest(&mut self, e: &CoalescedError);
-
-    /// Read the current answer without disturbing the accumulator.
-    fn snapshot(&self) -> Self::Snapshot;
-}
-
 /// One interned GPU.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct GpuEntry {
     /// The GPU itself: its key in [`GpuTable`] and its place in `GpuId`
     /// order.
     gpu: GpuId,
     /// Dense id of the GPU's node.
     node: u32,
-    /// Positions of the GPU's episodes, in arrival order until
+    /// Positions of the GPU's episodes, in vector order until
     /// [`EpisodeIndex::sorted`] stable-sorts them by start.
     episodes: Vec<u32>,
     /// Episodes per XID ordinal.
@@ -87,7 +70,7 @@ struct GpuEntry {
 /// value of an id, so a lookup of a GPU from the jobs table on an
 /// unknown or huge node id costs one probe sequence and allocates
 /// nothing. Nothing iterates it, so its layout never reaches a result.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct GpuTable {
     /// A power-of-two number of slots (or none before the first insert).
     slots: Vec<Option<(GpuId, u32)>>,
@@ -154,7 +137,7 @@ impl GpuTable {
 /// different slice. Positions are `u32`: the index addresses the first
 /// 2³² − 1 episodes (some 140 GB of them) and leaves any beyond out of
 /// the per-GPU and per-node lists.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct EpisodeIndex {
     episodes: Vec<CoalescedError>,
     gpu_ids: GpuTable,
@@ -165,51 +148,33 @@ pub(crate) struct EpisodeIndex {
 }
 
 impl EpisodeIndex {
-    // dr-lint: hot(begin)
-    /// Keep one episode and index it.
-    fn push(&mut self, e: CoalescedError) {
-        self.episodes.push(e);
-        self.index_from(self.episodes.len() - 1);
-    }
-
-    /// Keep a run of episodes and index them. The first run is adopted as
-    /// the engine's own episode vector, without a copy.
-    fn extend(&mut self, episodes: Vec<CoalescedError>) {
-        let first = self.episodes.len();
-        if first == 0 {
-            self.episodes = episodes;
-        } else {
-            self.episodes.extend(episodes);
-        }
-        self.index_from(first);
-    }
-
-    /// Index the episodes from position `first` on: one GPU lookup and a
-    /// few pushes each.
-    fn index_from(&mut self, first: usize) {
-        for pos in first..self.episodes.len() {
-            let Some(&e) = self.episodes.get(pos) else {
-                break;
-            };
+    /// Index `episodes`, adopted as the index's own vector without a
+    /// copy: one GPU lookup and a few pushes per episode.
+    fn new(episodes: Vec<CoalescedError>) -> Self {
+        let mut index = EpisodeIndex::default();
+        // dr-lint: hot(begin)
+        for (pos, e) in episodes.iter().enumerate() {
             let Ok(pos) = u32::try_from(pos) else {
                 break;
             };
-            let gpu = match self.gpu_ids.get(e.gpu) {
+            let gpu = match index.gpu_ids.get(e.gpu) {
                 Some(id) => id,
-                None => self.intern(e.gpu),
+                None => index.intern(e.gpu),
             };
             let x = e.xid.ordinal();
-            if let Some(entry) = self.gpus.get_mut(gpu as usize) {
+            if let Some(entry) = index.gpus.get_mut(gpu as usize) {
                 entry.episodes.push(pos);
                 entry.counts[x] += 1;
-                if let Some(list) = self.nodes.get_mut(entry.node as usize) {
+                if let Some(list) = index.nodes.get_mut(entry.node as usize) {
                     list.push(pos);
                 }
             }
-            self.persistence[x].push(e.persistence().as_secs_f64());
+            index.persistence[x].push(e.persistence().as_secs_f64());
         }
+        // dr-lint: hot(end)
+        index.episodes = episodes;
+        index
     }
-    // dr-lint: hot(end)
 
     /// First sight of a GPU (and maybe of its node): give it a dense id.
     /// Runs only for an episode whose position fits a `u32`, and there
@@ -243,7 +208,7 @@ impl EpisodeIndex {
         gpus
     }
 
-    /// Every episode, in arrival order.
+    /// Every episode, in vector order.
     pub(crate) fn episodes(&self) -> &[CoalescedError] {
         &self.episodes
     }
@@ -269,9 +234,7 @@ impl EpisodeIndex {
     }
 
     /// Stable-sort every GPU and node list by start, unless it already
-    /// is. A list sorted mid-stream and appended to later sorts to the
-    /// same order as its arrival order would, so this never changes a
-    /// later finish.
+    /// is (as it is for a start-ordered corpus).
     pub(crate) fn sorted(&mut self) -> Sorted<'_> {
         let episodes = &self.episodes;
         let start = |&p: &u32| episodes.get(p as usize).map(|e| e.start);
@@ -286,11 +249,6 @@ impl EpisodeIndex {
             }
         }
         Sorted(self)
-    }
-
-    /// The episode vector, for [`StudyResults::coalesced`].
-    fn into_episodes(self) -> Vec<CoalescedError> {
-        self.episodes
     }
 }
 
@@ -344,126 +302,75 @@ impl<'a> Sorted<'a> {
     }
 }
 
-/// The full study as one fold: every section of [`StudyResults`],
-/// finished from one shared episode index (see the module docs).
-/// [`crate::pipeline::PipelineBuilder::run_coalesced`] hands it the whole
-/// corpus and finishes; a live caller can [`StudyEngine::ingest`] one
-/// episode at a time and [`AnalysisEngine::snapshot`] mid-stream.
-#[derive(Clone, Debug)]
-pub struct StudyEngine<'a> {
+/// The whole study from its coalesced episodes: index `episodes` (the
+/// vector becomes [`StudyResults::coalesced`]; no episode is copied) and
+/// finish every section from that index. The index build is booked as
+/// the `stats` span `fold`, each section under its own stage. `sink` is
+/// write-only: the results are bit-identical with any sink.
+pub(crate) fn finish(
     config: StudyConfig,
-    jobs: Option<&'a [JobRecord]>,
-    downtime: Option<&'a [DowntimeInterval]>,
-    index: EpisodeIndex,
-}
+    jobs: Option<&[JobRecord]>,
+    downtime: Option<&[DowntimeInterval]>,
+    episodes: Vec<CoalescedError>,
+    sink: &MetricsSink,
+) -> StudyResults {
+    use dr_obs::{Counter, Stage};
+    let mut index = {
+        let _span = sink.span(Stage::Stats, "fold");
+        EpisodeIndex::new(episodes)
+    };
+    let (hours, nodes) = (config.observation_hours, config.node_count);
+    let (t1, overall, cat, lost) = {
+        let _span = sink.span(Stage::Stats, "tables");
+        let summaries = index.persistence_summaries();
+        (
+            finish_table1(&summaries, hours, nodes),
+            finish_overall_mtbe(&index, hours, nodes),
+            finish_category_mtbe(&index, hours, nodes),
+            finish_lost_hours(&index, &summaries),
+        )
+    };
 
-impl<'a> StudyEngine<'a> {
-    pub fn new(
-        config: StudyConfig,
-        jobs: Option<&'a [JobRecord]>,
-        downtime: Option<&'a [DowntimeInterval]>,
-    ) -> Self {
-        StudyEngine {
-            config,
-            jobs,
-            downtime,
-            index: EpisodeIndex::default(),
+    let (dt, cf, avail) = {
+        let _span = sink.span(Stage::Stats, "downtime");
+        let dt: Option<DowntimeStats> = downtime.map(downtime_stats);
+        let mttr = dt.as_ref().map(|d| d.mean_service_h).unwrap_or(0.3);
+        let cf = finish_counterfactual(&index, hours, nodes, mttr);
+        let avail = match (&dt, overall.1) {
+            (Some(d), Some(mtbe)) => Some(availability(mtbe, d.mean_service_h)),
+            _ => None,
+        };
+        (dt, cf, avail)
+    };
+
+    let sorted = index.sorted();
+    let prop = {
+        let _span = sink.span(Stage::Propagation, "total");
+        finish_propagation(&sorted, config.propagation_window, NVLINK_SPREAD_WINDOW)
+    };
+
+    let (ji, t3) = {
+        let _span = jobs.map(|_| sink.span(Stage::JobImpact, "total"));
+        if let Some(j) = jobs {
+            sink.add(Stage::JobImpact, Counter::Jobs, j.len() as u64);
         }
-    }
+        let ji = jobs.map(|j| finish_job_impact(j, &sorted, config.job_impact));
+        (ji, jobs.map(table3))
+    };
 
-    // dr-lint: hot(begin)
-    /// Fold one coalesced error: the engine keeps a copy (its only one)
-    /// and indexes it.
-    pub fn ingest(&mut self, e: &CoalescedError) {
-        self.index.push(*e);
-    }
-    // dr-lint: hot(end)
-
-    /// Fold a run of coalesced errors, in order. The first run is adopted
-    /// as the engine's episode vector — the one that becomes
-    /// [`StudyResults::coalesced`] — without a copy.
-    pub fn extend(&mut self, episodes: Vec<CoalescedError>) {
-        self.index.extend(episodes);
-    }
-
-    /// Finish every section into a [`StudyResults`] bundle whose
-    /// `coalesced` is the exact sequence that was folded. Per-section
-    /// spans and counters go to `sink`, which is write-only: the results
-    /// are bit-identical with any sink.
-    pub fn finish_observed(self, sink: &MetricsSink) -> StudyResults {
-        use dr_obs::{Counter, Stage};
-        let StudyEngine {
-            config,
-            jobs,
-            downtime,
-            mut index,
-        } = self;
-        let (hours, nodes) = (config.observation_hours, config.node_count);
-        let (t1, overall, cat, lost) = {
-            let _span = sink.span(Stage::Stats, "tables");
-            let summaries = index.persistence_summaries();
-            (
-                finish_table1(&summaries, hours, nodes),
-                finish_overall_mtbe(&index, hours, nodes),
-                finish_category_mtbe(&index, hours, nodes),
-                finish_lost_hours(&index, &summaries),
-            )
-        };
-
-        let (dt, cf, avail) = {
-            let _span = sink.span(Stage::Stats, "downtime");
-            let dt: Option<DowntimeStats> = downtime.map(downtime_stats);
-            let mttr = dt.as_ref().map(|d| d.mean_service_h).unwrap_or(0.3);
-            let cf = finish_counterfactual(&index, hours, nodes, mttr);
-            let avail = match (&dt, overall.1) {
-                (Some(d), Some(mtbe)) => Some(availability(mtbe, d.mean_service_h)),
-                _ => None,
-            };
-            (dt, cf, avail)
-        };
-
-        let sorted = index.sorted();
-        let prop = {
-            let _span = sink.span(Stage::Propagation, "total");
-            finish_propagation(&sorted, config.propagation_window, NVLINK_SPREAD_WINDOW)
-        };
-
-        let (ji, t3) = {
-            let _span = jobs.map(|_| sink.span(Stage::JobImpact, "total"));
-            if let Some(j) = jobs {
-                sink.add(Stage::JobImpact, Counter::Jobs, j.len() as u64);
-            }
-            let ji = jobs.map(|j| finish_job_impact(j, &sorted, config.job_impact));
-            (ji, jobs.map(table3))
-        };
-
-        StudyResults {
-            config,
-            table1: t1,
-            overall_mtbe_h: overall,
-            category_mtbe: cat,
-            lost_hours: lost,
-            propagation: prop,
-            counterfactual: cf,
-            job_impact: ji,
-            table3: t3,
-            downtime: dt,
-            availability: avail,
-            coalesced: index.into_episodes(),
-        }
-    }
-}
-
-impl AnalysisEngine for StudyEngine<'_> {
-    type Snapshot = StudyResults;
-
-    fn ingest(&mut self, e: &CoalescedError) {
-        StudyEngine::ingest(self, e);
-    }
-
-    /// The results so far, from a copy of the engine.
-    fn snapshot(&self) -> StudyResults {
-        self.clone().finish_observed(&MetricsSink::disabled())
+    StudyResults {
+        config,
+        table1: t1,
+        overall_mtbe_h: overall,
+        category_mtbe: cat,
+        lost_hours: lost,
+        propagation: prop,
+        counterfactual: cf,
+        job_impact: ji,
+        table3: t3,
+        downtime: dt,
+        availability: avail,
+        coalesced: index.episodes,
     }
 }
 
@@ -545,13 +452,15 @@ mod tests {
         StudyConfig::ampere_study().with_window(1_000.0, 12)
     }
 
-    /// Fold `errors` one episode at a time (the `ingest` route).
+    /// The study [`finish`] makes of `errors`.
     fn fold(errors: &[CoalescedError], jobs: Option<&[JobRecord]>) -> StudyResults {
-        let mut engine = StudyEngine::new(config(), jobs, None);
-        for e in errors {
-            engine.ingest(e);
-        }
-        engine.finish_observed(&MetricsSink::disabled())
+        finish(
+            config(),
+            jobs,
+            None,
+            errors.to_vec(),
+            &MetricsSink::disabled(),
+        )
     }
 
     #[test]
@@ -595,8 +504,7 @@ mod tests {
     #[test]
     fn counterfactual_fold_matches_batch_exactly() {
         let errors = corpus();
-        let mut index = EpisodeIndex::default();
-        index.extend(errors.clone());
+        let index = EpisodeIndex::new(errors.clone());
         for mttr in [0.3, 1.7] {
             assert_eq!(
                 finish_counterfactual(&index, 1_000.0, 12, mttr),
@@ -703,33 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_non_destructive_and_monotone() {
-        let errors = corpus();
-        let mut engine = StudyEngine::new(config(), None, None);
-        let (half, rest) = errors.split_at(errors.len() / 2);
-        for e in half {
-            engine.ingest(e);
-        }
-        let mid = format!("{:?}", engine.snapshot());
-        assert_eq!(
-            mid,
-            format!("{:?}", engine.snapshot()),
-            "snapshot must not disturb state"
-        );
-        assert_eq!(
-            mid,
-            format!("{:?}", oracle::study(half.to_vec(), None, None, config()))
-        );
-        for e in rest {
-            engine.ingest(e);
-        }
-        assert_eq!(
-            format!("{:?}", engine.snapshot()),
-            format!("{:?}", oracle::study(errors, None, None, config()))
-        );
-    }
-
-    #[test]
     fn study_engine_fold_matches_batch_study_results() {
         let errors = corpus();
         let jobs = jobs();
@@ -740,24 +621,6 @@ mod tests {
         let oracle = oracle::study(errors, Some(&jobs), None, config());
         assert_eq!(format!("{folded:?}"), format!("{batch:?}"));
         assert_eq!(format!("{folded:?}"), format!("{oracle:?}"));
-    }
-
-    #[test]
-    fn lists_sorted_mid_stream_finish_like_arrival_order() {
-        // Out-of-order arrival, a snapshot (which sorts a copy) and a
-        // sort of the engine's own lists mid-stream must all leave the
-        // finish where one sort of the arrival order would.
-        let mut errors = corpus();
-        errors.reverse();
-        let (half, rest) = errors.split_at(errors.len() / 2);
-        let mut engine = StudyEngine::new(config(), None, None);
-        engine.extend(half.to_vec());
-        let _ = engine.index.sorted();
-        engine.extend(rest.to_vec());
-        assert_eq!(
-            format!("{:?}", engine.finish_observed(&MetricsSink::disabled())),
-            format!("{:?}", oracle::study(errors, None, None, config()))
-        );
     }
 
     /// One generated episode: (node, slot), (XID, start, persistence).
@@ -839,11 +702,7 @@ mod tests {
                 propagation_window: Duration::from_secs(window_s),
                 ..config()
             };
-            let mut engine = StudyEngine::new(cfg, Some(&jobs), None);
-            for e in &errors {
-                engine.ingest(e);
-            }
-            let folded = engine.finish_observed(&MetricsSink::disabled());
+            let folded = finish(cfg, Some(&jobs), None, errors.clone(), &MetricsSink::disabled());
             let expected = oracle::study(errors, Some(&jobs), None, cfg);
             prop_assert_eq!(format!("{folded:?}"), format!("{expected:?}"));
         }

@@ -1,8 +1,8 @@
-//! The map-based study fold the shared-index [`crate::engine::StudyEngine`]
-//! replaced, kept as its test oracle.
+//! The map-based study fold the shared episode index of
+//! [`crate::engine::finish`] replaced, kept as its test oracle.
 //!
 //! Every section is computed the way the batch passes computed it before
-//! the engine interned GPUs and went to dense per-XID tables: filters over
+//! the index interned GPUs and went to dense per-XID tables: filters over
 //! the whole slice for Table 1 and the MTBE counters, `BTreeMap<Xid, _>`
 //! samples for lost hours, `BTreeMap<GpuId, Vec<usize>>` /
 //! `BTreeMap<NodeId, Vec<usize>>` groupings and `BTreeMap<(Xid, Xid), _>`
@@ -10,7 +10,7 @@
 //! counterfactual, owned per-GPU episode copies for the job join, and one
 //! walk of the job table per Table 3 bucket. [`study`] assembles them the
 //! way the pipeline always has, so `Debug` of its result must equal `Debug`
-//! of the engine's.
+//! of the finish's.
 
 use crate::coalesce::CoalescedError;
 use crate::counterfactual::CounterfactualReport;

@@ -267,7 +267,7 @@ mod tests {
     use crate::pipeline::StudyConfig;
     use dr_xid::{ErrorDetail, GpuId, NodeId, Timestamp};
 
-    /// The job impact `StudyEngine` finishes with the default ±20 s join.
+    /// The job impact the study finishes with the default ±20 s join.
     fn analyze_jobs(jobs: &[JobRecord], errors: &[CoalescedError]) -> JobImpactAnalysis {
         let study = crate::testutil::study(errors, StudyConfig::ampere_study(), Some(jobs));
         study.job_impact.expect("jobs were joined")

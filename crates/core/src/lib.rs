@@ -39,11 +39,10 @@
 //!   [`stream::WatermarkBuffer`] that reorders late log lines, and
 //!   [`stream::StreamCoalescer`], incremental Algorithm 1 over the
 //!   reordered stream.
-//! - [`engine`] — the fold-based analysis core: the
-//!   [`engine::AnalysisEngine`] fold trait (`ingest` per coalesced
-//!   episode, `snapshot` at any point) and [`engine::StudyEngine`], the
-//!   whole study as one fold and its only implementation. It holds
-//!   each episode once and keeps one shared index over them (interned
+//! - `engine` (crate-private) — the analysis core behind
+//!   [`pipeline::PipelineBuilder::run_coalesced`]: the study as one
+//!   function of the coalesced episode vector. It holds each episode
+//!   once and builds one shared index over them in one pass (interned
 //!   GPUs with per-GPU and per-node episode lists, dense per-XID
 //!   tables); every section of [`pipeline::StudyResults`] finishes from
 //!   that index, bit-identical to the batch definitions (tier-1 golden
@@ -68,7 +67,7 @@
 pub mod coalesce;
 pub mod counterfactual;
 pub mod downtime;
-pub mod engine;
+mod engine;
 #[cfg(test)]
 mod fold_oracle;
 pub mod job_impact;
@@ -87,7 +86,6 @@ pub mod watch;
 pub use coalesce::{coalesce, CoalesceConfig, CoalescedError};
 pub use counterfactual::CounterfactualReport;
 pub use downtime::{availability, DowntimeStats};
-pub use engine::{AnalysisEngine, StudyEngine};
 pub use job_impact::{JobImpactAnalysis, Table2Row, Table3Row};
 pub use pipeline::{PipelineBuilder, StudyConfig, StudyResults};
 pub use propagation::{NvlinkSpread, PropagationAnalysis, PropagationEdge};

@@ -13,11 +13,11 @@
 //! record store ([`PipelineBuilder::run_record_source`] — replay a
 //! previously extracted corpus without re-paying Stage I), or from
 //! pre-coalesced errors ([`PipelineBuilder::run_coalesced`]). Every route
-//! ends in [`PipelineBuilder::run_coalesced`], where the
-//! [`StudyEngine`] takes the coalesced episode vector as its own — it
-//! becomes [`StudyResults::coalesced`] — indexes it once (interned GPUs,
-//! per-GPU and per-node episode lists, dense per-XID tables), and
-//! finishes every section from that one index.
+//! ends in [`PipelineBuilder::run_coalesced`], the one way to finish a
+//! study: it takes the coalesced episode vector as its own — it becomes
+//! [`StudyResults::coalesced`] — indexes it once (interned GPUs, per-GPU
+//! and per-node episode lists, dense per-XID tables), and finishes every
+//! section from that one index.
 //!
 //! Observability is strictly write-only: attaching a recording
 //! [`MetricsSink`] never changes any `StudyResults` field (bit-identity
@@ -26,7 +26,6 @@
 use crate::coalesce::{CoalesceConfig, CoalescedError};
 use crate::counterfactual::CounterfactualReport;
 use crate::downtime::DowntimeStats;
-use crate::engine::StudyEngine;
 use crate::job_impact::{JobImpactAnalysis, JobImpactConfig, Table3Row};
 use crate::propagation::PropagationAnalysis;
 use crate::source::{InMemorySource, LogSource};
@@ -285,22 +284,16 @@ impl<'a> PipelineBuilder<'a> {
         self.run_coalesced(coalesced)
     }
 
-    /// Run the analyses from already-coalesced errors: the
-    /// [`StudyEngine`] adopts the vector (it becomes
-    /// [`StudyResults::coalesced`]; no episode is copied), indexes it once,
-    /// and finishes every section from that index. Every section is a
-    /// pure function of the episode sequence, so the results are
-    /// bit-identical with any sink.
+    /// Run the analyses from already-coalesced errors: the vector is
+    /// adopted (it becomes [`StudyResults::coalesced`]; no episode is
+    /// copied), indexed once, and every section finishes from that index.
+    /// Every section is a pure function of the episode sequence, so the
+    /// results are bit-identical with any sink.
     pub fn run_coalesced(&self, coalesced: Vec<CoalescedError>) -> StudyResults {
         use dr_obs::{Counter, Stage};
         let sink = &self.metrics;
         sink.add(Stage::Stats, Counter::Episodes, coalesced.len() as u64);
-        let mut engine = StudyEngine::new(self.config, self.jobs, self.downtime);
-        {
-            let _span = sink.span(Stage::Stats, "fold");
-            engine.extend(coalesced);
-        }
-        engine.finish_observed(sink)
+        crate::engine::finish(self.config, self.jobs, self.downtime, coalesced, sink)
     }
 }
 
@@ -333,6 +326,8 @@ mod tests {
         assert_eq!(r.table1_row(Xid::GspRpcTimeout).unwrap().count, 1);
         assert_eq!(r.overall_mtbe_h.0, Some(1_000.0 / 3.0));
         assert!(r.job_impact.is_none());
+        assert!(r.table3.is_none());
+        assert!(r.downtime.is_none());
         assert!(r.availability.is_none());
         assert!(!r.counterfactual.offenders.is_empty());
     }

@@ -254,7 +254,7 @@ mod tests {
     use crate::pipeline::StudyConfig;
     use dr_xid::{ErrorDetail, NodeId, Timestamp};
 
-    /// The propagation section `StudyEngine` finishes at window Δt (and
+    /// The propagation section the study finishes at window Δt (and
     /// the production NVLink-involvement window).
     fn analyze(errors: &[CoalescedError], window: Duration) -> PropagationAnalysis {
         let mut config = StudyConfig::ampere_study();

@@ -264,10 +264,10 @@ impl<'a> LogSource<'a> for InMemorySource<'a> {
 }
 
 /// [`LogSource`] over a directory of per-node `.log` files (the layout
-/// `dr_report::files::write_node_logs` produces: `<host><id>.log`, one
-/// per node, sorted by path). Files are read incrementally into packed
-/// chunks (see the module docs) — at no point is a whole file resident
-/// unless the chunk target asks for it.
+/// `dr_report::files::write_node_logs_source` produces: `<host><id>.log`,
+/// one per node, sorted by path). Files are read incrementally into
+/// packed chunks (see the module docs) — at no point is a whole file
+/// resident unless the chunk target asks for it.
 pub struct DirSource {
     nodes: Vec<NodeId>,
     paths: Vec<PathBuf>,

@@ -148,7 +148,7 @@ mod tests {
     use crate::pipeline::{StudyConfig, StudyResults};
     use dr_xid::{Duration, ErrorDetail, GpuId, NodeId, Timestamp};
 
-    /// The study `StudyEngine` finishes over `hours` and `nodes`.
+    /// The study finished over `hours` and `nodes`.
     fn study(errors: &[CoalescedError], hours: f64, nodes: u32) -> StudyResults {
         let config = StudyConfig::ampere_study().with_window(hours, nodes);
         crate::testutil::study(errors, config, None)

@@ -21,8 +21,8 @@
 //! Each block holds the records of **one node, in stream order**, at
 //! most [`MAX_BLOCK_RECORDS`] per block. The footer's block index keeps
 //! `{node, byte range, record count, min/max timestamp, checksum}` per
-//! block, so a reader can *skip* blocks by node or time range without
-//! decoding them — and so every block is independently checksummed.
+//! block, so a reader finds every block without scanning the payloads,
+//! and every block is independently checksummed.
 //! Dictionaries live in the footer (not the header) because the writer
 //! streams blocks out as extraction produces them; the tables are only
 //! complete at [`RecordStoreWriter::finish`].
@@ -44,7 +44,6 @@
 //! never panics; the whole read path sits inside dr-lint's
 //! panic-reachability closure.
 
-use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -63,8 +62,7 @@ pub const STORE_VERSION: u16 = 1;
 pub const HEADER_BYTES: u64 = 8;
 /// Trailer size: footer offset + footer checksum + magic.
 pub const TRAILER_BYTES: u64 = 20;
-/// Records per block cap: bounds both a reader batch and the
-/// granularity of index-based block skipping.
+/// Records per block cap: bounds a reader batch.
 pub const MAX_BLOCK_RECORDS: usize = 4096;
 
 fn store_err(path: &str, message: impl Into<String>) -> DataError {
@@ -511,11 +509,6 @@ impl RecordStore {
         self.blocks.iter().map(|b| b.count).sum()
     }
 
-    /// Distinct GPUs in the dictionary.
-    pub fn gpu_count(&self) -> usize {
-        self.gpus.len()
-    }
-
     /// A pulled-iteration reader over the store's blocks. Opens its own
     /// file handle, so multiple readers can replay the same store.
     pub fn reader(&self, path: &Path) -> Result<StoreRecordSource<'_>, DataError> {
@@ -524,9 +517,6 @@ impl RecordStore {
             store: self,
             file,
             next_block: 0,
-            node_filter: None,
-            time_filter: None,
-            blocks_skipped: 0,
             buf: Vec::new(),
         })
     }
@@ -579,52 +569,17 @@ pub trait RecordSource: Send {
 }
 
 /// Block-at-a-time reader over an opened [`RecordStore`]: seek to the
-/// indexed byte range, exact-length read, checksum, decode. Optional
-/// node/time filters skip non-matching blocks **from the index alone**
-/// — skipped blocks are never read off disk.
+/// indexed byte range, exact-length read, checksum, decode.
 #[derive(Debug)]
 pub struct StoreRecordSource<'a> {
     store: &'a RecordStore,
     file: File,
     next_block: usize,
-    node_filter: Option<BTreeSet<usize>>,
-    /// Half-open `[start, end)` on record timestamps.
-    time_filter: Option<(Timestamp, Timestamp)>,
-    blocks_skipped: u64,
     /// Payload buffer, reused by every block read.
     buf: Vec<u8>,
 }
 
 impl StoreRecordSource<'_> {
-    /// Restrict iteration to the given nodes. Unknown nodes are
-    /// silently absent (their filter set is simply never matched).
-    pub fn select_nodes(mut self, nodes: &[NodeId]) -> Self {
-        let want: BTreeSet<usize> = self
-            .store
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| nodes.contains(n))
-            .map(|(i, _)| i)
-            .collect();
-        self.node_filter = Some(want);
-        self
-    }
-
-    /// Restrict iteration to records with `start <= at < end`. Blocks
-    /// wholly outside the range are skipped via the index; overlapping
-    /// blocks are decoded and filtered record-by-record.
-    pub fn select_time_range(mut self, start: Timestamp, end: Timestamp) -> Self {
-        self.time_filter = Some((start, end));
-        self
-    }
-
-    /// Blocks skipped by the index filters without being read/decoded,
-    /// since the reader was made or last rewound.
-    pub fn blocks_skipped(&self) -> u64 {
-        self.blocks_skipped
-    }
-
     fn read_block(&mut self, i: usize, meta: BlockMeta) -> Result<Vec<ErrorRecord>, DataError> {
         let path = &self.store.path;
         let blen = usize::try_from(meta.len)
@@ -659,44 +614,21 @@ impl RecordSource for StoreRecordSource<'_> {
     }
 
     fn next_batch(&mut self) -> Result<Option<RecordBatch>, DataError> {
-        loop {
-            let i = self.next_block;
-            let Some(&meta) = self.store.blocks.get(i) else {
-                return Ok(None);
-            };
-            self.next_block += 1;
-
-            if let Some(want) = &self.node_filter {
-                if !want.contains(&meta.node_idx) {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-            }
-            if let Some((start, end)) = self.time_filter {
-                if meta.max_at < start || meta.min_at >= end {
-                    self.blocks_skipped += 1;
-                    continue;
-                }
-            }
-
-            let mut records = self.read_block(i, meta)?;
-            if let Some((start, end)) = self.time_filter {
-                records.retain(|r| r.at >= start && r.at < end);
-                if records.is_empty() {
-                    continue;
-                }
-            }
-            return Ok(Some(RecordBatch {
-                node: meta.node_idx,
-                records,
-                bytes: meta.len,
-            }));
-        }
+        let i = self.next_block;
+        let Some(&meta) = self.store.blocks.get(i) else {
+            return Ok(None);
+        };
+        self.next_block += 1;
+        let records = self.read_block(i, meta)?;
+        Ok(Some(RecordBatch {
+            node: meta.node_idx,
+            records,
+            bytes: meta.len,
+        }))
     }
 
     fn rewind(&mut self) -> Result<(), DataError> {
         self.next_block = 0;
-        self.blocks_skipped = 0;
         Ok(())
     }
 }
@@ -940,54 +872,6 @@ mod tests {
         std::fs::write(f.path(), &bytes).expect("rewrite");
         let err = RecordStore::open(f.path()).expect_err("corrupt footer");
         assert!(err.to_string().contains("footer checksum"), "{err}");
-    }
-
-    #[test]
-    fn node_filter_skips_blocks_without_reading_them() {
-        let f = ScratchFile::new("nodefilter");
-        let (nodes, per_node) = sample_streams();
-        write_store(f.path(), &nodes, &per_node).expect("write");
-        let store = RecordStore::open(f.path()).expect("open");
-
-        let mut src = store.reader(f.path()).expect("reader").select_nodes(&[NodeId(12)]);
-        let mut got = Vec::new();
-        while let Some(b) = src.next_batch().expect("batch") {
-            assert_eq!(store.nodes()[b.node], NodeId(12));
-            got.extend(b.records);
-        }
-        assert_eq!(got, per_node[2]);
-        assert_eq!(src.blocks_skipped(), 1, "node 3's block must be index-skipped");
-    }
-
-    #[test]
-    fn time_filter_skips_disjoint_blocks_and_trims_overlapping_ones() {
-        let f = ScratchFile::new("timefilter");
-        // Two far-apart time clusters on one node → two disjoint blocks.
-        let nodes = vec![NodeId(5)];
-        let early: Vec<ErrorRecord> = (0..MAX_BLOCK_RECORDS as u64)
-            .map(|k| rec(k * 1_000, 5, 0, Xid::DoubleBitEcc))
-            .collect();
-        let late: Vec<ErrorRecord> = (0..100)
-            .map(|k| rec(1_000_000_000_000 + k * 1_000, 5, 0, Xid::NvlinkError))
-            .collect();
-        let stream: Vec<ErrorRecord> = early.iter().chain(late.iter()).copied().collect();
-        write_store(f.path(), &nodes, &[stream]).expect("write");
-        let store = RecordStore::open(f.path()).expect("open");
-        assert_eq!(store.blocks().len(), 2);
-
-        let start = Timestamp::from_micros(1_000_000_000_000);
-        let end = Timestamp::from_micros(1_000_000_050_000);
-        let mut src = store
-            .reader(f.path())
-            .expect("reader")
-            .select_time_range(start, end);
-        let mut got = Vec::new();
-        while let Some(b) = src.next_batch().expect("batch") {
-            got.extend(b.records);
-        }
-        assert_eq!(src.blocks_skipped(), 1, "the early block must be index-skipped");
-        assert_eq!(got.len(), 50);
-        assert!(got.iter().all(|r| r.at >= start && r.at < end));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The live path: one rolling window and threshold alerts on top of the
-//! fold-based analysis core.
+//! analysis core.
 //!
 //! A [`WatchSession`] is the monitoring deployment of the paper's
 //! methodology: it drains a [`LogSource`] poll by poll (typically a
 //! [`crate::tail::TailSource`] following growing files), extracts
 //! records with per-node scanner state, reorders them through a
 //! [`WatermarkBuffer`], coalesces with the incremental
-//! [`StreamCoalescer`], and keeps every completed episode for the final
-//! study fold. Each episode also enters one rolling window, which every
+//! [`StreamCoalescer`], and keeps every completed episode for the study
+//! it finishes at the end. Each episode also enters one rolling window, which every
 //! live view reads (windowed MTBE, per-offender rates, windowed
 //! propagation pressure) and which drives two of the three alerts:
 //! emerging defective offender and XID-95 storm onset. The third fires
@@ -513,9 +513,9 @@ impl WatchSession {
         }
     }
 
-    /// End of session: [`WatchSession::drain`], then fold the complete
-    /// episode set — re-sorted into batch order — through the
-    /// incremental [`crate::engine::StudyEngine`]. Over a completed
+    /// End of session: [`WatchSession::drain`], then finish the study
+    /// from the complete episode set — re-sorted into batch order —
+    /// through [`PipelineBuilder::run_coalesced`]. Over a completed
     /// corpus with `late_dropped == 0` the result is bit-identical to
     /// `gpures analyze` on the same logs.
     pub fn finish_observed(mut self, sink: &MetricsSink) -> StudyResults {

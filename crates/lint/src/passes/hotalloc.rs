@@ -1,11 +1,10 @@
 //! The hot-alloc pass: no per-call heap allocation inside marked hot
-//! loops — the Stage I match loops and the analysis fold's per-episode
-//! ingest.
+//! loops — the Stage I match loops and the episode indexing loop.
 //!
 //! The extraction engine's throughput rests on steady-state
 //! allocation-freedom: thread lists, capture-slot pools, and scratch
 //! buffers are reused across calls, so the inner loops run without
-//! touching the allocator. The study fold's ingest likewise only appends
+//! touching the allocator. The episode indexing loop likewise only appends
 //! to vectors it already owns; a GPU's first sight, which does allocate
 //! its lists, runs in a helper outside the region. That property is invisible to the type system
 //! and trivially regressed by a drive-by `Vec::new()`. Hot code is
@@ -35,7 +34,7 @@ const BEGIN: &str = "hot(begin)";
 const END: &str = "hot(end)";
 
 /// Files whose hot regions the workspace check requires: the Stage I
-/// match loops and the study fold's ingest, which the benchmark's
+/// match loops and the episode indexing loop, which the benchmark's
 /// `burst-tee` and `fold-dt1` workloads track.
 const REQUIRED: &[&str] = &[
     "crates/logscan/src/regex.rs",

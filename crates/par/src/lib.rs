@@ -78,21 +78,6 @@ where
     out
 }
 
-/// Parallel map over fixed-size chunks, preserving chunk order.
-/// `f` receives `(chunk_index, chunk)`.
-pub fn par_chunks_map<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let results = par_blocks(items, chunk_size, |start, slice| {
-        (start / chunk_size, f(start / chunk_size, slice))
-    });
-    results.into_iter().map(|(_, u)| u).collect()
-}
-
 /// Parallel fold: map each item with `fold` into a per-worker accumulator
 /// (seeded by `identity`), then reduce the accumulators with `merge`.
 ///
@@ -203,17 +188,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, |&x| x).is_empty());
         assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn par_chunks_map_indices_and_sizes() {
-        let input: Vec<u32> = (0..103).collect();
-        let lens = par_chunks_map(&input, 10, |idx, chunk| (idx, chunk.len()));
-        assert_eq!(lens.len(), 11);
-        for (i, &(idx, len)) in lens.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(len, if i == 10 { 3 } else { 10 });
-        }
     }
 
     #[test]

@@ -99,21 +99,6 @@ pub struct LogWriteSummary {
 /// syscalls, small enough that peak resident text stays negligible.
 const WRITE_CHUNK_BYTES: u64 = 256 * 1024;
 
-/// Write per-node log files (`gpubNNN.log`) into `dir`.
-pub fn write_node_logs(dir: &Path, logs: &[(NodeId, Vec<String>)]) -> Result<(), DataError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    for (node, lines) in logs {
-        let path = dir.join(format!("{}.log", node.hostname()));
-        let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
-        for l in lines {
-            body.push_str(l);
-            body.push('\n');
-        }
-        std::fs::write(&path, body).map_err(|e| io_err(&path, e))?;
-    }
-    Ok(())
-}
-
 /// Stream a [`LogSource`] into per-node log files without materializing
 /// any node's log: every node gets its file upfront (so empty logs still
 /// exist on disk), then chunks are appended as the source yields them.
@@ -271,19 +256,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn node_logs_round_trip_through_disk() {
-        let dir = std::env::temp_dir().join(format!("gpures-test-{}", std::process::id()));
-        let logs = vec![
-            (NodeId(3), vec!["line a".to_string(), "line b".to_string()]),
-            (NodeId(17), vec!["only".to_string()]),
-        ];
-        write_node_logs(&dir, &logs).expect("write");
-        let back = read_back(&dir, &[NodeId(3), NodeId(17)]);
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(back, logs);
     }
 
     #[test]

@@ -75,21 +75,38 @@ fn chunked_extraction_is_invariant_to_chunk_size_and_workers() {
     // The sharded Stage I path must be a pure performance knob: any chunk
     // size, any worker count, same bits. This is the end-to-end version of
     // the core crate's unit tests, through the public pipeline entry.
-    let out = Campaign::run(CampaignConfig::tiny(81));
-    let cfg = StudyConfig::ampere_study()
-        .with_window(out.observation_hours(), out.fleet.node_count() as u32);
+    // One-byte chunks make every line a chunk, the costliest cells, so
+    // those run on three days of the same seed, against a reference
+    // computed on that same corpus. Both corpora stay inside January;
+    // year rollovers are the shard unit tests' job.
+    let study = |campaign: CampaignConfig| {
+        let out = Campaign::run(campaign);
+        let cfg = StudyConfig::ampere_study()
+            .with_window(out.observation_hours(), out.fleet.node_count() as u32);
+        let (reference, ref_stats) = PipelineBuilder::new(cfg).run_text(&out.text_logs);
+        (out, cfg, reference, ref_stats)
+    };
+    let full = study(CampaignConfig::tiny(81));
+    let short = study(CampaignConfig {
+        duration_days: 3.0,
+        ..CampaignConfig::tiny(81)
+    });
+    assert!(
+        !short.2.coalesced.is_empty(),
+        "the short corpus must hold XID episodes"
+    );
 
-    let (reference, ref_stats) = PipelineBuilder::new(cfg).run_text(&out.text_logs);
     for target in [Some(1), Some(4 * 1024), Some(u64::MAX), None] {
+        let (out, cfg, reference, ref_stats) = if target == Some(1) { &short } else { &full };
         for workers in [Some(1), Some(8)] {
-            let mut builder = PipelineBuilder::new(cfg);
+            let mut builder = PipelineBuilder::new(*cfg);
             if let Some(t) = target {
                 builder = builder.chunk_bytes(t);
             }
             gpu_resilience::par::set_worker_override(workers);
             let (r, s) = builder.run_text(&out.text_logs);
             gpu_resilience::par::set_worker_override(None);
-            assert_eq!(s, ref_stats, "stats drift at {target:?}/{workers:?}");
+            assert_eq!(&s, ref_stats, "stats drift at {target:?}/{workers:?}");
             assert_eq!(
                 r.coalesced, reference.coalesced,
                 "coalesced drift at {target:?}/{workers:?}"

@@ -5,8 +5,8 @@
 //! repository benchmark's oracle does: episodes field by field through
 //! `Hash`, every other section through its `Debug` form. The expected
 //! values were computed by the map-based analysis fold that preceded the
-//! shared-index `StudyEngine`, so any change to any output bit of any
-//! section fails here, whatever route the fold takes internally.
+//! shared episode index, so any change to any output bit of any section
+//! fails here, whatever route the finish takes internally.
 //!
 //! If a digest changes on purpose (a deliberate change to an analysis),
 //! print the new value with `cargo test --test golden_digests -- --nocapture`

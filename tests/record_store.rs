@@ -220,48 +220,6 @@ fn record_replay_records_peak_gauge_without_changing_results() {
 }
 
 #[test]
-fn node_filter_replays_one_node_and_skips_the_rest_unread() {
-    let out = campaign();
-    let dir = scratch_dir("filter");
-    let store_path = dir.join("records.grcs");
-    build_store(&out, &store_path);
-    let store = RecordStore::open(&store_path).expect("store opens");
-    assert!(store.nodes().len() > 1, "need multiple nodes to filter");
-    let target = store.nodes()[0];
-
-    let full = drain(&mut store.reader(&store_path).expect("reader"));
-    let expect: Vec<&ErrorRecord> = full
-        .iter()
-        .filter(|(n, _)| store.nodes()[*n] == target)
-        .map(|(_, r)| r)
-        .collect();
-    assert!(!expect.is_empty(), "target node produced no records");
-
-    let mut reader = store
-        .reader(&store_path)
-        .expect("reader")
-        .select_nodes(&[target]);
-    let got = drain(&mut reader);
-    assert!(got.iter().all(|(n, _)| store.nodes()[*n] == target));
-    let got: Vec<&ErrorRecord> = got.iter().map(|(_, r)| r).collect();
-    assert_eq!(got, expect, "node filter changed the record stream");
-
-    // The footer index lets every other node's blocks go unread.
-    let other_blocks = store
-        .blocks()
-        .iter()
-        .filter(|b| store.nodes()[b.node_idx] != target)
-        .count() as u64;
-    assert!(other_blocks > 0);
-    assert_eq!(
-        reader.blocks_skipped(),
-        other_blocks,
-        "foreign blocks must be skipped via the index, not decoded"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn damaged_stores_fail_typed_not_panicking() {
     let out = campaign();
     let dir = scratch_dir("damage");
