@@ -99,7 +99,7 @@ pub use source::{
 };
 pub use stats::{LostHours, Table1Row};
 pub use store::{
-    extract_to_store, write_store, InMemoryRecordSource, RecordBatch, RecordSource, RecordStore,
+    write_store, InMemoryRecordSource, RecordBatch, RecordSource, RecordStore,
     RecordStoreWriter, StoreRecordSource, StoreSummary,
 };
 pub use stream::{StreamCoalescer, WatermarkBuffer};

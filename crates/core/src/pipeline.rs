@@ -266,7 +266,6 @@ impl<'a> PipelineBuilder<'a> {
         let mut source = InMemorySource::new(node_logs);
         match self.run_source(&mut source) {
             Ok(r) => r,
-            // dr-lint: allow(panic-reachability): InMemorySource::next_chunk never returns Err
             Err(_) => unreachable!("in-memory sources are infallible"),
         }
     }

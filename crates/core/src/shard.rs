@@ -237,15 +237,26 @@ pub fn extract_source_prefetch_observed<'s>(
             };
 
             // Phase 3 (parallel): extract each chunk from its replayed
-            // state. The per-chunk observed wrapper records chunk spans,
-            // line/byte counters, and a MB/s histogram; with a disabled
-            // sink it is the plain `extract_all` call.
+            // state. A recording sink also books every chunk once, never
+            // per line: an `extract/chunk` span, its bytes as counted on
+            // disk, its scan counters and a MB/s sample.
             let extracted: Vec<(Vec<ErrorRecord>, ExtractStats)> = {
                 let _child = span.child("extract-chunks");
                 dr_par::par_map(&work, |(c, (year, last_month))| {
                     let mut ex = XidExtractor::with_scanner_state(*year, *last_month);
-                    let recs = ex.extract_all_observed(&c.lines, sink);
-                    (recs, ex.stats())
+                    if !sink.is_enabled() {
+                        return (ex.extract_all(&c.lines), ex.stats());
+                    }
+                    let mut chunk_span = sink.span(Stage::Extract, "chunk");
+                    let recs = ex.extract_all(&c.lines);
+                    let s = ex.stats();
+                    sink.add(Stage::Extract, Counter::Bytes, c.bytes);
+                    sink.add(Stage::Extract, Counter::Lines, s.lines);
+                    sink.add(Stage::Extract, Counter::XidLines, s.xid_lines);
+                    sink.add(Stage::Extract, Counter::PrefilterHits, s.prefilter_hits);
+                    sink.add(Stage::Extract, Counter::Records, recs.len() as u64);
+                    chunk_span.rate("chunk_mb_per_s", c.bytes as f64 / (1024.0 * 1024.0));
+                    (recs, s)
                 })
             };
 

@@ -272,24 +272,6 @@ pub fn write_store(
     writer.finish()
 }
 
-/// Run the streaming extract pass over `source` and tee its per-node
-/// record output into a store at `path`. One pass over the text; the
-/// store is a byte-faithful transcript of what extraction produced.
-pub fn extract_to_store<'s>(
-    source: &mut (dyn crate::source::LogSource<'s> + Send),
-    target_bytes: Option<u64>,
-    path: &Path,
-) -> Result<(StoreSummary, dr_logscan::ExtractStats), DataError> {
-    let nodes = source.nodes().to_vec();
-    let (per_node, stats) = crate::shard::extract_source_prefetch_observed(
-        source,
-        target_bytes,
-        &dr_obs::MetricsSink::disabled(),
-    )?;
-    let summary = write_store(path, &nodes, &per_node)?;
-    Ok((summary, stats))
-}
-
 /// Cursor over the footer byte buffer; every short read is a typed
 /// truncation error naming the file.
 struct FooterCursor<'a> {

@@ -5,21 +5,21 @@
 //! panic-free analysis pipeline, a faithful XID taxonomy handled
 //! consistently across layers, and unit-suffixed time parameters. This
 //! crate machine-checks all four, using a hand-rolled token lexer (no
-//! `syn` — the build environment may be offline) and a baseline ledger
-//! that ratchets existing debt down instead of bulk-suppressing it.
+//! `syn` — the build environment may be offline). The one way to waive a
+//! finding is an in-source `// dr-lint: allow(<lint-id>): <reason>`
+//! comment, applied in [`run_on`] to every pass's findings alike, so the
+//! report counts each waiver it honours.
 //!
 //! Run it:
 //!
 //! ```text
 //! cargo run --bin dr-lint                         # human output, exit 1 on findings
 //! cargo run --bin dr-lint -- --json               # one JSON object per finding
-//! cargo run --bin dr-lint -- --update-baseline    # rewrite the debt ledger
 //! ```
 //!
 //! The tier-1 gate is `tests/lint_clean.rs`, which runs the same checks
 //! under `cargo test`.
 
-pub mod baseline;
 pub mod diag;
 pub mod graph;
 pub mod items;
@@ -28,13 +28,11 @@ pub mod passes;
 pub mod source;
 pub mod walk;
 
-pub use baseline::{Baseline, OverBaseline};
 pub use diag::{Diagnostic, Severity};
 pub use graph::SymbolGraph;
 pub use source::{SourceFile, Workspace};
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A lint pass. File passes implement `check_file`; cross-file passes
 /// (taxonomy) implement `check_workspace`; interprocedural passes
@@ -47,36 +45,19 @@ pub trait Pass {
     fn check_graph(&self, _ws: &Workspace, _graph: &SymbolGraph, _out: &mut Vec<Diagnostic>) {}
 }
 
-/// Where to lint and which debt ledger to honor.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Workspace root (the directory holding `Cargo.toml`, `src/`,
-    /// `crates/`).
-    pub root: PathBuf,
-    /// Baseline file; `None` means no suppression.
-    pub baseline: Option<PathBuf>,
-}
-
 /// The outcome of a lint run.
 #[derive(Debug)]
 pub struct Report {
-    /// Non-baselined, non-allowed findings — the ones that fail the run.
+    /// Findings no allow comment waives — the ones that fail the run.
     pub active: Vec<Diagnostic>,
-    /// Findings swallowed by in-budget baseline groups.
-    pub suppressed_baseline: usize,
     /// Findings waived by in-source allow comments.
     pub suppressed_allow: usize,
-    /// Baseline groups whose counts grew.
-    pub over: Vec<OverBaseline>,
     /// Files scanned.
     pub files: usize,
     /// Function symbols in the workspace call graph.
     pub symbols: usize,
     /// Name-approximated call edges between them.
     pub call_edges: usize,
-    /// Current violation counts per (lint, path) — feed to
-    /// [`Baseline::render`] for `--update-baseline`.
-    pub groups: BTreeMap<(String, String), usize>,
 }
 
 impl Report {
@@ -91,19 +72,11 @@ impl Report {
             out.push_str(&d.human());
             out.push('\n');
         }
-        for o in &self.over {
-            out.push_str(&format!(
-                "note[{}] {} grew past its baseline: {} allowed, {} found — fix the new \
-                 ones or justify with an allow comment\n",
-                o.lint, o.path, o.allowed, o.actual
-            ));
-        }
         out.push_str(&format!(
-            "dr-lint: {} finding(s) across {} files ({} baselined, {} allowed in-source); \
-             call graph: {} symbols, {} edges\n",
+            "dr-lint: {} finding(s) across {} files ({} allowed in-source); call graph: {} \
+             symbols, {} edges\n",
             self.active.len(),
             self.files,
-            self.suppressed_baseline,
             self.suppressed_allow,
             self.symbols,
             self.call_edges
@@ -128,18 +101,15 @@ pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     Ok(Workspace::from_files(files).with_scenarios(scenarios))
 }
 
-/// Lint the workspace at `cfg.root` against its baseline.
-pub fn run(cfg: &Config) -> Result<Report, String> {
-    let ws = load_workspace(&cfg.root)?;
-    let b = match &cfg.baseline {
-        Some(p) => Baseline::load(p)?,
-        None => Baseline::default(),
-    };
-    Ok(run_on(&ws, &b))
+/// Lint the workspace at `root`.
+pub fn run(root: &Path) -> Result<Report, String> {
+    Ok(run_on(&load_workspace(root)?))
 }
 
 /// Lint an already-loaded workspace (also the unit-test entry point).
-pub fn run_on(ws: &Workspace, baseline: &Baseline) -> Report {
+/// Every pass reports every finding; this is the one place an allow
+/// comment drops one, so `suppressed_allow` counts each waiver honoured.
+pub fn run_on(ws: &Workspace) -> Report {
     let graph = SymbolGraph::build(ws);
     let mut diags = Vec::new();
     for pass in passes::all() {
@@ -157,18 +127,12 @@ pub fn run_on(ws: &Workspace, baseline: &Baseline) -> Report {
     });
     let suppressed_allow = before - diags.len();
     diags.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-
-    let groups = baseline::group_counts(&diags);
-    let outcome = baseline::apply(baseline, diags);
     Report {
-        active: outcome.active,
-        suppressed_baseline: outcome.suppressed,
+        active: diags,
         suppressed_allow,
-        over: outcome.over,
         files: ws.files.len(),
         symbols: graph.symbols.len(),
         call_edges: graph.edge_count,
-        groups,
     }
 }
 
@@ -195,8 +159,8 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_allow_baseline_and_active() {
-        let report = run_on(&fixture_ws(), &Baseline::default());
+    fn end_to_end_allow_and_active() {
+        let report = run_on(&fixture_ws());
         // Line 1 HashMap import is NOT allowed (comment is on line 2 and
         // covers 2-3); line 3 HashMap is allowed; the unwrap (reachable
         // from the fixture entry point) and the unitless time param are
@@ -208,18 +172,36 @@ mod tests {
         assert_eq!(report.suppressed_allow, 1);
         assert!(report.symbols >= 3, "fixture has lookup, mtbe, run_source");
         assert!(report.call_edges >= 1, "run_source → lookup");
+    }
 
-        // Baseline all current groups: the run becomes clean.
-        let ledger = Baseline::render(&report.groups);
-        let b = Baseline::parse(&ledger).expect("ledger parses");
-        let clean = run_on(&fixture_ws(), &b);
-        assert!(clean.is_clean(), "{}", clean.render_human());
-        assert!(clean.suppressed_baseline >= 3);
+    #[test]
+    fn an_allowed_reachable_unwrap_is_counted_as_allowed() {
+        // The panic-reachability pass reports a waived site like any
+        // other; the one filter in `run_on` drops it and counts it.
+        let ws = Workspace::from_files(vec![SourceFile::new(
+            "crates/demo/src/lib.rs",
+            "pub struct PipelineBuilder;\n\
+             impl PipelineBuilder {\n\
+                 pub fn run_source(&self, v: &[u32]) -> u32 { head(v) }\n\
+             }\n\
+             fn head(v: &[u32]) -> u32 {\n\
+                 // dr-lint: allow(panic-reachability): callers pass a non-empty slice\n\
+                 v.first().copied().unwrap()\n\
+             }\n",
+        )]);
+        let report = run_on(&ws);
+        let reach: Vec<_> = report
+            .active
+            .iter()
+            .filter(|d| d.lint == "panic-reachability")
+            .collect();
+        assert!(reach.is_empty(), "{reach:?}");
+        assert_eq!(report.suppressed_allow, 1);
     }
 
     #[test]
     fn report_renders_counts() {
-        let report = run_on(&fixture_ws(), &Baseline::default());
+        let report = run_on(&fixture_ws());
         let text = report.render_human();
         assert!(text.contains("dr-lint:"));
         assert!(text.contains("allowed in-source"));

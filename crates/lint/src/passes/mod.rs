@@ -67,11 +67,11 @@ pub fn explain(id: &str) -> Option<&'static str> {
         reach::ID => {
             "Interprocedural: computes the call-graph transitive closure from the pipeline \
              entry points (PipelineBuilder::run_source, PipelineBuilder::run_record_source, \
-             Campaign::run_observed, Scheduler::run_observed) and flags every reachable \
-             `.unwrap()`, `.expect(…)`, \
-             `panic!`-family macro, and indexing expression without a visible bounds guard. \
-             The graph over-approximates calls by name, so a clean run proves the closure \
-             panic-free. Legacy `allow(panic-freedom)` comments still waive findings."
+             Campaign::run_observed, Scheduler::run, WatchSession::run_observed) and flags \
+             every reachable `.unwrap()`, `.expect(…)`, `panic!`-family macro, and indexing \
+             expression without a visible bounds guard. The graph over-approximates calls by \
+             name, so a clean run proves the closure panic-free. Waive an audited invariant \
+             with `// dr-lint: allow(panic-reachability): <invariant>`."
         }
         taint::ID => {
             "Interprocedural: seeds taint at functions reading ambient nondeterminism (wall \

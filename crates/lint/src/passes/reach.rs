@@ -10,9 +10,9 @@
 //! reachable" is a sound verdict; "reachable" names a concrete call
 //! path to audit.
 //!
-//! Waivers: both `// dr-lint: allow(panic-reachability): …` and the
-//! legacy `allow(panic-freedom)` spelling are honored, so invariant
-//! expects audited under the old pass stay waived.
+//! The pass reports every reachable site; a
+//! `// dr-lint: allow(panic-reachability): <invariant>` comment waives
+//! one in `run_on`, like any other pass's finding.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::graph::SymbolGraph;
@@ -24,9 +24,6 @@ pub struct ReachPass;
 
 pub const ID: &str = "panic-reachability";
 
-/// The legacy file-local pass id; its allow comments remain valid.
-pub const LEGACY_ID: &str = "panic-freedom";
-
 /// The long-running pipeline entry points whose closures must not
 /// panic: stage-1 extraction, record-store replay, fault campaigns,
 /// the Slurm scheduler, and the live watch poll loop (which must
@@ -35,7 +32,7 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("PipelineBuilder", "run_source"),
     ("PipelineBuilder", "run_record_source"),
     ("Campaign", "run_observed"),
-    ("Scheduler", "run_observed"),
+    ("Scheduler", "run"),
     ("WatchSession", "run_observed"),
 ];
 
@@ -96,9 +93,6 @@ impl Pass for ReachPass {
             }
             let via = g.path_to(&parents, i);
             for site in sites {
-                if file.is_allowed(ID, site.line) || file.is_allowed(LEGACY_ID, site.line) {
-                    continue;
-                }
                 out.push(Diagnostic {
                     lint: ID,
                     severity: Severity::Error,
@@ -253,14 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_panic_freedom_allow_comments_still_waive() {
-        let src = format!(
-            "{ENTRY}fn step_one(re: &str) {{\n    // dr-lint: allow(panic-freedom): pattern is a compile-time constant\n    compile(re).expect(\"static pattern\");\n}}\nfn compile(_: &str) -> Result<(), ()> {{ Ok(()) }}\n"
-        );
-        assert!(check(&[("crates/demo/src/lib.rs", &src)]).is_empty());
-    }
-
-    #[test]
     fn aborting_macros_in_the_closure_are_flagged() {
         let src = format!("{ENTRY}fn step_one() {{ todo!() }}\n");
         let d = check(&[("crates/demo/src/lib.rs", &src)]);
@@ -270,7 +256,7 @@ mod tests {
 
     #[test]
     fn every_entry_point_roots_the_closure() {
-        let src = "struct Campaign;\nimpl Campaign { pub fn run_observed(&self) { helper(); } }\nstruct Scheduler;\nimpl Scheduler { pub fn run_observed(&self) {} }\nfn helper() { Some(1).unwrap(); }\n";
+        let src = "struct Campaign;\nimpl Campaign { pub fn run_observed(&self) { helper(); } }\nstruct Scheduler;\nimpl Scheduler { pub fn run(&self) {} }\nfn helper() { Some(1).unwrap(); }\n";
         let d = check(&[("crates/demo/src/lib.rs", src)]);
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("Campaign::run_observed → helper"));

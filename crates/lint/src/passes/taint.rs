@@ -92,9 +92,6 @@ impl Pass for TaintPass {
             if !mentions_study_results(file, sym.full) {
                 continue;
             }
-            if file.is_allowed(ID, sym.line) {
-                continue;
-            }
             let chain = taint_chain(g, &origin, i);
             let root = *chain.last().unwrap_or(&i);
             let why = seed_reason

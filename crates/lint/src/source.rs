@@ -277,7 +277,7 @@ mod tests {
         assert!(f.is_allowed("determinism", 1));
         assert!(f.is_allowed("determinism", 2));
         assert!(!f.is_allowed("determinism", 3));
-        assert!(!f.is_allowed("panic-freedom", 2));
+        assert!(!f.is_allowed("panic-reachability", 2));
     }
 
     #[test]

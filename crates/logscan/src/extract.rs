@@ -211,7 +211,7 @@ impl XidExtractor {
     /// serial scan would have reached at the chunk boundary.
     pub fn with_scanner_state(year: i32, last_month: u8) -> Self {
         let nvrm = Regex::new(NVRM_PATTERN)
-            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
+            // dr-lint: allow(panic-reachability): constant pattern, compile covered by tests
             .expect("NVRM pattern compiles");
 
         let table = body_pattern_table();
@@ -220,7 +220,7 @@ impl XidExtractor {
         dispatch.resize_with(max_code as usize + 1, || None);
         for (xid, pat, unit, qualifier) in table {
             dispatch[xid.code() as usize] = Some(BodyPattern {
-                // dr-lint: allow(panic-freedom): constant patterns, round-trip tested below
+                // dr-lint: allow(panic-reachability): constant patterns, round-trip tested below
                 re: Regex::new(pat).expect("body pattern compiles"),
                 unit,
                 qualifier,
@@ -313,44 +313,6 @@ impl XidExtractor {
             .filter_map(|l| self.extract_line(l))
             .collect()
     }
-
-    /// [`XidExtractor::extract_all`] with observability: one timed
-    /// `extract/chunk` span, bulk counters (bytes, lines, XID lines,
-    /// records), and a per-chunk MB/s sample — all recorded once per
-    /// call, never per line, so the hot loop is untouched. On a disabled
-    /// sink this is exactly `extract_all` plus one branch.
-    pub fn extract_all_observed<'a, I>(
-        &mut self,
-        lines: I,
-        sink: &dr_obs::MetricsSink,
-    ) -> Vec<ErrorRecord>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        use dr_obs::{Counter, Stage};
-        if !sink.is_enabled() {
-            return self.extract_all(lines);
-        }
-        let before = self.stats;
-        let mut bytes = 0u64;
-        let mut span = sink.span(Stage::Extract, "chunk");
-        let records = {
-            let b = &mut bytes;
-            self.extract_all(lines.into_iter().inspect(move |l| *b += l.len() as u64 + 1))
-        };
-        let after = self.stats;
-        sink.add(Stage::Extract, Counter::Bytes, bytes);
-        sink.add(Stage::Extract, Counter::Lines, after.lines - before.lines);
-        sink.add(Stage::Extract, Counter::XidLines, after.xid_lines - before.xid_lines);
-        sink.add(
-            Stage::Extract,
-            Counter::PrefilterHits,
-            after.prefilter_hits - before.prefilter_hits,
-        );
-        sink.add(Stage::Extract, Counter::Records, records.len() as u64);
-        span.rate("chunk_mb_per_s", bytes as f64 / (1024.0 * 1024.0));
-        records
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -383,10 +345,10 @@ impl Default for BaselineExtractor {
 impl BaselineExtractor {
     pub fn new() -> Self {
         let header = Regex::new(HEADER_PATTERN)
-            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
+            // dr-lint: allow(panic-reachability): constant pattern, compile covered by tests
             .expect("header pattern compiles");
         let nvrm = Regex::new(NVRM_PATTERN)
-            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
+            // dr-lint: allow(panic-reachability): constant pattern, compile covered by tests
             .expect("NVRM pattern compiles");
         let bodies = body_pattern_table()
             .into_iter()
@@ -394,7 +356,7 @@ impl BaselineExtractor {
                 (
                     xid,
                     BodyPattern {
-                        // dr-lint: allow(panic-freedom): constant patterns, round-trip tested
+                        // dr-lint: allow(panic-reachability): constant patterns, round-trip tested
                         re: Regex::new(pat).expect("body pattern compiles"),
                         unit,
                         qualifier,

@@ -156,7 +156,6 @@ pub fn parse_header_oracle(line: &str) -> Option<RawHeader> {
     static HEADER: OnceLock<Regex> = OnceLock::new();
     let header = HEADER.get_or_init(|| {
         Regex::new(HEADER_PATTERN)
-            // dr-lint: allow(panic-freedom): constant pattern, compile covered by tests
             .expect("header pattern compiles")
     });
     let m = header.find(line)?;

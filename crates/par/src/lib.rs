@@ -2,7 +2,7 @@
 //!
 //! A deliberately small "rayon-lite": the analysis pipeline shards work by
 //! node (the paper processes 202 GB of per-node syslogs), which is embarrass-
-//! ingly parallel, so all we need is chunked parallel map/fold with dynamic
+//! ingly parallel, so all we need is chunked parallel map with dynamic
 //! load balancing. Work distribution uses an atomic chunk cursor (work
 //! stealing at chunk granularity); results are collected per worker and
 //! stitched back in input order, so every function here is **deterministic**:
@@ -76,29 +76,6 @@ where
         out.append(&mut v);
     }
     out
-}
-
-/// Parallel fold: map each item with `fold` into a per-worker accumulator
-/// (seeded by `identity`), then reduce the accumulators with `merge`.
-///
-/// `merge` is applied in worker-index order, so the result is deterministic
-/// whenever `merge` is associative (it need not be commutative).
-pub fn par_fold<T, A, Fo, Me, Id>(items: &[T], identity: Id, fold: Fo, merge: Me) -> A
-where
-    T: Sync,
-    A: Send,
-    Id: Fn() -> A + Sync,
-    Fo: Fn(A, &T) -> A + Sync,
-    Me: Fn(A, A) -> A,
-{
-    let block = (items.len() / (worker_count(items.len()) * 8)).max(1);
-    let partials = par_blocks(items, block, |start, slice| {
-        (start, slice.iter().fold(identity(), |acc, it| fold(acc, it)))
-    });
-    partials
-        .into_iter()
-        .map(|(_, a)| a)
-        .fold(identity(), merge)
 }
 
 /// Core primitive: split `items` into contiguous blocks of `block` items,
@@ -190,49 +167,12 @@ mod tests {
         assert_eq!(par_map(&[5u32], |&x| x + 1), vec![6]);
     }
 
-    #[test]
-    fn par_fold_sums() {
-        let input: Vec<u64> = (1..=1_000).collect();
-        let sum = par_fold(&input, || 0u64, |acc, &x| acc + x, |a, b| a + b);
-        assert_eq!(sum, 500_500);
-    }
-
-    #[test]
-    fn par_fold_non_commutative_merge_is_ordered() {
-        // Concatenation is associative but not commutative; parallel fold
-        // must still produce the in-order result.
-        let input: Vec<u32> = (0..500).collect();
-        let s = par_fold(
-            &input,
-            String::new,
-            |mut acc, &x| {
-                acc.push_str(&x.to_string());
-                acc.push(',');
-                acc
-            },
-            |mut a, b| {
-                a.push_str(&b);
-                a
-            },
-        );
-        let expected: String = input.iter().map(|x| format!("{x},")).collect();
-        assert_eq!(s, expected);
-    }
-
     proptest! {
         /// par_map agrees with sequential map for arbitrary inputs.
         #[test]
         fn par_map_matches_serial(xs in prop::collection::vec(any::<i32>(), 0..2_000)) {
             let par: Vec<i64> = par_map(&xs, |&x| x as i64 * 3 - 1);
             let ser: Vec<i64> = xs.iter().map(|&x| x as i64 * 3 - 1).collect();
-            prop_assert_eq!(par, ser);
-        }
-
-        /// par_fold agrees with sequential fold for summation.
-        #[test]
-        fn par_fold_matches_serial(xs in prop::collection::vec(any::<i32>(), 0..2_000)) {
-            let par = par_fold(&xs, || 0i64, |a, &x| a + x as i64, |a, b| a + b);
-            let ser: i64 = xs.iter().map(|&x| x as i64).sum();
             prop_assert_eq!(par, ser);
         }
     }

@@ -5,7 +5,7 @@
 //! Runs as its own integration binary so the process-wide worker override
 //! cannot interfere with other tests.
 
-use dr_par::{par_fold, par_map, set_worker_override};
+use dr_par::{par_map, set_worker_override};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 #[test]
@@ -33,39 +33,11 @@ fn cursor_contention_neither_drops_nor_duplicates() {
 }
 
 #[test]
-fn fold_under_contention_is_exact() {
-    // Integer sums are order-independent, so any drop/duplicate under
-    // contention shows up as a wrong total.
-    let input: Vec<u64> = (1..=100_000).collect();
-    let expected: u64 = input.iter().sum();
-    for workers in [2, 5, 32] {
-        set_worker_override(Some(workers));
-        let sum = par_fold(&input, || 0u64, |a, &x| a + x, |a, b| a + b);
-        assert_eq!(sum, expected, "workers={workers}");
-    }
-    set_worker_override(None);
-}
-
-#[test]
 fn output_is_bit_identical_across_worker_counts() {
-    // Non-commutative merge (string concatenation): the stitched result
-    // must match the serial one for every worker count, byte for byte.
+    // Order-sensitive stitching (string concatenation): the result must
+    // match the serial one for every worker count, byte for byte.
     let input: Vec<u32> = (0..4_000).collect();
-    let run = || {
-        par_fold(
-            &input,
-            String::new,
-            |mut acc, &x| {
-                acc.push_str(&x.to_string());
-                acc.push(';');
-                acc
-            },
-            |mut a, b| {
-                a.push_str(&b);
-                a
-            },
-        )
-    };
+    let run = || par_map(&input, |x| format!("{x};")).concat();
     set_worker_override(Some(1));
     let serial = run();
     for workers in [2, 4, 13, 48] {

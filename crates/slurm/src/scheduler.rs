@@ -148,26 +148,6 @@ impl Scheduler {
 
     /// Generate and place the workload. `drains` encodes node avoidance.
     pub fn run(&self, fleet: &Fleet, drains: &DrainWindows) -> Schedule {
-        self.run_observed(fleet, drains, &dr_obs::MetricsSink::disabled())
-    }
-
-    /// [`Scheduler::run`] with observability: a `schedule/total` span and
-    /// a placed-jobs counter. Write-only — the schedule is bit-identical
-    /// to `run` for the same config and seed.
-    pub fn run_observed(
-        &self,
-        fleet: &Fleet,
-        drains: &DrainWindows,
-        sink: &dr_obs::MetricsSink,
-    ) -> Schedule {
-        use dr_obs::{Counter, Stage};
-        let _span = sink.span(Stage::Schedule, "total");
-        let out = self.run_inner(fleet, drains);
-        sink.add(Stage::Schedule, Counter::Jobs, out.jobs.len() as u64);
-        out
-    }
-
-    fn run_inner(&self, fleet: &Fleet, drains: &DrainWindows) -> Schedule {
         let streams = RngStreams::new(self.cfg.seed);
         let mut rng = streams.named("scheduler");
         let gpu_ids = fleet.gpu_ids();

@@ -1,30 +1,26 @@
 //! `dr-lint` — run the workspace's static-analysis passes from the CLI.
 //!
 //! ```text
-//! dr-lint [--root DIR] [--baseline FILE] [--json] [--update-baseline]
-//!         [--explain LINT-ID] [--graph-dot]
+//! dr-lint [--root DIR] [--json] [--explain LINT-ID] [--graph-dot]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error. The same
 //! checks gate `cargo test` via `tests/lint_clean.rs`; this binary
-//! exists for fast local iteration, for `--update-baseline` (which
-//! rewrites the debt ledger after paying some of it down), for
-//! `--explain` (what a lint id means and how to fix or waive it), and
-//! for `--graph-dot` (the workspace call graph in Graphviz form).
+//! exists for fast local iteration, for `--explain` (what a lint id
+//! means and how to fix it or waive it with an in-source allow
+//! comment), and for `--graph-dot` (the workspace call graph in
+//! Graphviz form).
 
-use dr_lint::{load_workspace, passes, run, Baseline, Config, SymbolGraph};
+use dr_lint::{load_workspace, passes, run, SymbolGraph};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dr-lint [--root DIR] [--baseline FILE] [--json] [--update-baseline] \
-                     [--explain LINT-ID] [--graph-dot]";
+const USAGE: &str = "usage: dr-lint [--root DIR] [--json] [--explain LINT-ID] [--graph-dot]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
     let mut json = false;
-    let mut update = false;
     let mut graph_dot = false;
 
     let mut it = args.iter();
@@ -34,12 +30,7 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage_error("--root needs a value"),
             },
-            "--baseline" => match it.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
             "--json" => json = true,
-            "--update-baseline" => update = true,
             "--graph-dot" => graph_dot = true,
             "--explain" => match it.next() {
                 Some(id) => {
@@ -87,12 +78,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let baseline_path = baseline.unwrap_or_else(|| root.join("dr-lint.baseline"));
-    let cfg = Config {
-        root,
-        baseline: Some(baseline_path.clone()),
-    };
-    let report = match run(&cfg) {
+    let report = match run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dr-lint: {e}");
@@ -102,25 +88,9 @@ fn main() -> ExitCode {
     if report.files == 0 {
         eprintln!(
             "dr-lint: no .rs files under {:?} (expected src/ or crates/*/src/)",
-            cfg.root.display()
+            root.display()
         );
         return ExitCode::from(2);
-    }
-
-    if update {
-        let ledger = Baseline::render(&report.groups);
-        if let Err(e) = std::fs::write(&baseline_path, &ledger) {
-            eprintln!("dr-lint: {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let entries = report.groups.values().filter(|&&c| c > 0).count();
-        println!(
-            "dr-lint: wrote {} baseline entr{} to {}",
-            entries,
-            if entries == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
     }
 
     if json {

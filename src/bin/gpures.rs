@@ -23,11 +23,12 @@
 
 use gpu_resilience::cli::{self, Flag, FlagSet, CHUNK_BYTES, DT, HOURS, METRICS, NODES, RECORDS, WORKERS};
 use gpu_resilience::core::{
-    extract_to_store, CoalesceConfig, DirSource, GeneratorSource, LogSource, PipelineBuilder,
-    Alert, RecordStore, StudyConfig, StudyResults, TailSource, WatchConfig, WatchSession,
+    extract_source_prefetch_observed, write_store, CoalesceConfig, DirSource, GeneratorSource,
+    LogSource, PipelineBuilder, Alert, RecordStore, StudyConfig, StudyResults, TailSource,
+    WatchConfig, WatchSession,
 };
 use gpu_resilience::faults::{all_scenarios, Campaign, CampaignConfig};
-use gpu_resilience::obs::MetricsSink;
+use gpu_resilience::obs::{Counter, MetricsSink, Stage};
 use gpu_resilience::report::{self, files, render_summary};
 use gpu_resilience::slurm::{
     apply_errors, csv as jobs_csv, DrainWindows, JobLoadConfig, MaskingModel, Scheduler,
@@ -287,15 +288,22 @@ fn cmd_campaign(opts: &cli::Opts) -> Result<(), String> {
         duration_days: out.duration.as_hours_f64() / 24.0,
         ..JobLoadConfig::delta_study(seed ^ 0x10b5)
     };
-    let mut schedule = Scheduler::new(load).run_observed(&out.fleet, &drains, &sink);
+    let mut schedule = {
+        let _span = sink.span(Stage::Schedule, "total");
+        Scheduler::new(load).run(&out.fleet, &drains)
+    };
+    sink.add(Stage::Schedule, Counter::Jobs, schedule.jobs.len() as u64);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1133);
     apply_errors(&mut schedule.jobs, &out.events, &MaskingModel::default(), &mut rng);
 
     let log_dir = out_dir.join("logs");
     let written = {
+        let _span = sink.span(Stage::Campaign, "write-logs");
         let mut text = GeneratorSource::from_campaign(&out);
         files::write_node_logs_source(&log_dir, &mut text).map_err(|e| e.to_string())?
     };
+    sink.add(Stage::Campaign, Counter::Lines, written.lines);
+    sink.add(Stage::Campaign, Counter::Bytes, written.bytes);
     write_file(&out_dir.join("jobs.csv"), &jobs_csv::to_csv(&schedule.jobs))?;
     write_file(
         &out_dir.join("downtime.csv"),
@@ -315,10 +323,11 @@ fn cmd_campaign(opts: &cli::Opts) -> Result<(), String> {
     // over a fresh generator stream, so the store holds exactly what
     // Stage I produces (not the campaign's ground-truth records).
     if let Some(rec_path) = opts.path("records") {
-        let (summary, _stats) = {
-            let mut text = GeneratorSource::from_campaign(&out);
-            extract_to_store(&mut text, None, &rec_path).map_err(|e| e.to_string())?
-        };
+        let mut text = GeneratorSource::from_campaign(&out);
+        let (per_node, _stats) = extract_source_prefetch_observed(&mut text, None, &sink)
+            .map_err(|e| e.to_string())?;
+        let summary =
+            write_store(&rec_path, text.nodes(), &per_node).map_err(|e| e.to_string())?;
         println!(
             "wrote record store {} ({} records, {} blocks, {} bytes)",
             rec_path.display(),
@@ -699,7 +708,6 @@ fn emit_alerts(alerts: &[Alert], path: Option<&Path>) -> Result<(), String> {
 /// quantities: re-exporting without new input re-publishes identical
 /// values.
 fn publish_watch_gauges(session: &WatchSession, sink: &MetricsSink) {
-    use gpu_resilience::obs::Stage;
     let s = session.snapshot();
     sink.gauge_set(Stage::Stats, "watch_window_errors", s.windowed_mtbe.count as f64);
     sink.gauge_set(

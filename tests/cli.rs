@@ -41,6 +41,16 @@ fn stage_names(doc: &Json) -> Vec<String> {
         .unwrap_or_default()
 }
 
+fn counter(doc: &Json, stage: &str, name: &str) -> Option<u64> {
+    doc.get("stages")?
+        .as_arr()?
+        .iter()
+        .find(|s| s.get("stage").and_then(Json::as_str) == Some(stage))?
+        .get("counters")?
+        .get(name)?
+        .as_u64()
+}
+
 #[test]
 fn campaign_analyze_round_trip() {
     let dir = temp_dir("roundtrip");
@@ -50,6 +60,8 @@ fn campaign_analyze_round_trip() {
         .arg(&dir)
         .args(["--shape", "tiny", "--seed", "5", "--days", "10", "--metrics"])
         .arg(dir.join("campaign-metrics.json"))
+        .arg("--records")
+        .arg(dir.join("campaign.grcs"))
         .output()
         .expect("run campaign");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -59,6 +71,16 @@ fn campaign_analyze_round_trip() {
     let metrics = read_metrics(&dir.join("campaign-metrics.json"));
     assert!(stage_names(&metrics).contains(&"campaign".to_string()));
     assert!(stage_names(&metrics).contains(&"schedule".to_string()));
+    assert!(counter(&metrics, "schedule", "jobs").is_some_and(|n| n > 0));
+    // The streamed log write is booked under `campaign`, and the
+    // `--records` pass extracts on the same sink: it scans exactly the
+    // lines and bytes that were written.
+    let lines = counter(&metrics, "campaign", "lines");
+    let bytes = counter(&metrics, "campaign", "bytes");
+    assert!(lines.is_some_and(|n| n > 0), "campaign lines: {lines:?}");
+    assert!(bytes.is_some_and(|n| n > 0), "campaign bytes: {bytes:?}");
+    assert_eq!(counter(&metrics, "extract", "lines"), lines);
+    assert_eq!(counter(&metrics, "extract", "bytes"), bytes);
 
     let dot_dir = dir.join("dot");
     let out = gpures()

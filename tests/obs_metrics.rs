@@ -104,24 +104,48 @@ fn exported_metrics_follow_the_v1_schema() {
             stage.get("wall_s").and_then(Json::as_f64).expect("wall_s") >= 0.0
         );
     }
-    let extract = stages
-        .iter()
-        .find(|s| s.get("stage").and_then(Json::as_str) == Some("extract"))
-        .expect("extract stage");
+    let stage = |name: &str| {
+        stages
+            .iter()
+            .find(|s| s.get("stage").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} stage"))
+    };
+    let span_names = |name: &str| -> Vec<&str> {
+        stage(name)
+            .get("spans")
+            .and_then(Json::as_arr)
+            .expect("spans")
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Json::as_str))
+            .collect()
+    };
+    let extract = stage("extract");
     let counters = extract.get("counters").expect("extract counters");
     assert!(counters.get("lines").and_then(Json::as_u64).expect("lines") > 0);
     assert!(counters.get("bytes").and_then(Json::as_u64).expect("bytes") > 0);
+    // Every chunk books its on-disk bytes under its own span: the extract
+    // total is the shard's.
+    assert_eq!(
+        counters.get("bytes"),
+        stage("shard").get("counters").and_then(|c| c.get("bytes"))
+    );
     let rates = extract.get("rates").expect("extract rates");
     assert!(rates.get("lines_per_s").and_then(Json::as_f64).expect("rate") > 0.0);
-    let spans = extract.get("spans").and_then(Json::as_arr).expect("spans");
-    assert!(spans
-        .iter()
-        .any(|s| s.get("name").and_then(Json::as_str) == Some("total")));
+    let extract_spans = span_names("extract");
+    for want in ["total", "chunk"] {
+        assert!(extract_spans.contains(&want), "{want} in {extract_spans:?}");
+    }
     // Per-chunk throughput histogram from `SpanGuard::rate`.
     let hists = extract.get("histograms").and_then(Json::as_arr).expect("hists");
     assert!(hists
         .iter()
         .any(|h| h.get("name").and_then(Json::as_str) == Some("chunk_mb_per_s")));
+    // The study books its index build and the start-order sort of its
+    // lists under `stats`.
+    let stats_spans = span_names("stats");
+    for want in ["fold", "sort"] {
+        assert!(stats_spans.contains(&want), "{want} in {stats_spans:?}");
+    }
     // The document round-trips through the writer/parser pair.
     assert_eq!(Json::parse(&doc.render()).expect("parses"), doc);
 }

@@ -5,8 +5,9 @@
 //! store must surface as a typed `DataError`, never a panic.
 
 use gpu_resilience::core::{
-    extract_to_store, write_store, CoalesceConfig, GeneratorSource, InMemoryRecordSource,
-    InMemorySource, PipelineBuilder, RecordBatch, RecordSource, RecordStore, StudyConfig,
+    extract_source_prefetch_observed, write_store, CoalesceConfig, GeneratorSource,
+    InMemoryRecordSource, InMemorySource, LogSource, PipelineBuilder, RecordBatch, RecordSource,
+    RecordStore, StudyConfig,
 };
 use gpu_resilience::faults::{Campaign, CampaignConfig, CampaignOutput};
 use gpu_resilience::logscan::BaselineExtractor;
@@ -46,7 +47,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Write the campaign's record store via the standalone extract pass.
 fn build_store(out: &CampaignOutput, path: &Path) {
     let mut gen = GeneratorSource::from_campaign(out);
-    let (summary, _) = extract_to_store(&mut gen, None, path).expect("extract to store");
+    let (per_node, _) = extract_source_prefetch_observed(&mut gen, None, &MetricsSink::disabled())
+        .expect("extract");
+    let summary = write_store(path, gen.nodes(), &per_node).expect("write store");
     assert!(summary.records > 0, "campaign extracted no records");
 }
 
